@@ -10,7 +10,6 @@ from .corrector import (
     corrector_polynomial,
     edgeworth_expectation,
     explicit_order3,
-    hermitize,
     normalize,
     order2_discrepancy_terms,
     order_discrepancy,

@@ -188,7 +188,7 @@ def _run_occupation(cfg, base_dir, seed, workers):
 def _run_roots(cfg, base_dir, seed, workers):
     _check_fields(
         cfg, {"experiment", "component", "n_grid"},
-        {"samples", "oversample", "tol", "crn", "seed", "workers", "out_stem"},
+        {"samples", "oversample", "crn", "seed", "workers", "out_stem"},
         "roots config",
     )
     return kac_rice_roots(
@@ -196,7 +196,6 @@ def _run_roots(cfg, base_dir, seed, workers):
         samples=int(cfg.get("samples", 2000)),
         seed=seed, workers=workers,
         oversample=int(cfg.get("oversample", 8)),
-        tol=float(cfg.get("tol", 1e-12)),
         crn=bool(cfg.get("crn", True)),
     )
 

@@ -34,7 +34,6 @@ from .hermite import (
     Polynomial,
     expect_poly_times_hermite,
     gauss_hermite,
-    hermite1d,
     hermite_value_table,
 )
 from .multiindex import check_multiindex, concat, enumerate_multiindices, multinomial_weight, unit
@@ -93,9 +92,6 @@ class DiffOp:
         for beta, c in self.terms.items():
             out = out + f.diff(beta).scale(c)
         return out
-
-    def max_order(self) -> int:
-        return max((sum(b) for b in self.terms), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DiffOp(d={self.d}, {len(self.terms)} terms)"
@@ -223,14 +219,6 @@ def corrector_operator_enumerated(model: ModelSpec, k: int, N: int) -> DiffOp:
     return total
 
 
-def hermitize(op: DiffOp) -> dict:
-    """Hermite dual of a constant-coefficient operator: the coefficient map
-    is reinterpreted over the Hermite basis (shared multiplicity form), so
-    that Gaussian expectations of the operator applied to f match
-    expectations of f times the dual polynomial."""
-    return dict(op.terms)
-
-
 @dataclass(frozen=True, eq=False)
 class CorrectorPolynomial:
     """Constant plus Hermite-basis correction terms.
@@ -271,17 +259,6 @@ class CorrectorPolynomial:
                 out += term
         return float(out[0]) if single else out
 
-    def as_polynomial(self) -> Polynomial:
-        """Expansion into the monomial basis."""
-        out = Polynomial(self.d, {(0,) * self.d: self.constant})
-        for beta, c in self.terms.items():
-            prod = Polynomial(self.d, {(0,) * self.d: c})
-            for i, b in enumerate(beta):
-                if b:
-                    prod = prod * Polynomial.from_univariate(hermite1d(b), d=self.d, var=i)
-            out = out + prod
-        return out
-
     def to_json(self) -> dict:
         doc = {
             "d": self.d,
@@ -313,14 +290,18 @@ class CorrectorPolynomial:
 
 def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     """The order-N corrector polynomial of the model (constant 1 plus
-    n^{-k/2}-weighted Hermite duals of the order-k operators, k = 1..N)."""
+    n^{-k/2}-weighted Hermite duals of the order-k operators, k = 1..N).
+
+    The Hermite dual of a constant-coefficient operator keeps its
+    coefficient map and reads it over the Hermite basis (shared
+    multiplicity form), so that Gaussian expectations of the operator
+    applied to f match expectations of f times the dual polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
     terms: dict = {}
     for k in range(1, N + 1):
-        dual = hermitize(corrector_operator(model, k, N))
         w = float(model.n) ** (-0.5 * k)
-        for b, c in dual.items():
+        for b, c in corrector_operator(model, k, N).terms.items():
             terms[b] = terms.get(b, 0.0) + w * c
     return CorrectorPolynomial(d=model.d, constant=1.0, terms=terms, n=model.n, order=N)
 
@@ -432,9 +413,8 @@ def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
     for k in {2, 3}."""
     if k not in (1, 2, 3):
         raise ValueError("explicit correctors exist for k in {1, 2, 3}")
-    dual = hermitize(corrector_operator(model, k, N=3))
     explicit = explicit_order3(model)[k - 1]
-    diff_terms = dict(dual)
+    diff_terms = dict(corrector_operator(model, k, N=3).terms)
     for b, c in explicit.terms.items():
         diff_terms[b] = diff_terms.get(b, 0.0) - c
     gap = CorrectorPolynomial(d=model.d, constant=0.0, terms=diff_terms, n=model.n)

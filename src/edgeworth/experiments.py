@@ -338,20 +338,10 @@ def density_experiment(
 # occupation time
 
 
-def band_indicator_scale(eps: float) -> float:
-    return 1.0 / (2.0 * eps)
-
-
 def occupation_closed_form_gaussian(n: int, eps: float) -> float:
     """Exact E of the banded occupation average for Gaussian steps."""
     k = np.arange(1, n + 1)
     return float(np.mean(2.0 * norm.cdf(eps * np.sqrt(n / k)) - 1.0)) / (2.0 * eps)
-
-
-def brownian_band_occupation_exact(eps: float, grid: int) -> float:
-    """Exact expectation of the grid estimate of the Brownian band
-    occupation functional (Riemann sum of the banded local-time kernel)."""
-    return occupation_closed_form_gaussian(grid, eps * math.sqrt(1.0))
 
 
 def _walk_band_fraction(steps: np.ndarray, eps: float) -> np.ndarray:
@@ -520,11 +510,11 @@ def _trig_eval(t, a_coef, b_coef):
     )
 
 
-def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, oversample: int, tol: float) -> np.ndarray:
-    """Roots of each row's trigonometric polynomial on (0, pi): oversampled
-    grid, sign changes, bisection to ``tol``; near-tangency intervals get a
-    derivative-sign check so double roots are not silently dropped."""
-    samples, n = a_coef.shape
+def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, oversample: int) -> np.ndarray:
+    """Roots of each row's trigonometric polynomial on (0, pi): sign changes
+    on an oversampled grid; near-tangency intervals get a derivative-sign
+    check so double roots are not silently dropped."""
+    n = a_coef.shape[1]
     grid = np.linspace(0.0, math.pi, oversample * n + 1)
     k = np.arange(1, n + 1)
     cosg = np.cos(np.outer(grid, k))
@@ -532,23 +522,7 @@ def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, oversample: int, tol: f
     q = a_coef @ cosg.T + b_coef @ sing.T
     signs = np.where(q >= 0.0, 1.0, -1.0)
     flips = signs[:, 1:] * signs[:, :-1] < 0
-    rows_idx, cols_idx = np.nonzero(flips)
-
-    lo = grid[cols_idx].copy()
-    hi = grid[cols_idx + 1].copy()
-    slo = signs[rows_idx, cols_idx]
-    iters = max(1, int(math.ceil(math.log2(max((grid[1] - grid[0]) / tol, 2.0)))))
-    chunk = 1 << 15
-    for _ in range(iters):
-        for s in range(0, len(lo), chunk):
-            sl = slice(s, min(s + chunk, len(lo)))
-            mid = 0.5 * (lo[sl] + hi[sl])
-            qmid = _trig_eval(mid, a_coef[rows_idx[sl]], b_coef[rows_idx[sl]])
-            same_side = np.where(qmid >= 0.0, 1.0, -1.0) == slo[sl]
-            lo[sl] = np.where(same_side, mid, lo[sl])
-            hi[sl] = np.where(same_side, hi[sl], mid)
-
-    counts = np.bincount(rows_idx, minlength=samples)
+    counts = np.count_nonzero(flips, axis=1)
 
     # tangency guard: intervals without sign change whose endpoint values
     # are tiny relative to the row scale get a derivative-sign check
@@ -575,7 +549,6 @@ def kac_rice_roots(
     seed: int = 0,
     workers: int = 1,
     oversample: int = 8,
-    tol: float = 1e-12,
     crn: bool = True,
 ) -> ExperimentResult:
     """Expected number of zeros on (0, pi) of random trigonometric
@@ -597,9 +570,12 @@ def kac_rice_roots(
     for n in n_grid:
         n = int(n)
         block = max(16, (1 << 21) // (oversample * n))
-        cnt_sum = cnt_sq = 0.0
-        g_sum = g_sq = 0.0
-        d_sum = d_sq = 0.0
+        sums_y = []
+        sums_g = []
+        sums_d = []
+        sums_y2 = []
+        sums_g2 = []
+        sums_d2 = []
         max_count = 0
         done = 0
         bid = 0
@@ -615,28 +591,28 @@ def kac_rice_roots(
                 g = RngStream(seed ^ (n << 16) ^ (1 << 40), bid).generator().standard_normal(
                     (bsize, 2 * n)
                 )
-            cy = _count_roots(y[:, :n], y[:, n:], oversample, tol)
-            cg = _count_roots(g[:, :n], g[:, n:], oversample, tol)
+            cy = _count_roots(y[:, :n], y[:, n:], oversample)
+            cg = _count_roots(g[:, :n], g[:, n:], oversample)
             if cy.max(initial=0) > 2 * n or cg.max(initial=0) > 2 * n:
                 raise NumericalGuardError("root count exceeds twice the degree: counting bug")
             max_count = max(max_count, int(cy.max(initial=0)), int(cg.max(initial=0)))
             ry = cy / n
             rg = cg / n
-            cnt_sum += ry.sum()
-            cnt_sq += (ry * ry).sum()
-            g_sum += rg.sum()
-            g_sq += (rg * rg).sum()
+            sums_y.append(ry.sum())
+            sums_y2.append((ry * ry).sum())
+            sums_g.append(rg.sum())
+            sums_g2.append((rg * rg).sum())
             d = ry - rg
-            d_sum += d.sum()
-            d_sq += (d * d).sum()
+            sums_d.append(d.sum())
+            sums_d2.append((d * d).sum())
             done += bsize
             bid += 1
-        mean = cnt_sum / samples
-        mean_g = g_sum / samples
-        var = max(cnt_sq / samples - mean * mean, 0.0)
-        var_g = max(g_sq / samples - mean_g * mean_g, 0.0)
-        mean_d = d_sum / samples
-        var_d = max(d_sq / samples - mean_d * mean_d, 0.0)
+        mean = math.fsum(sums_y) / samples
+        mean_g = math.fsum(sums_g) / samples
+        var = max(math.fsum(sums_y2) / samples - mean * mean, 0.0)
+        var_g = max(math.fsum(sums_g2) / samples - mean_g * mean_g, 0.0)
+        mean_d = math.fsum(sums_d) / samples
+        var_d = max(math.fsum(sums_d2) / samples - mean_d * mean_d, 0.0)
         rows.append(
             {
                 "n": n,
@@ -657,7 +633,6 @@ def kac_rice_roots(
             "n_grid": [int(n) for n in n_grid],
             "samples": samples,
             "oversample": oversample,
-            "tol": tol,
             "crn": couple,
         },
         columns=[

@@ -50,7 +50,15 @@ class SuperKernel:
         return float(np.trapezoid(self.values, dx=self.spacing))
 
     def moment(self, k: int) -> float:
-        return float(np.trapezoid(self.values * self.x ** k, dx=self.spacing))
+        """Trapezoid moment folded over the antisymmetric grid: each x > 0
+        is paired with -x, weighting v(x) + (-1)^k v(-x) by x^k, so odd
+        orders of a symmetric kernel are exactly 0."""
+        half = len(self.x) // 2
+        x = self.x[half:]
+        paired = self.values[half:] + (-1) ** k * self.values[half - 1 :: -1]
+        weights = np.ones(half)
+        weights[-1] = 0.5
+        return float(self.spacing * np.sum(weights * x**k * paired))
 
     def abs_norm(self) -> float:
         """L1 norm of the kernel (finite; reported for diagnostics)."""

@@ -10,7 +10,6 @@ matrix, never inside the component law.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,14 +88,6 @@ def skewed_two_point(p: float) -> ComponentDistribution:
 
 def gaussian_mixture(w: float, mu1: float, sigma1: float, mu2: float, sigma2: float) -> ComponentDistribution:
     return ComponentDistribution("gaussian_mixture", (float(w), float(mu1), float(sigma1), float(mu2), float(sigma2)))
-
-
-def symmetric_gaussian_mixture(mu: float) -> ComponentDistribution:
-    """Equal-weight mixture of N(mu, s) and N(-mu, s) with mu^2 + s^2 = 1."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("need 0 <= mu < 1")
-    s = math.sqrt(1.0 - mu * mu)
-    return gaussian_mixture(0.5, mu, s, -mu, s)
 
 
 def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
@@ -274,10 +265,6 @@ class ModelSpec:
         return ModelSpec(d=int(doc["d"]), n=int(doc["n"]), summands=summands, iid=bool(doc.get("iid", False)))
 
 
-def model_from_json_str(text: str) -> ModelSpec:
-    return ModelSpec.from_json(json.loads(text))
-
-
 def iid_model(dist: ComponentDistribution, n: int) -> ModelSpec:
     """One-dimensional iid model with unit mixing matrix."""
     return ModelSpec(d=1, n=n, summands=(Summand(np.eye(1), (dist,)),), iid=True)
@@ -351,11 +338,6 @@ def moment_gap(C: np.ndarray, comps, beta) -> float:
         return 0.0
     gauss = tuple(standard_normal() for _ in comps)
     return pushforward_moment(C, comps, beta) - pushforward_moment(C, gauss, beta)
-
-
-def summand_moment_gap(model: ModelSpec, k: int, beta) -> float:
-    s = model.summand(k)
-    return moment_gap(s.C, s.components, beta)
 
 
 def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float, float]:

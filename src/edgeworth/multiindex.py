@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-MultiIndex = tuple  # tuple[int, ...]; aliased for signature readability
-
 
 def check_multiindex(beta) -> tuple:
     beta = tuple(int(b) for b in beta)

@@ -21,7 +21,6 @@ from edgeworth.corrector import (
     CorrectorPolynomial,
     corrector_polynomial,
     edgeworth_expectation,
-    hermitize,
     corrector_operator,
     explicit_order3,
     order2_discrepancy_terms,

@@ -88,19 +88,28 @@ def test_rate_with_inline_model(tmp_path):
     assert summary["notes"]["all_degenerate"] in (True, "true")
 
 
-def test_unknown_field_rejected(tmp_path, capsys):
-    cfg = {
-        "experiment": "rate",
-        "component": {"kind": "rademacher"},
-        "N": 0,
-        "n_grid": [8],
-        "f": {"[4]": 1.0},
-        "typo_field": 1,
-    }
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        pytest.param(
+            {"experiment": "rate", "component": {"kind": "rademacher"}, "N": 0,
+             "n_grid": [8], "f": {"[4]": 1.0}, "typo_field": 1},
+            "typo_field",
+            id="rate",
+        ),
+        pytest.param(
+            {"experiment": "roots", "component": {"kind": "standard_normal"},
+             "n_grid": [5], "samples": 4, "tol": 1e-12},
+            "tol",
+            id="roots",
+        ),
+    ],
+)
+def test_unknown_field_rejected(tmp_path, capsys, cfg, field):
     cpath = tmp_path / "bad.json"
     cpath.write_text(json.dumps(cfg))
-    assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
-    assert "typo_field" in capsys.readouterr().err
+    assert main([cfg["experiment"], "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_wrong_experiment_name(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgeworth.experiments import (
+    _count_roots,
     density_experiment,
     fit_loglog,
     gaussian_density,
@@ -168,6 +169,20 @@ def test_kac_rice_gaussian_small_n():
     exact = math.sqrt((20 + 1) * (2 * 20 + 1) / 6.0) / 20.0
     assert abs(row["roots_per_n"] - exact) <= 4 * row["se"] + 5e-3
     assert row["max_count"] <= 40
+
+
+def test_count_roots_tangency_guard():
+    # Q(t) = sin t (cos t - cos t0)^8 touches zero at t0 without a sign
+    # change; t0 is the midpoint of a grid interval, so only the tangency
+    # guard can count the double root
+    n, oversample = 9, 8
+    t0 = 30.5 * math.pi / (oversample * n)
+    t = np.linspace(0.0, math.pi, 400)
+    k = np.arange(1, n + 1)
+    target = np.sin(t) * (np.cos(t) - math.cos(t0)) ** 8
+    b = np.linalg.lstsq(np.sin(np.outer(t, k)), target, rcond=None)[0]
+    counts = _count_roots(np.zeros((1, n)), b[None, :], oversample)
+    assert counts.tolist() == [2]
 
 
 def test_trig_parametrized_sum_shapes_and_values():
