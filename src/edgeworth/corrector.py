@@ -10,9 +10,21 @@ The order-k corrector operator is
 where the inner tuples (l_i, l'_i) run over all ways to book derivative
 orders l_i >= 3 and Laplace powers l'_i >= 0 with sum l_i + 2 sum l'_i =
 k + 2m, D^{(l)}_r is the moment-gap differential operator of order l of
-summand r, and L_sigma the Laplace operator of its covariance.  Converting
-each constant-coefficient operator to its Hermite dual and summing
-n^{-k/2}-weighted terms yields the corrector polynomial
+summand r, and L_sigma the Laplace operator of its covariance.
+
+The tuples are closed under permutation and all operators commute, so the
+increasing-index sums add up to 1/m! times sums over pairwise distinct
+indices.  Those are Moebius sums over the set partitions pi of the m slots,
+
+    sum_{r distinct} prod_i S_i(r_i) = sum_pi mu(pi) prod_{B in pi} P_B,
+    mu(pi) = prod_B (-1)^{|B|-1} (|B|-1)!,   P_B = sum_r c_r prod_{i in B} S_i(r),
+
+with the power sums P_B taken over the distinct summand records r, each
+weighted by its count c_r (the averaged-cumulant form of non-iid Edgeworth
+theory).  The cost depends on the number of records, not on n.
+
+Converting each constant-coefficient operator to its Hermite dual and
+summing n^{-k/2}-weighted terms yields the corrector polynomial
 
     1 + sum_{k=1}^{N} n^{-k/2} (Hermite dual of the order-k operator),
 
@@ -24,8 +36,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,70 +166,107 @@ def corrector_index_tuples(m: int, k: int, N: int) -> list[tuple]:
     return out
 
 
-def _slot_operator(summand: Summand, l: int, lp: int, lap_cache: dict) -> DiffOp:
-    op = moment_gap_operator(summand, l).scale(1.0 / math.factorial(l))
-    if op.is_zero():
-        return op
-    if lp > 0:
-        key = (id(summand), lp)
-        if key not in lap_cache:
-            lap = laplace_operator(summand.sigma()).power(lp)
-            lap_cache[key] = lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp)))
-        op = op.compose(lap_cache[key])
-    return op
+@lru_cache(maxsize=None)
+def _set_partitions(m: int) -> tuple:
+    """Set partitions of the slots 0..m-1 as pairs (Moebius weight, blocks),
+    the weight prod_B (-1)^(|B|-1) (|B|-1)!."""
+    parts = [[]]
+    for i in range(m):
+        # slot i opens a block of its own or joins one of the existing blocks
+        parts = [p + [(i,)] for p in parts] + [
+            p[:j] + [p[j] + (i,)] + p[j + 1:] for p in parts for j in range(len(p))
+        ]
+    return tuple(
+        (math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part), tuple(part))
+        for part in parts
+    )
+
+
+class _PowerSums:
+    """Count-weighted power sums over the distinct summand records of
+    composed slot operators, with every gap, slot and block operator of the
+    model built once and shared across corrector orders."""
+
+    def __init__(self, model: ModelSpec):
+        self.model = model
+        self.records = model.unique_summands()
+        self.slots: dict = {}
+        self.products: dict = {}
+        self.sums: dict = {}
+
+    def slot(self, r: int, l: int, lp: int) -> DiffOp:
+        """(1/l!) D^{(l)}_r composed with ((-1)^{l'} / (2^{l'} l'!)) L^{l'} of record r."""
+        key = (r, l, lp)
+        if key not in self.slots:
+            rec = self.records[r][0]
+            if lp == 0:
+                op = moment_gap_operator(rec, l).scale(1.0 / math.factorial(l))
+            else:
+                op = self.slot(r, l, 0)
+                if not op.is_zero():
+                    lap = laplace_operator(rec.sigma()).power(lp)
+                    op = op.compose(lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp))))
+            self.slots[key] = op
+        return self.slots[key]
+
+    def product(self, r: int, block: tuple) -> DiffOp:
+        """Composition of the slot operators of record r over a sorted block
+        of (l, l') pairs; blocks share their prefixes."""
+        key = (r, block)
+        if key not in self.products:
+            last = self.slot(r, *block[-1])
+            if len(block) == 1 or last.is_zero():
+                self.products[key] = last
+            else:
+                self.products[key] = self.product(r, block[:-1]).compose(last)
+        return self.products[key]
+
+    def power_sum(self, block: tuple) -> DiffOp:
+        """sum over records r of count_r * product(r, block)."""
+        if block not in self.sums:
+            total = DiffOp(self.model.d)
+            for r, (_, count) in enumerate(self.records):
+                total = total + self.product(r, block).scale(float(count))
+            self.sums[block] = total
+        return self.sums[block]
+
+    def distinct(self, lam: tuple) -> DiffOp:
+        """Sum over pairwise distinct summand indices r_1, ..., r_m of the
+        composed slot operators of lam: Moebius sum over the set partitions
+        of the m slots, one power sum per block."""
+        total = DiffOp(self.model.d)
+        for mu, part in _set_partitions(len(lam)):
+            op = DiffOp.identity(self.model.d)
+            for b in part:
+                op = op.compose(self.power_sum(tuple(sorted(lam[i] for i in b))))
+                if op.is_zero():
+                    break
+            total = total + op.scale(float(mu))
+        return total
+
+    def operator(self, k: int, N: int) -> DiffOp:
+        """The order-k corrector operator for expansions up to order N.
+
+        The tuples of each m are closed under permutation and the operators
+        commute, so the sum of the increasing-index sums over the tuples
+        equals 1/m! times the sum of the distinct-index sums; tuples that
+        are permutations of each other share one distinct-index sum."""
+        total = DiffOp(self.model.d)
+        for m in range(1, k + 1):
+            shapes = Counter(tuple(sorted(lam)) for lam in corrector_index_tuples(m, k, N))
+            w = float(self.model.n) ** (-m) / math.factorial(m)
+            for lam, mult in sorted(shapes.items()):
+                total = total + self.distinct(lam).scale(mult * w)
+        return total
 
 
 def corrector_operator(model: ModelSpec, k: int, N: int) -> DiffOp:
     """The order-k corrector operator of the model for expansions up to
-    order N, with the increasing-index sums computed by a dynamic program
-    over summands."""
+    order N, from count-weighted power sums over the distinct summand
+    records (cost independent of n)."""
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
-    d = model.d
-    total = DiffOp(d)
-    lap_cache: dict = {}
-    slot_cache: dict = {}
-
-    def slot(rec_key, summand, l, lp):
-        key = (rec_key, l, lp)
-        if key not in slot_cache:
-            slot_cache[key] = _slot_operator(summand, l, lp, lap_cache)
-        return slot_cache[key]
-
-    for m in range(1, k + 1):
-        for lam in corrector_index_tuples(m, k, N):
-            # dp[j] = sum over r_1 < ... < r_j of composed slot operators
-            dp = [DiffOp.identity(d)] + [DiffOp(d) for _ in range(m)]
-            for r in range(model.n):
-                rec = model.summand(r)
-                rec_key = 0 if model.iid else r
-                ops_r = [slot(rec_key, rec, l, lp) for (l, lp) in lam]
-                for j in range(m, 0, -1):
-                    if dp[j - 1].is_zero() or ops_r[j - 1].is_zero():
-                        continue
-                    dp[j] = dp[j] + dp[j - 1].compose(ops_r[j - 1])
-            total = total + dp[m].scale(float(model.n) ** (-m))
-    return total
-
-
-def corrector_operator_enumerated(model: ModelSpec, k: int, N: int) -> DiffOp:
-    """Brute-force version of :func:`corrector_operator` (explicit
-    enumeration of increasing index tuples); test oracle for small n."""
-    if not 1 <= k <= N:
-        raise ValueError("need 1 <= k <= N")
-    d = model.d
-    total = DiffOp(d)
-    lap_cache: dict = {}
-    for m in range(1, k + 1):
-        for lam in corrector_index_tuples(m, k, N):
-            for rs in combinations(range(model.n), m):
-                op = DiffOp.identity(d)
-                for (l, lp), r in zip(lam, rs):
-                    op = op.compose(_slot_operator(model.summand(r), l, lp, lap_cache))
-                    if op.is_zero():
-                        break
-                total = total + op.scale(float(model.n) ** (-m))
-    return total
+    return _PowerSums(model).operator(k, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +348,11 @@ def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     applied to f match expectations of f times the dual polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    sums = _PowerSums(model)
     terms: dict = {}
     for k in range(1, N + 1):
         w = float(model.n) ** (-0.5 * k)
-        for b, c in corrector_operator(model, k, N).terms.items():
+        for b, c in sums.operator(k, N).terms.items():
             terms[b] = terms.get(b, 0.0) + w * c
     return CorrectorPolynomial(d=model.d, constant=1.0, terms=terms, n=model.n, order=N)
 
@@ -312,8 +363,8 @@ def _ordered_gap_sums(model: ModelSpec, l: int) -> dict:
     out = {}
     for beta in enumerate_multiindices(model.d, l):
         total = 0.0
-        for rec, idxs in model.unique_summands():
-            total += moment_gap(rec.C, rec.components, beta) * len(idxs)
+        for rec, count in model.unique_summands():
+            total += moment_gap(rec.C, rec.components, beta) * count
         val = multinomial_weight(beta) * total / model.n
         if val != 0.0:
             out[beta] = val
@@ -327,10 +378,10 @@ def _weighted_gap_sums(model: ModelSpec, l: int) -> dict:
     for beta in enumerate_multiindices(model.d, l):
         w = multinomial_weight(beta)
         totals = np.zeros((model.d, model.d))
-        for rec, idxs in model.unique_summands():
+        for rec, count in model.unique_summands():
             gap = moment_gap(rec.C, rec.components, beta)
             if gap != 0.0:
-                totals += gap * rec.sigma() * len(idxs)
+                totals += gap * rec.sigma() * count
         for i in range(model.d):
             for j in range(model.d):
                 val = w * totals[i, j] / model.n
@@ -394,7 +445,7 @@ def order2_discrepancy_terms(model: ModelSpec) -> dict:
     gaps = {
         b: [moment_gap(rec.C, rec.components, b) for rec, _ in recs] for b in betas3
     }
-    counts = [len(idxs) for _, idxs in recs]
+    counts = [count for _, count in recs]
     for b1 in betas3:
         w1 = multinomial_weight(b1)
         for b2 in betas3:

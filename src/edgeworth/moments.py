@@ -1,7 +1,8 @@
 """Distribution catalog with exact raw moments, model specification for
 scaled sums of independent non-identically distributed vectors, pushforward
 moments through mixing matrices, moment gaps against the Gaussian surrogate,
-and an exact dynamic-programming oracle for moments of the scaled sum.
+and exact moments of the scaled sum, with each summand record's truncated
+moments raised to its count by repeated squaring.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -236,11 +237,12 @@ class ModelSpec:
     def is_normalized(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.covariance_mean() - np.eye(self.d))) <= tol)
 
-    def unique_summands(self):
-        """Pairs (record, list of 0-based indices) grouping equal records."""
+    def unique_summands(self) -> list[tuple[Summand, int]]:
+        """Pairs (record, count): the summand records and how many of the
+        n summands share each one."""
         if self.iid:
-            return [(self.summands[0], list(range(self.n)))]
-        return [(s, [k]) for k, s in enumerate(self.summands)]
+            return [(self.summands[0], self.n)]
+        return [(s, 1) for s in self.summands]
 
     def to_json(self) -> dict:
         return {
@@ -347,11 +349,11 @@ def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float,
     beta = check_multiindex(beta)
     plain = 0.0
     weighted = 0.0
-    for rec, idxs in model.unique_summands():
+    for rec, count in model.unique_summands():
         gap = moment_gap(rec.C, rec.components, beta)
         sig = rec.sigma()[i, j]
-        plain += gap * len(idxs)
-        weighted += gap * sig * len(idxs)
+        plain += gap * count
+        weighted += gap * sig * count
     return plain / model.n, weighted / model.n
 
 
@@ -363,55 +365,50 @@ def _sub_multiindices(beta):
     return out
 
 
-def exact_sum_moment(model: ModelSpec, beta) -> float:
-    """Exact E[S_n^beta] by dynamic programming over summands.
+def _binomial_product(a: dict, b: dict, beta) -> dict:
+    """Moments of X + Y for independent X, Y from maps gamma -> E[X^gamma]
+    and gamma -> E[Y^gamma], truncated at beta:
+    sum over delta <= gamma of prod_i C(gamma_i, delta_i) a[gamma - delta] b[delta]."""
+    out: dict = {}
+    for g1, x in a.items():
+        for g2, y in b.items():
+            g = tuple(u + v for u, v in zip(g1, g2))
+            if any(gv > bv for gv, bv in zip(g, beta)):
+                continue
+            split = 1.0
+            for gv, dv in zip(g, g2):
+                split *= math.comb(gv, dv)
+            out[g] = out.get(g, 0.0) + x * y * split
+    return out
 
-    State: remaining multiplicity gamma <= beta.  Each summand absorbs a
-    part delta of gamma with split count prod_i C(gamma_i, delta_i) and
-    factor n^{-|delta|/2} E[(C_k Y_k)^delta]; parts with |delta| = 1 vanish
-    because summands are centered.
+
+def exact_sum_moment(model: ModelSpec, beta) -> float:
+    """Exact E[S_n^beta] from the summand records' moments.
+
+    Each record contributes the map delta -> n^{-|delta|/2} E[(C Y)^delta]
+    over delta <= beta; parts with |delta| = 1 vanish because summands are
+    centered.  Independent parts combine by binomial convolution, and a
+    record shared by c summands enters as its c-th convolution power, taken
+    by repeated squaring, so the cost grows with log c.
     """
     beta = check_multiindex(beta)
     if len(beta) != model.d:
         raise ValueError("index dimension != model dimension")
     if sum(beta) > 8:
         raise ValueError("exact sum moment order capped at 8")
-    subs = _sub_multiindices(beta)
-    scale = {delta: float(model.n) ** (-0.5 * sum(delta)) for delta in subs}
-
-    # per-record pushforward moments, cached over distinct summand records
-    def record_moments(rec):
-        out = {}
-        for delta in subs:
-            tot = sum(delta)
-            if tot in (0, 1):
-                out[delta] = 0.0 if tot == 1 else 1.0
-            else:
-                out[delta] = pushforward_moment(rec.C, rec.components, delta)
-        return out
-
-    state = {(0,) * model.d: 1.0}
-    if model.iid:
-        plan = [(record_moments(model.summands[0]), model.n)]
-    else:
-        plan = [(record_moments(s), 1) for s in model.summands]
-
-    for moments, reps in plan:
-        usable = [
-            (delta, moments[delta])
-            for delta in subs
-            if sum(delta) != 1 and (moments[delta] != 0.0 or sum(delta) == 0)
-        ]
-        for _ in range(reps):
-            new: dict = {}
-            for gamma, acc in state.items():
-                for delta, mom in usable:
-                    ng = tuple(g + dv for g, dv in zip(gamma, delta))
-                    if any(x > b for x, b in zip(ng, beta)):
-                        continue
-                    split = 1.0
-                    for gv, dv in zip(ng, delta):
-                        split *= math.comb(gv, dv)
-                    new[ng] = new.get(ng, 0.0) + acc * split * mom * scale[delta]
-            state = new
-    return state.get(beta, 0.0)
+    zero = (0,) * model.d
+    total = {zero: 1.0}
+    for rec, count in model.unique_summands():
+        factor = {zero: 1.0}
+        for delta in _sub_multiindices(beta):
+            if sum(delta) >= 2:
+                mom = pushforward_moment(rec.C, rec.components, delta)
+                if mom != 0.0:
+                    factor[delta] = mom * float(model.n) ** (-0.5 * sum(delta))
+        while count:  # total *= factor ** count, by repeated squaring
+            if count & 1:
+                total = _binomial_product(total, factor, beta)
+            count >>= 1
+            if count:
+                factor = _binomial_product(factor, factor, beta)
+    return total.get(beta, 0.0)

@@ -1,17 +1,21 @@
 import json
+import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from edgeworth import moments
 from edgeworth.corrector import (
     CorrectorPolynomial,
     DiffOp,
     corrector_index_tuples,
     corrector_operator,
-    corrector_operator_enumerated,
     corrector_polynomial,
     edgeworth_expectation,
     explicit_order3,
+    laplace_operator,
+    moment_gap_operator,
     normalize,
     order2_discrepancy_terms,
     order_discrepancy,
@@ -24,6 +28,7 @@ from edgeworth.moments import (
     exact_sum_moment,
     gaussian_mixture,
     iid_model,
+    iid_vector_model,
     rademacher,
     skewed_two_point,
     standard_normal,
@@ -43,6 +48,43 @@ def random_model(rng, d, n, normalized=True):
     )
     model = ModelSpec(d=d, n=n, summands=summands)
     return normalize(model) if normalized else model
+
+
+def _slot_operator(summand, l, lp):
+    op = moment_gap_operator(summand, l).scale(1.0 / math.factorial(l))
+    if op.is_zero() or lp == 0:
+        return op
+    lap = laplace_operator(summand.sigma()).power(lp)
+    return op.compose(lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp))))
+
+
+def corrector_operator_enumerated(model, k, N):
+    """Oracle: the increasing-index sums by explicit enumeration of the
+    index tuples r_1 < ... < r_m (small n only)."""
+    total = DiffOp(model.d)
+    for m in range(1, k + 1):
+        for lam in corrector_index_tuples(m, k, N):
+            for rs in combinations(range(model.n), m):
+                op = DiffOp.identity(model.d)
+                for (l, lp), r in zip(lam, rs):
+                    op = op.compose(_slot_operator(model.summand(r), l, lp))
+                total = total + op.scale(float(model.n) ** (-m))
+    return total
+
+
+def corrector_operator_dp(model, k, N):
+    """Oracle: the increasing-index sums by a dynamic program over the n
+    summands, dp[j] = sum over r_1 < ... < r_j of composed slot operators."""
+    total = DiffOp(model.d)
+    for m in range(1, k + 1):
+        for lam in corrector_index_tuples(m, k, N):
+            dp = [DiffOp.identity(model.d)] + [DiffOp(model.d) for _ in range(m)]
+            for r in range(model.n):
+                ops_r = [_slot_operator(model.summand(r), l, lp) for (l, lp) in lam]
+                for j in range(m, 0, -1):
+                    dp[j] = dp[j] + dp[j - 1].compose(ops_r[j - 1])
+            total = total + dp[m].scale(float(model.n) ** (-m))
+    return total
 
 
 def test_index_tuples_examples():
@@ -80,18 +122,62 @@ def test_gamma_uniform_examples():
 
 def test_gamma_dp_matches_enumeration():
     rng = np.random.default_rng(0)
-    model = random_model(rng, 2, 6, normalized=False)
-    for k in (1, 2, 3):
-        a = corrector_operator(model, k, 3)
-        b = corrector_operator_enumerated(model, k, 3)
-        keys = set(a.terms) | set(b.terms)
-        assert max(abs(a.terms.get(t, 0.0) - b.terms.get(t, 0.0)) for t in keys) < 1e-12
-    iid = iid_model(skewed_two_point(0.3), 8)
-    for k in (1, 2, 3):
-        a = corrector_operator(iid, k, 3)
-        b = corrector_operator_enumerated(iid, k, 3)
-        keys = set(a.terms) | set(b.terms)
-        assert max(abs(a.terms.get(t, 0.0) - b.terms.get(t, 0.0)) for t in keys) < 1e-12
+    cases = [
+        (random_model(rng, 2, 6, normalized=False), 3),
+        (iid_model(skewed_two_point(0.3), 8), 3),
+        (random_model(np.random.default_rng(4), 3, 6), 4),
+    ]
+    for model, N in cases:
+        for k in range(1, N + 1):
+            ops = [
+                corrector_operator(model, k, N),
+                corrector_operator_dp(model, k, N),
+                corrector_operator_enumerated(model, k, N),
+            ]
+            keys = set().union(*(op.terms for op in ops))
+            for a in ops[:2]:
+                assert max(abs(a.terms.get(t, 0.0) - ops[2].terms.get(t, 0.0)) for t in keys) < 1e-12
+
+
+def test_build_cost_is_per_record(monkeypatch):
+    # pushforward moments are the unit of work of corrector and moment
+    # builds; their number must depend on the records, not on n
+    calls = [0]
+    real = moments.pushforward_moment
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(moments, "pushforward_moment", counted)
+
+    def cost(model, N, betas):
+        calls[0] = 0
+        corrector_polynomial(model, N)
+        for beta in betas:
+            exact_sum_moment(model, beta)
+        return calls[0]
+
+    laws = (skewed_two_point(0.2), uniform_centered())
+    for make, N, betas in [
+        (lambda n: iid_model(laws[0], n), 4, [(8,), (5,)]),
+        (lambda n: iid_vector_model(laws, n), 4, [(4, 4), (3, 2)]),
+    ]:
+        small = cost(make(10), N, betas)
+        assert small > 0
+        assert cost(make(10**6), N, betas) == small
+
+    # non-iid: each record's gap operators of orders 3, 4, 5 are built
+    # once for all corrector orders, two pushforward moments per index
+    # (10 + 15 + 21 = 46 indices in d = 3)
+    kinds = [rademacher(), uniform_centered(), skewed_two_point(0.25),
+             gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)]
+    rng = np.random.default_rng(12)
+    summands = tuple(
+        Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3)))
+        for _ in range(50)
+    )
+    assert cost(normalize(ModelSpec(d=3, n=50, summands=summands)), 3, []) == 2 * 50 * 46
 
 
 def test_odd_orders_vanish_for_symmetric_components():

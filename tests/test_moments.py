@@ -144,9 +144,55 @@ def _enumerate_discrete_sum_moment(model, beta):
     return total
 
 
+def _sum_moment_loop(model, beta):
+    """Oracle: E[S_n^beta] by a dynamic program that absorbs the summands
+    one at a time, a part delta of the multiplicity per summand."""
+    subs = [
+        delta for delta in itertools.product(*(range(b + 1) for b in beta)) if sum(delta) != 1
+    ]
+    moms = {}  # per record, scaled moment of every part
+    state = {(0,) * model.d: 1.0}
+    for k in range(model.n):
+        rec = model.summand(k)
+        if id(rec) not in moms:
+            moms[id(rec)] = {
+                delta: (pushforward_moment(rec.C, rec.components, delta) if sum(delta) else 1.0)
+                * model.n ** (-0.5 * sum(delta))
+                for delta in subs
+            }
+        new: dict = {}
+        for gamma, acc in state.items():
+            for delta, mom in moms[id(rec)].items():
+                ng = tuple(g + dv for g, dv in zip(gamma, delta))
+                if any(x > b for x, b in zip(ng, beta)):
+                    continue
+                split = math.prod(math.comb(gv, dv) for gv, dv in zip(ng, delta))
+                new[ng] = new.get(ng, 0.0) + acc * split * mom
+        state = new
+    return state.get(tuple(beta), 0.0)
+
+
+def test_exact_sum_moment_squaring_matches_loop():
+    # n in {1, 2, 3, 5, 8, 1000} covers every branch of the binary expansion
+    C = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    d1 = Summand(np.eye(1), (skewed_two_point(0.2),))
+    d2 = Summand(C, (skewed_two_point(0.3), gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)))
+    betas = {
+        1: [(k,) for k in range(2, 9)],
+        2: [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (0, 8)],
+    }
+    for rec in (d1, d2):
+        d = rec.C.shape[0]
+        for n in (1, 2, 3, 5, 8, 1000):
+            model = ModelSpec(d=d, n=n, summands=(rec,), iid=True)
+            for beta in betas[d]:
+                ref = _sum_moment_loop(model, beta)
+                assert exact_sum_moment(model, beta) == pytest.approx(ref, rel=1e-12)
+
+
 def test_exact_sum_moment_examples():
     assert exact_sum_moment(iid_model(rademacher(), 2), (4,)) == pytest.approx(2.0)
-    for n in (2, 3, 7, 50, 1024):
+    for n in (2, 3, 7, 50, 1024, 10**6):
         got = exact_sum_moment(iid_model(rademacher(), n), (4,))
         assert got == pytest.approx(3.0 - 2.0 / n, rel=1e-12)
     # odd orders vanish for symmetric components
