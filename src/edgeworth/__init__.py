@@ -22,7 +22,6 @@ from .hermite import (
     gaussian_moment,
     hermite1d,
     hermite_eval,
-    hermite_inner,
 )
 from .moments import (
     ComponentDistribution,

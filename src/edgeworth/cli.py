@@ -171,7 +171,7 @@ def _run_density(cfg, base_dir, seed, workers):
 def _run_occupation(cfg, base_dir, seed, workers):
     _check_fields(
         cfg, {"experiment", "component", "rho", "n_grid"},
-        {"samples", "crn", "ref_grid", "ref_paths", "ref_eps", "seed", "workers", "out_stem"},
+        {"samples", "crn", "ref_grid", "ref_eps", "seed", "workers", "out_stem"},
         "occupation config",
     )
     return occupation_time(
@@ -180,7 +180,6 @@ def _run_occupation(cfg, base_dir, seed, workers):
         seed=seed, workers=workers,
         crn=bool(cfg.get("crn", True)),
         ref_grid=int(cfg.get("ref_grid", 10_000)),
-        ref_paths=cfg.get("ref_paths"),
         ref_eps=cfg.get("ref_eps"),
     )
 

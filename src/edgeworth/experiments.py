@@ -250,6 +250,9 @@ def rate_experiment(
 # ---------------------------------------------------------------------------
 # approximate-density experiment
 
+DENSITY_BLOCK = 1 << 16
+DENSITY_MIN_HITS = 100
+
 
 def density_experiment(
     model_builder,
@@ -260,16 +263,14 @@ def density_experiment(
     samples: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    min_hits: int = 100,
-    block: int = 1 << 16,
 ) -> ExperimentResult:
     """Monte Carlo check that the box-probability density estimate
     P(|S_n - a|_sup <= delta) / (2 delta)^d approaches the corrected
     Gaussian density at a.
 
     ``delta_rule`` maps n to the box half-width (default n^{-(N+1)/2}).
-    Rows with fewer than ``min_hits`` hits are flagged and excluded from
-    the slope fit.
+    Rows with fewer than ``DENSITY_MIN_HITS`` hits are flagged and excluded
+    from the slope fit.
     """
     if delta_rule is None:
         delta_rule = lambda n: float(n) ** (-0.5 * (N + 1))
@@ -289,7 +290,7 @@ def density_experiment(
         done = 0
         bid = 0
         while done < samples:
-            bsize = min(block, samples - done)
+            bsize = min(DENSITY_BLOCK, samples - done)
             rng = RngStream(seed ^ (n << 20), bid).generator()
             pts = sample_sum(model, rng, bsize)
             hits += int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
@@ -298,7 +299,7 @@ def density_experiment(
         p_hat = hits / samples
         est = p_hat / vol
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples) / vol
-        flagged = hits < min_hits
+        flagged = hits < DENSITY_MIN_HITS
         rows.append(
             {
                 "n": n,
@@ -360,7 +361,6 @@ def occupation_time(
     workers: int = 1,
     crn: bool = True,
     ref_grid: int = 10_000,
-    ref_paths: int | None = None,
     ref_eps: float | None = None,
 ) -> ExperimentResult:
     """Banded occupation average of the scaled random walk against its
@@ -369,15 +369,15 @@ def occupation_time(
     Per n: eps_n = n^{-(1-rho)/2}; Monte Carlo estimates of the occupation
     average for the given law and for Gaussian steps (coupled through
     common uniforms when the law has a closed inverse CDF and ``crn``),
-    plus exact closed-form Gaussian values.  The Brownian reference is
-    estimated once from ``ref_paths`` paths on a ``ref_grid``-step grid and
-    evaluated both at each matched eps_n and at ``ref_eps`` (a small band
-    approximating the local time at zero; default 0.02).
+    plus exact closed-form Gaussian values.  The Brownian reference is the
+    exact expected occupation average of the Gaussian walk on ``ref_grid``
+    steps (so its standard errors are 0), taken both at each matched eps_n
+    and at ``ref_eps`` (a small band approximating the local time at zero;
+    default 0.02).
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
-    ref_paths = samples if ref_paths is None else int(ref_paths)
     eps_list = [float(n) ** (-0.5 * (1.0 - rho)) for n in n_grid]
 
     try:
@@ -441,33 +441,10 @@ def occupation_time(
             }
         )
 
-    # Brownian reference: one path set, every band evaluated on it
-    bands = sorted(set(eps_list + [ref_eps]))
-    band_sums = {e: [] for e in bands}
-    band_sums2 = {e: [] for e in bands}
-    done = 0
-    bid = 0
-    block = max(16, (1 << 23) // ref_grid)
-    while done < ref_paths:
-        bsize = min(block, ref_paths - done)
-        rng = RngStream(seed ^ (1 << 48), bid).generator()
-        incr = rng.standard_normal((bsize, ref_grid))
-        w = np.cumsum(incr, axis=1) / math.sqrt(ref_grid)
-        for e in bands:
-            occ = np.count_nonzero(np.abs(w) <= e, axis=1) / (ref_grid * 2.0 * e)
-            band_sums[e].append(occ.sum())
-            band_sums2[e].append((occ * occ).sum())
-        done += bsize
-        bid += 1
-    reference = {}
-    for e in bands:
-        m = math.fsum(band_sums[e]) / ref_paths
-        v = max(math.fsum(band_sums2[e]) / ref_paths - m * m, 0.0)
-        reference[e] = (m, math.sqrt(v / ref_paths))
-
+    # Brownian reference: the Gaussian walk on ref_grid steps, exactly
     for row, eps in zip(rows, eps_list):
-        row["brownian_ref"] = reference[eps][0]
-        row["brownian_ref_se"] = reference[eps][1]
+        row["brownian_ref"] = occupation_closed_form_gaussian(ref_grid, eps)
+        row["brownian_ref_se"] = 0.0
 
     return ExperimentResult(
         name="occupation",
@@ -478,7 +455,6 @@ def occupation_time(
             "samples": samples,
             "crn": couple,
             "ref_grid": ref_grid,
-            "ref_paths": ref_paths,
             "ref_eps": ref_eps,
         },
         columns=[
@@ -489,8 +465,8 @@ def occupation_time(
         seed=seed,
         workers=workers,
         notes={
-            "local_time_ref": reference[ref_eps][0],
-            "local_time_ref_se": reference[ref_eps][1],
+            "local_time_ref": occupation_closed_form_gaussian(ref_grid, ref_eps),
+            "local_time_ref_se": 0.0,
             "local_time_exact_limit": math.sqrt(2.0 / math.pi),
         },
     )
@@ -648,6 +624,8 @@ def kac_rice_roots(
 # ---------------------------------------------------------------------------
 # small-ball probabilities for the parametrized trigonometric sum
 
+SMALLBALL_BLOCK = 1 << 13
+
 
 def trig_parametrized_sum(y: np.ndarray, u_values: np.ndarray) -> np.ndarray:
     """S_n(u) = (P_n(u), P_n'(u)) for the renormalized random trigonometric
@@ -675,7 +653,6 @@ def small_ball(
     samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    block: int = 1 << 13,
 ) -> ExperimentResult:
     """Small-ball probabilities for the two-dimensional parametrized sum
     built from random trigonometric polynomials (d = 2, one parameter).
@@ -697,7 +674,7 @@ def small_ball(
     done = 0
     bid = 0
     while done < samples:
-        bsize = min(block, samples - done)
+        bsize = min(SMALLBALL_BLOCK, samples - done)
         rng = RngStream(seed ^ (n << 8), bid).generator()
         y = sample_component(dist, rng, (bsize, 2 * n))
         s_point = trig_parametrized_sum(y, np.array([u_point]))[:, 0, :]

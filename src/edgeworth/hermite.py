@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .multiindex import check_multiindex, enumerate_multiindices
+from .multiindex import check_multiindex
 
 MAX_DEGREE = 12
 
@@ -94,32 +94,6 @@ def gaussian_moment(beta) -> float:
     return out
 
 
-def _poly1d_product_moment(coeffs_a: np.ndarray, coeffs_b: np.ndarray, shift: int = 0) -> float:
-    # E[p(Z) q(Z) Z^shift] via monomial expansion
-    prod = np.convolve(coeffs_a, coeffs_b)
-    return sum(c * gaussian_moment_1d(k + shift) for k, c in enumerate(prod) if c != 0.0)
-
-
-def hermite_inner(beta1, beta2) -> float:
-    """E[H_{beta1}(W) H_{beta2}(W)], computed by expanding the product to
-    monomials and summing exact Gaussian moments.
-
-    Equals ``prod_i beta_i!`` when the indices coincide and 0 otherwise;
-    the expansion route is kept so tests can pit it against that closed form.
-    """
-    beta1 = check_multiindex(beta1)
-    beta2 = check_multiindex(beta2)
-    if len(beta1) != len(beta2):
-        raise ValueError("dimension mismatch")
-    out = 1.0
-    for b1, b2 in zip(beta1, beta2):
-        m = _poly1d_product_moment(hermite1d(b1), hermite1d(b2))
-        if m == 0.0:
-            return 0.0
-        out *= m
-    return out
-
-
 def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating exactly against the standard normal
     density up to degree 2*nodes - 1 (weights normalized to sum to 1)."""
@@ -150,16 +124,6 @@ class Polynomial:
     def monomial(cls, beta, coeff: float = 1.0) -> "Polynomial":
         beta = check_multiindex(beta)
         return cls(len(beta), {beta: coeff})
-
-    @classmethod
-    def from_univariate(cls, coeffs, d: int = 1, var: int = 0) -> "Polynomial":
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c != 0.0:
-                beta = [0] * d
-                beta[var] = k
-                terms[tuple(beta)] = float(c)
-        return cls(d, terms)
 
     def degree(self) -> int:
         return max((sum(b) for b in self.terms), default=0)
@@ -250,32 +214,3 @@ def duality_check(beta, f: Polynomial) -> tuple[float, float]:
     lhs = f.diff(beta).gaussian_expectation()
     rhs = expect_poly_times_hermite(f, beta)
     return lhs, rhs
-
-
-def rodrigues_coeffs(m: int) -> np.ndarray:
-    """Hermite coefficients via the Rodrigues-type derivative recursion
-    (independent route, used as the oracle for :func:`hermite1d`).
-
-    Writes d^m/dx^m e^{-x^2/2} = p_m(x) e^{-x^2/2} with
-    p_{m+1} = p_m' - x p_m, then H_m = (-1)^m p_m.
-    """
-    p = np.array([1.0])
-    for _ in range(m):
-        dp = np.arange(1, len(p)) * p[1:] if len(p) > 1 else np.zeros(0)
-        nxt = np.zeros(len(p) + 1)
-        nxt[: len(dp)] += dp
-        nxt[1:] -= p
-        p = nxt
-    return ((-1) ** m) * p
-
-
-def random_polynomial(rng, d: int, degree: int, coeff_range: int = 3) -> Polynomial:
-    """Random polynomial with integer coefficients (keeps both sides of
-    duality identities exactly representable)."""
-    terms = {}
-    for l in range(degree + 1):
-        for beta in enumerate_multiindices(d, l):
-            c = int(rng.integers(-coeff_range, coeff_range + 1))
-            if c:
-                terms[beta] = float(c)
-    return Polynomial(d, terms)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CertificateError, NumericalGuardError
 from .moments import ComponentDistribution, ModelSpec, has_density, pdf, sample_component
 
-DEFAULT_BLOCK = 1 << 14
+MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -229,27 +229,19 @@ def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.
     return out * scale
 
 
-def _mc_blocks(samples: int, block: int) -> list[tuple[int, int]]:
-    sizes = []
-    start = 0
-    while start < samples:
-        sizes.append((len(sizes), min(block, samples - start)))
-        start += block
-    return sizes
-
-
-def mc_expectation(f, model: ModelSpec, samples: int, seed: int, workers: int = 1,
-                   block: int = DEFAULT_BLOCK) -> tuple[float, float]:
+def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
+                   workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of E[f(S_n)] with its standard error.
 
     ``f`` maps an (m, d) array to m values.  Sampling runs in fixed blocks,
     one Philox stream per block, so the estimate depends only on
-    (seed, samples, block) and not on the worker count; workers only add
+    (seed, samples) and not on the worker count; workers only add
     thread parallelism.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    plan = _mc_blocks(samples, block)
+    plan = [(bid, min(MC_BLOCK, samples - start))
+            for bid, start in enumerate(range(0, samples, MC_BLOCK))]
 
     def run_block(args):
         bid, bsize = args

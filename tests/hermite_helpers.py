@@ -1,0 +1,63 @@
+"""Test-side Hermite helpers: independent routes that the tests pit against
+the library's closed forms, and random integer polynomials."""
+
+import numpy as np
+
+from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite1d
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices
+
+
+def rodrigues_coeffs(m: int) -> np.ndarray:
+    """Hermite coefficients via the Rodrigues-type derivative recursion
+    (independent route, used as the oracle for ``hermite1d``).
+
+    Writes d^m/dx^m e^{-x^2/2} = p_m(x) e^{-x^2/2} with
+    p_{m+1} = p_m' - x p_m, then H_m = (-1)^m p_m.
+    """
+    p = np.array([1.0])
+    for _ in range(m):
+        dp = np.arange(1, len(p)) * p[1:] if len(p) > 1 else np.zeros(0)
+        nxt = np.zeros(len(p) + 1)
+        nxt[: len(dp)] += dp
+        nxt[1:] -= p
+        p = nxt
+    return ((-1) ** m) * p
+
+
+def hermite_inner(beta1, beta2) -> float:
+    """E[H_{beta1}(W) H_{beta2}(W)], computed by expanding the product to
+    monomials and summing exact Gaussian moments.
+
+    Equals ``prod_i beta_i!`` when the indices coincide and 0 otherwise;
+    the expansion route lets tests pit it against that closed form.
+    """
+    beta1 = check_multiindex(beta1)
+    beta2 = check_multiindex(beta2)
+    if len(beta1) != len(beta2):
+        raise ValueError("dimension mismatch")
+    out = 1.0
+    for b1, b2 in zip(beta1, beta2):
+        prod = np.convolve(hermite1d(b1), hermite1d(b2))
+        m = sum(c * gaussian_moment_1d(k) for k, c in enumerate(prod) if c != 0.0)
+        if m == 0.0:
+            return 0.0
+        out *= m
+    return out
+
+
+def univariate_polynomial(coeffs) -> Polynomial:
+    """One-variable Polynomial from a coefficient vector (position k holds
+    the coefficient of x**k)."""
+    return Polynomial(1, {(k,): float(c) for k, c in enumerate(coeffs) if c != 0.0})
+
+
+def random_polynomial(rng, d: int, degree: int, coeff_range: int = 3) -> Polynomial:
+    """Random polynomial with integer coefficients (keeps both sides of
+    duality identities exactly representable)."""
+    terms = {}
+    for l in range(degree + 1):
+        for beta in enumerate_multiindices(d, l):
+            c = int(rng.integers(-coeff_range, coeff_range + 1))
+            if c:
+                terms[beta] = float(c)
+    return Polynomial(d, terms)

@@ -32,7 +32,7 @@ from edgeworth.experiments import (
     occupation_time,
     rate_experiment,
 )
-from edgeworth.hermite import Polynomial, duality_check, hermite_inner, random_polynomial
+from edgeworth.hermite import Polynomial, duality_check
 from edgeworth.kernels import build_super_kernel, mollify
 from edgeworth.moments import (
     exact_sum_moment,
@@ -45,6 +45,7 @@ from edgeworth.moments import (
 )
 from edgeworth.multiindex import enumerate_multiindices
 from edgeworth.sampling import DoeblinCert, RngStream, nummelin_sample
+from hermite_helpers import hermite_inner, random_polynomial
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -219,7 +220,7 @@ def test_criterion_08_occupation_time():
     t0 = time.time()
     res = occupation_time(
         rademacher(), rho=0.5, n_grid=[1000, 10_000], samples=10_000, seed=808,
-        ref_grid=10_000, ref_paths=150_000, ref_eps=0.015,
+        ref_grid=10_000, ref_eps=0.015,
     )
     by_n = {r["n"]: r for r in res.rows}
     row4 = by_n[10_000]
@@ -304,7 +305,6 @@ def test_criterion_10_determinism(tmp_path):
         "n_grid": [64],
         "samples": 2000,
         "ref_grid": 500,
-        "ref_paths": 1000,
         "seed": 11,
     }
     cpath2 = tmp_path / "occ.json"

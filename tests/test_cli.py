@@ -103,6 +103,12 @@ def test_rate_with_inline_model(tmp_path):
             "tol",
             id="roots",
         ),
+        pytest.param(
+            {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5,
+             "n_grid": [16], "samples": 100, "ref_grid": 100, "ref_paths": 1000},
+            "ref_paths",
+            id="occupation",
+        ),
     ],
 )
 def test_unknown_field_rejected(tmp_path, capsys, cfg, field):

@@ -34,6 +34,7 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
+from hermite_helpers import random_polynomial, univariate_polynomial
 
 
 def random_model(rng, d, n, normalized=True):
@@ -255,7 +256,7 @@ def test_edgeworth_expectation_matches_exact_moments():
     val = edgeworth_expectation(f, (0,), phi)
     assert val == pytest.approx(3.0 - 1.2 / 100.0, abs=1e-13)
     assert val == pytest.approx(exact_sum_moment(model, (4,)), abs=1e-13)
-    h4 = Polynomial.from_univariate(hermite1d(4))
+    h4 = univariate_polynomial(hermite1d(4))
     assert edgeworth_expectation(h4, (0,), phi) == pytest.approx(-0.012, abs=1e-14)
 
 
@@ -263,8 +264,6 @@ def test_exact_vs_quadrature_backends():
     rng = np.random.default_rng(9)
     model = random_model(rng, 2, 8)
     phi = corrector_polynomial(model, 2)
-    from edgeworth.hermite import random_polynomial
-
     for _ in range(3):
         f = random_polynomial(rng, 2, degree=6)
         exact = edgeworth_expectation(f, (0, 0), phi, backend="exact")

@@ -122,7 +122,7 @@ def test_density_flags_starved_rows():
 def test_occupation_time_gaussian_row():
     res = occupation_time(
         standard_normal(), rho=0.5, n_grid=[400], samples=4000, seed=9,
-        ref_grid=2000, ref_paths=4000, ref_eps=0.05,
+        ref_grid=2000, ref_eps=0.05,
     )
     row = res.rows[0]
     exact = occupation_closed_form_gaussian(400, 400 ** -0.25)
@@ -130,6 +130,11 @@ def test_occupation_time_gaussian_row():
     # same-law coupling makes the two walks identical
     assert row["gap"] == pytest.approx(0.0, abs=1e-12)
     assert row["gaussian_exact"] == pytest.approx(exact)
+    # the Brownian reference is the exact Gaussian-walk value on ref_grid steps
+    assert row["brownian_ref"] == occupation_closed_form_gaussian(2000, row["eps"])
+    assert res.notes["local_time_ref"] == occupation_closed_form_gaussian(2000, 0.05)
+    assert row["brownian_ref_se"] == 0.0
+    assert res.notes["local_time_ref_se"] == 0.0
     assert res.notes["local_time_exact_limit"] == pytest.approx(math.sqrt(2 / math.pi))
 
 
@@ -146,13 +151,16 @@ def test_occupation_brownian_reference_convergence():
 
 
 def test_occupation_mc_brownian_reference():
-    res = occupation_time(
-        standard_normal(), rho=0.5, n_grid=[100], samples=2000, seed=4,
-        ref_grid=4000, ref_paths=8000, ref_eps=0.05,
-    )
-    ref = res.notes["local_time_ref"]
-    se = res.notes["local_time_ref_se"]
-    assert abs(ref - occupation_closed_form_gaussian(4000, 0.05)) <= 4 * se
+    # Monte Carlo check of the closed form: simulate the Gaussian walk
+    grid, paths, eps = 4000, 8000, 0.05
+    rng = np.random.default_rng(4)
+    occ = []
+    for _ in range(paths // 1000):
+        w = np.cumsum(rng.standard_normal((1000, grid)), axis=1) / math.sqrt(grid)
+        occ.append(np.count_nonzero(np.abs(w) <= eps, axis=1) / (grid * 2.0 * eps))
+    occ = np.concatenate(occ)
+    se = occ.std() / math.sqrt(paths)
+    assert abs(occ.mean() - occupation_closed_form_gaussian(grid, eps)) <= 4 * se
 
 
 def test_kac_rice_single_harmonic():

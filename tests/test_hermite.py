@@ -12,11 +12,9 @@ from edgeworth.hermite import (
     gaussian_moment_1d,
     hermite1d,
     hermite_eval,
-    hermite_inner,
-    random_polynomial,
-    rodrigues_coeffs,
 )
 from edgeworth.multiindex import enumerate_multiindices
+from hermite_helpers import hermite_inner, random_polynomial, rodrigues_coeffs
 
 
 def test_low_order_coefficients():
