@@ -3,11 +3,16 @@ import pytest
 
 from edgeworth.errors import KernelMomentError
 from edgeworth.kernels import build_super_kernel, frequency_window, mollify, smooth_step
+from kernel_reference import reference_kernel_values
+
+# (9.5, 21.5) failed the moment guard at order 6 (-5.3e-6) when the taper
+# band was integrated by Gauss-Legendre quadrature
+WINDOWS = [(10.0, 20.0), (9.5, 21.5)]
 
 
 @pytest.fixture(scope="module")
-def kernel():
-    return build_super_kernel()
+def kernels():
+    return [build_super_kernel(plateau=plateau, rolloff=rolloff) for plateau, rolloff in WINDOWS]
 
 
 def test_window_shape():
@@ -20,49 +25,68 @@ def test_window_shape():
     assert w[4] == 0.0 and w[5] == 0.0
 
 
-def test_mass_and_moments(kernel):
-    assert abs(kernel.mass() - 1.0) <= 1e-8
-    for k in range(1, 7):
-        assert abs(kernel.moment(k)) <= 1e-6
-    # odd moments vanish exactly on the antisymmetric grid
-    assert kernel.moment(1) == 0.0
-    np.testing.assert_allclose(kernel.values, kernel.values[::-1], atol=1e-15)
+def test_mass_and_moments(kernels):
+    for kernel in kernels:
+        assert abs(kernel.mass() - 1.0) <= 1e-8
+        for k in range(1, 7):
+            assert abs(kernel.moment(k)) <= 1e-6
+        # odd moments vanish exactly on the antisymmetric grid
+        assert kernel.moment(1) == 0.0
+        np.testing.assert_allclose(kernel.values, kernel.values[::-1], atol=1e-15)
 
 
-def test_kernel_takes_negative_values(kernel):
-    assert kernel.values.min() < 0.0
-    assert kernel.abs_norm() > 1.0
+def test_kernel_takes_negative_values(kernels):
+    for kernel in kernels:
+        assert kernel.values.min() < 0.0
+        assert kernel.abs_norm() > 1.0
 
 
-def test_weighted_derivative_norms_finite(kernel):
-    for m in range(5):
-        v = kernel.weighted_derivative_norm(m, 1)
-        assert np.isfinite(v) and v > 0
+def test_weighted_derivative_norms_finite(kernels):
+    for kernel in kernels:
+        for m in range(5):
+            v = kernel.weighted_derivative_norm(m, 1)
+            assert np.isfinite(v) and v > 0
 
 
-def test_polynomial_reproduction(kernel):
+def test_polynomial_reproduction(kernels):
     def f(y):
         return 1.5 * y**4 - 2.0 * y**3 + y - 7.0
 
     xs = np.linspace(-2.0, 2.0, 9)
-    for delta in (1.0, 0.5, 0.1):
-        err = np.max(np.abs(mollify(f, kernel, delta, xs) - f(xs)))
-        assert err <= 1e-6
+    for kernel in kernels:
+        for delta in (1.0, 0.5, 0.1):
+            err = np.max(np.abs(mollify(f, kernel, delta, xs) - f(xs)))
+            assert err <= 1e-6
 
 
-def test_constant_reproduced(kernel):
-    out = mollify(lambda y: np.ones_like(y), kernel, 0.7, np.array([0.0, 1.3]))
-    np.testing.assert_allclose(out, 1.0, atol=1e-8)
+def test_constant_reproduced(kernels):
+    for kernel in kernels:
+        out = mollify(lambda y: np.ones_like(y), kernel, 0.7, np.array([0.0, 1.3]))
+        np.testing.assert_allclose(out, 1.0, atol=1e-8)
 
 
-def test_step_pointwise_convergence(kernel):
+def test_step_pointwise_convergence(kernels):
     step = lambda y: (y > 0).astype(float)
-    errs = []
-    for delta in (0.2, 0.05):
-        v = mollify(step, kernel, delta, np.array([-0.5, 0.5]))
-        errs.append(max(abs(v[0]), abs(1.0 - v[1])))
-    assert errs[0] < 1e-3 and errs[1] < 1e-3
-    assert errs[1] < errs[0]
+    for kernel in kernels:
+        errs = []
+        for delta in (0.2, 0.05):
+            v = mollify(step, kernel, delta, np.array([-0.5, 0.5]))
+            errs.append(max(abs(v[0]), abs(1.0 - v[1])))
+        assert errs[0] < 1e-3 and errs[1] < 1e-3
+        assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize(
+    "window",
+    [{}, {"plateau": 12.0, "rolloff": 24.0},
+     {"plateau": 2.0, "rolloff": 4.0, "points": 1 << 12, "moment_bound": np.inf}],
+    ids=["default", "12-24", "2-4"],
+)
+def test_values_match_quadrature_reference(window):
+    kernel = build_super_kernel(**window)
+    ref = reference_kernel_values(kernel.x, kernel.plateau, kernel.rolloff, kernel.x[-1])
+    ref /= np.trapezoid(ref, kernel.x)
+    assert np.max(np.abs(kernel.values - ref)) <= 1e-12
 
 
 def test_moment_failure_reports_order():
@@ -80,7 +104,8 @@ def test_parameter_validation():
         mollify(lambda y: y, build_super_kernel(), 1.5, np.array([0.0]))
 
 
-def test_csv_export(tmp_path, kernel):
+def test_csv_export(tmp_path, kernels):
+    kernel = kernels[0]
     path = tmp_path / "kernel.csv"
     kernel.to_csv(path)
     lines = path.read_text().splitlines()
