@@ -33,7 +33,6 @@ from .moments import (
     iid_model,
     iid_vector_model,
     moment_gap,
-    pushforward_moment,
     rademacher,
     raw_moment,
     skewed_two_point,

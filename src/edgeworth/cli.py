@@ -290,7 +290,9 @@ def _run_kernel(cfg, base_dir, seed, workers):
     rows.append({"quantity": "degree4_reproduction_error", "value": err})
     return ExperimentResult(
         name="kernel",
-        parameters={k: cfg.get(k) for k in ("plateau", "rolloff", "half_width", "points") if k in cfg},
+        parameters={
+            k: cfg.get(k) for k in ("plateau", "rolloff", "half_width", "points", "moment_bound") if k in cfg
+        },
         columns=["quantity", "value"],
         rows=rows,
         seed=seed,

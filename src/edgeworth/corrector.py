@@ -50,7 +50,7 @@ from .hermite import (
     hermite_value_table,
 )
 from .multiindex import check_multiindex, concat, enumerate_multiindices, multinomial_weight, unit
-from .moments import ModelSpec, Summand, moment_gap
+from .moments import ModelSpec, Summand, gap_table
 
 
 class DiffOp:
@@ -110,16 +110,25 @@ class DiffOp:
         return f"DiffOp(d={self.d}, {len(self.terms)} terms)"
 
 
-def moment_gap_operator(summand: Summand, l: int) -> DiffOp:
-    """Order-l operator whose coefficient at each derivative is the moment
-    gap of the summand, with ordered-tuple counts folded in."""
-    d = summand.C.shape[0]
+def _gap_operator(d: int, gaps: dict, l: int) -> DiffOp:
+    """Order-l operator read from a gap table, ordered-tuple counts folded in."""
     terms = {}
     for beta in enumerate_multiindices(d, l):
-        gap = moment_gap(summand.C, summand.components, beta)
+        gap = gaps.get(beta, 0.0)
         if gap != 0.0:
             terms[beta] = multinomial_weight(beta) * gap
     return DiffOp(d, terms)
+
+
+def moment_gap_operator(summand: Summand, l: int) -> DiffOp:
+    """Order-l operator whose coefficient at each derivative is the moment
+    gap of the summand, with ordered-tuple counts folded in."""
+    return _gap_operator(summand.C.shape[0], gap_table(summand.C, summand.components, l), l)
+
+
+def _gap_tables(model: ModelSpec, K: int) -> list[tuple[Summand, int, dict]]:
+    """Each summand record with its count and its gap table of orders 3..K."""
+    return [(rec, count, gap_table(rec.C, rec.components, K)) for rec, count in model.unique_summands()]
 
 
 def laplace_operator(sigma: np.ndarray) -> DiffOp:
@@ -184,12 +193,14 @@ def _set_partitions(m: int) -> tuple:
 
 class _PowerSums:
     """Count-weighted power sums over the distinct summand records of
-    composed slot operators, with every gap, slot and block operator of the
-    model built once and shared across corrector orders."""
+    composed slot operators for expansions up to order N, with each record's
+    gap table (orders 3..N+2) and every slot and block operator of the model
+    built once and shared across corrector orders."""
 
-    def __init__(self, model: ModelSpec):
+    def __init__(self, model: ModelSpec, N: int):
         self.model = model
-        self.records = model.unique_summands()
+        self.N = N
+        self.records = _gap_tables(model, N + 2)
         self.slots: dict = {}
         self.products: dict = {}
         self.sums: dict = {}
@@ -198,9 +209,9 @@ class _PowerSums:
         """(1/l!) D^{(l)}_r composed with ((-1)^{l'} / (2^{l'} l'!)) L^{l'} of record r."""
         key = (r, l, lp)
         if key not in self.slots:
-            rec = self.records[r][0]
+            rec, _, gaps = self.records[r]
             if lp == 0:
-                op = moment_gap_operator(rec, l).scale(1.0 / math.factorial(l))
+                op = _gap_operator(self.model.d, gaps, l).scale(1.0 / math.factorial(l))
             else:
                 op = self.slot(r, l, 0)
                 if not op.is_zero():
@@ -225,7 +236,7 @@ class _PowerSums:
         """sum over records r of count_r * product(r, block)."""
         if block not in self.sums:
             total = DiffOp(self.model.d)
-            for r, (_, count) in enumerate(self.records):
+            for r, (_, count, _) in enumerate(self.records):
                 total = total + self.product(r, block).scale(float(count))
             self.sums[block] = total
         return self.sums[block]
@@ -244,7 +255,7 @@ class _PowerSums:
             total = total + op.scale(float(mu))
         return total
 
-    def operator(self, k: int, N: int) -> DiffOp:
+    def operator(self, k: int) -> DiffOp:
         """The order-k corrector operator for expansions up to order N.
 
         The tuples of each m are closed under permutation and the operators
@@ -253,7 +264,7 @@ class _PowerSums:
         are permutations of each other share one distinct-index sum."""
         total = DiffOp(self.model.d)
         for m in range(1, k + 1):
-            shapes = Counter(tuple(sorted(lam)) for lam in corrector_index_tuples(m, k, N))
+            shapes = Counter(tuple(sorted(lam)) for lam in corrector_index_tuples(m, k, self.N))
             w = float(self.model.n) ** (-m) / math.factorial(m)
             for lam, mult in sorted(shapes.items()):
                 total = total + self.distinct(lam).scale(mult * w)
@@ -266,7 +277,7 @@ def corrector_operator(model: ModelSpec, k: int, N: int) -> DiffOp:
     records (cost independent of n)."""
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
-    return _PowerSums(model).operator(k, N)
+    return _PowerSums(model, N).operator(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,38 +359,38 @@ def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     applied to f match expectations of f times the dual polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    sums = _PowerSums(model)
+    sums = _PowerSums(model, N)
     terms: dict = {}
     for k in range(1, N + 1):
         w = float(model.n) ** (-0.5 * k)
-        for b, c in sums.operator(k, N).terms.items():
+        for b, c in sums.operator(k).terms.items():
             terms[b] = terms.get(b, 0.0) + w * c
     return CorrectorPolynomial(d=model.d, constant=1.0, terms=terms, n=model.n, order=N)
 
 
-def _ordered_gap_sums(model: ModelSpec, l: int) -> dict:
+def _ordered_gap_sums(model: ModelSpec, tables: list, l: int) -> dict:
     """Average moment gap per multiplicity vector of order l, with the
     ordered-tuple count folded in."""
     out = {}
     for beta in enumerate_multiindices(model.d, l):
         total = 0.0
-        for rec, count in model.unique_summands():
-            total += moment_gap(rec.C, rec.components, beta) * count
+        for _, count, gaps in tables:
+            total += gaps.get(beta, 0.0) * count
         val = multinomial_weight(beta) * total / model.n
         if val != 0.0:
             out[beta] = val
     return out
 
 
-def _weighted_gap_sums(model: ModelSpec, l: int) -> dict:
+def _weighted_gap_sums(model: ModelSpec, tables: list, l: int) -> dict:
     """Covariance-weighted average gaps: map (beta, i, j) -> value, ordered
     count folded into beta only (the (i, j) sum is already ordered)."""
     out = {}
     for beta in enumerate_multiindices(model.d, l):
         w = multinomial_weight(beta)
         totals = np.zeros((model.d, model.d))
-        for rec, count in model.unique_summands():
-            gap = moment_gap(rec.C, rec.components, beta)
+        for rec, count, gaps in tables:
+            gap = gaps.get(beta, 0.0)
             if gap != 0.0:
                 totals += gap * rec.sigma() * count
         for i in range(model.d):
@@ -398,10 +409,11 @@ def explicit_order3(model: ModelSpec) -> tuple[CorrectorPolynomial, CorrectorPol
     concatenation (alpha, i, j) with i, j ranging over all coordinates.
     """
     d = model.d
-    c3 = _ordered_gap_sums(model, 3)
-    c4 = _ordered_gap_sums(model, 4)
-    c5 = _ordered_gap_sums(model, 5)
-    cbar3 = _weighted_gap_sums(model, 3)
+    tables = _gap_tables(model, 5)
+    c3 = _ordered_gap_sums(model, tables, 3)
+    c4 = _ordered_gap_sums(model, tables, 4)
+    c5 = _ordered_gap_sums(model, tables, 5)
+    cbar3 = _weighted_gap_sums(model, tables, 3)
 
     h1 = {b: c / 6.0 for b, c in c3.items()}
 
@@ -441,16 +453,12 @@ def order2_discrepancy_terms(model: ModelSpec) -> dict:
     d = model.d
     prods: dict = {}
     betas3 = enumerate_multiindices(d, 3)
-    recs = model.unique_summands()
-    gaps = {
-        b: [moment_gap(rec.C, rec.components, b) for rec, _ in recs] for b in betas3
-    }
-    counts = [count for _, count in recs]
+    tables = _gap_tables(model, 3)
     for b1 in betas3:
         w1 = multinomial_weight(b1)
         for b2 in betas3:
             w2 = multinomial_weight(b2)
-            total = sum(g1 * g2 * c for g1, g2, c in zip(gaps[b1], gaps[b2], counts))
+            total = sum(g.get(b1, 0.0) * g.get(b2, 0.0) * c for _, c, g in tables)
             dval = total / model.n
             if dval != 0.0:
                 b = concat(b1, b2)

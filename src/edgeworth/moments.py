@@ -1,8 +1,8 @@
 """Distribution catalog with exact raw moments, model specification for
-scaled sums of independent non-identically distributed vectors, pushforward
-moments through mixing matrices, moment gaps against the Gaussian surrogate,
-and exact moments of the scaled sum, with each summand record's truncated
-moments raised to its count by repeated squaring.
+scaled sums of independent non-identically distributed vectors, and one
+cumulant table per summand record, from which a single moment recursion
+gives the record's moment gaps against its Gaussian twin and the exact
+moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -11,8 +11,10 @@ matrix, never inside the component law.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -225,9 +227,6 @@ class ModelSpec:
             raise IndexError(k)
         return self.summands[0] if self.iid else self.summands[k]
 
-    def sigma(self, k: int) -> np.ndarray:
-        return self.summand(k).sigma()
-
     def covariance_mean(self) -> np.ndarray:
         """(1/n) sum_k C_k C_k^T, the covariance of S_n."""
         if self.iid:
@@ -278,56 +277,87 @@ def iid_vector_model(dists, n: int) -> ModelSpec:
     return ModelSpec(d=len(dists), n=n, summands=(Summand(np.eye(len(dists)), dists),), iid=True)
 
 
-def pushforward_moment(C: np.ndarray, comps, beta) -> float:
-    """E[(C Y)^beta] for independent components with exact raw moments.
+def _component_cumulants(dist: ComponentDistribution, K: int) -> list[float]:
+    """Cumulants kappa_0, ..., kappa_K of one catalog law from its raw
+    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}."""
+    m = [raw_moment(dist, k) for k in range(K + 1)]
+    kappa = [0.0] * (K + 1)
+    for k in range(1, K + 1):
+        kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
+    return kappa
 
-    Multilinear expansion: each output coordinate's multiplicity splits
-    over the input coordinates; per split a multinomial count, matrix
-    entry powers, and grouped component raw moments.
+
+def cumulant_table(C: np.ndarray, comps, K: int) -> dict:
+    """Cumulants kappa_beta(C Y) of one summand record for 2 <= |beta| <= K,
+    zeros left out.
+
+    Cumulants are multilinear and add over independent components:
+    kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
+    order-1 cumulants vanish because the components are centered.
     """
-    beta = check_multiindex(beta)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    d, m = C.shape
-    if len(beta) != d:
-        raise ValueError("index dimension != matrix rows")
-    if sum(beta) > 12:
+    if K > 12:
         raise ValueError("pushforward moment order capped at 12")
+    rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
+    kappas = [_component_cumulants(c, K) for c in comps]
+    table = {}
+    for l in range(2, K + 1):
+        for beta in enumerate_multiindices(len(rows), l):
+            v = sum(kap[l] * math.prod(row[j] ** b for row, b in zip(rows, beta))
+                    for j, kap in enumerate(kappas))
+            if v != 0.0:
+                table[beta] = v
+    return table
 
-    states = {(0,) * m: 1.0}
-    for i, bi in enumerate(beta):
-        if bi == 0:
-            continue
-        splits = []
-        for comp in enumerate_multiindices(m, bi):
-            w = math.factorial(bi)
-            entry = 1.0
-            for j, kij in enumerate(comp):
-                w //= math.factorial(kij)
-                if kij:
-                    entry *= C[i, j] ** kij
-            if entry != 0.0:
-                splits.append((comp, w * entry))
-        new: dict = {}
-        for exps, coeff in states.items():
-            for comp, w in splits:
-                ne = tuple(e + a for e, a in zip(exps, comp))
-                new[ne] = new.get(ne, 0.0) + coeff * w
-        states = new
 
-    total = 0.0
-    for exps, coeff in states.items():
-        val = coeff
-        for j, e in enumerate(exps):
-            if e:
-                val *= raw_moment(comps[j], e)
-                if val == 0.0:
-                    break
-        total += val
-    return total
+@lru_cache(maxsize=None)
+def _recursion_steps(d: int, K: int) -> tuple:
+    """Steps (beta, terms) of the moment recursion for 1 <= |beta| <= K in
+    increasing order.  beta = gamma + e_i with i its last nonzero coordinate,
+    and the terms (C(gamma, delta), delta + e_i, gamma - delta) run over
+    0 != delta <= gamma (delta = 0 meets an order-1 cumulant, which is 0)."""
+    steps = []
+    for l in range(1, K + 1):
+        for beta in enumerate_multiindices(d, l):
+            i = max(k for k, b in enumerate(beta) if b)
+            gamma = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            terms = []
+            for delta in itertools.product(*(range(g + 1) for g in gamma)):
+                if any(delta):
+                    coef = math.prod(math.comb(g, e) for g, e in zip(gamma, delta))
+                    kb = delta[:i] + (delta[i] + 1,) + delta[i + 1:]
+                    terms.append((float(coef), kb, tuple(g - e for g, e in zip(gamma, delta))))
+            steps.append((beta, tuple(terms)))
+    return tuple(steps)
+
+
+def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
+    """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
+    cumulant table (missing entries are 0), by the recursion
+    mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k, delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
+    mu = {(0,) * d: 1.0}
+    for beta, terms in _recursion_steps(d, K):
+        mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
+    return mu
+
+
+def gap_table(C: np.ndarray, comps, K: int) -> dict:
+    """Moment gaps E[(C Y)^beta] - E[(C G)^beta], G standard normal of the
+    same shape, for 3 <= |beta| <= K, zeros left out: the moment recursion on
+    the record's cumulant table minus the same recursion on its order-2
+    entries C C^T, the only cumulants of the Gaussian twin."""
+    comps = tuple(comps)
+    if all(c.kind == "standard_normal" for c in comps):
+        return {}
+    d = np.atleast_2d(C).shape[0]
+    kappa = cumulant_table(C, comps, K)
+    full = moments_from_cumulants(kappa, d, K)
+    twin = moments_from_cumulants({b: v for b, v in kappa.items() if sum(b) == 2}, d, K)
+    return {b: v - twin[b] for b, v in full.items() if sum(b) >= 3 and v != twin[b]}
 
 
 def moment_gap(C: np.ndarray, comps, beta) -> float:
-    """E[(C Y)^beta] - E[(C G)^beta] with G standard normal of the same shape.
+    """E[(C Y)^beta] - E[(C G)^beta] with G standard normal of the same shape,
+    read from the record's gap table.
 
     Identically zero for orders <= 2 (the catalog matches mean and
     covariance), returned as an exact 0 there.
@@ -335,11 +365,9 @@ def moment_gap(C: np.ndarray, comps, beta) -> float:
     beta = check_multiindex(beta)
     if sum(beta) <= 2:
         return 0.0
-    comps = tuple(comps)
-    if all(c.kind == "standard_normal" for c in comps):
-        return 0.0
-    gauss = tuple(standard_normal() for _ in comps)
-    return pushforward_moment(C, comps, beta) - pushforward_moment(C, gauss, beta)
+    if len(beta) != np.atleast_2d(C).shape[0]:
+        raise ValueError("index dimension != matrix rows")
+    return gap_table(C, comps, sum(beta)).get(beta, 0.0)
 
 
 def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float, float]:
@@ -357,58 +385,21 @@ def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float,
     return plain / model.n, weighted / model.n
 
 
-def _sub_multiindices(beta):
-    ranges = [range(b + 1) for b in beta]
-    out = [()]
-    for r in ranges:
-        out = [prefix + (v,) for prefix in out for v in r]
-    return out
-
-
-def _binomial_product(a: dict, b: dict, beta) -> dict:
-    """Moments of X + Y for independent X, Y from maps gamma -> E[X^gamma]
-    and gamma -> E[Y^gamma], truncated at beta:
-    sum over delta <= gamma of prod_i C(gamma_i, delta_i) a[gamma - delta] b[delta]."""
-    out: dict = {}
-    for g1, x in a.items():
-        for g2, y in b.items():
-            g = tuple(u + v for u, v in zip(g1, g2))
-            if any(gv > bv for gv, bv in zip(g, beta)):
-                continue
-            split = 1.0
-            for gv, dv in zip(g, g2):
-                split *= math.comb(gv, dv)
-            out[g] = out.get(g, 0.0) + x * y * split
-    return out
-
-
 def exact_sum_moment(model: ModelSpec, beta) -> float:
-    """Exact E[S_n^beta] from the summand records' moments.
+    """Exact E[S_n^beta] from the summand records' cumulant tables.
 
-    Each record contributes the map delta -> n^{-|delta|/2} E[(C Y)^delta]
-    over delta <= beta; parts with |delta| = 1 vanish because summands are
-    centered.  Independent parts combine by binomial convolution, and a
-    record shared by c summands enters as its c-th convolution power, taken
-    by repeated squaring, so the cost grows with log c.
+    Cumulants add over independent summands and scale by n^{-|delta|/2}, so
+    kappa_delta(S_n) = n^{-|delta|/2} sum_records count * kappa_delta(record)
+    for any count; one moment recursion turns them into moments.
     """
     beta = check_multiindex(beta)
     if len(beta) != model.d:
         raise ValueError("index dimension != model dimension")
-    if sum(beta) > 8:
+    K = sum(beta)
+    if K > 8:
         raise ValueError("exact sum moment order capped at 8")
-    zero = (0,) * model.d
-    total = {zero: 1.0}
+    kappa: dict = {}
     for rec, count in model.unique_summands():
-        factor = {zero: 1.0}
-        for delta in _sub_multiindices(beta):
-            if sum(delta) >= 2:
-                mom = pushforward_moment(rec.C, rec.components, delta)
-                if mom != 0.0:
-                    factor[delta] = mom * float(model.n) ** (-0.5 * sum(delta))
-        while count:  # total *= factor ** count, by repeated squaring
-            if count & 1:
-                total = _binomial_product(total, factor, beta)
-            count >>= 1
-            if count:
-                factor = _binomial_product(factor, factor, beta)
-    return total.get(beta, 0.0)
+        for delta, v in cumulant_table(rec.C, rec.components, K).items():
+            kappa[delta] = kappa.get(delta, 0.0) + count * v * float(model.n) ** (-0.5 * sum(delta))
+    return moments_from_cumulants(kappa, model.d, K)[beta]

@@ -22,10 +22,6 @@ def check_multiindex(beta) -> tuple:
     return beta
 
 
-def order(beta) -> int:
-    return sum(beta)
-
-
 def enumerate_multiindices(d: int, l: int) -> list[tuple]:
     """All multiplicity vectors of dimension ``d`` and order ``l``.
 

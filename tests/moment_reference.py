@@ -1,0 +1,62 @@
+"""Reference moments E[(C Y)^beta] by direct multilinear expansion,
+independent of the cumulant tables used by the package.
+
+Each output coordinate's multiplicity splits over the input coordinates;
+every split contributes a multinomial count, powers of the matrix entries
+and the grouped raw moments of the independent components.
+"""
+
+import math
+
+import numpy as np
+
+from edgeworth.moments import raw_moment
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices
+
+
+def pushforward_moment(C: np.ndarray, comps, beta) -> float:
+    """E[(C Y)^beta] for independent components with exact raw moments.
+
+    Multilinear expansion: each output coordinate's multiplicity splits
+    over the input coordinates; per split a multinomial count, matrix
+    entry powers, and grouped component raw moments.
+    """
+    beta = check_multiindex(beta)
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    d, m = C.shape
+    if len(beta) != d:
+        raise ValueError("index dimension != matrix rows")
+    if sum(beta) > 12:
+        raise ValueError("pushforward moment order capped at 12")
+
+    states = {(0,) * m: 1.0}
+    for i, bi in enumerate(beta):
+        if bi == 0:
+            continue
+        splits = []
+        for comp in enumerate_multiindices(m, bi):
+            w = math.factorial(bi)
+            entry = 1.0
+            for j, kij in enumerate(comp):
+                w //= math.factorial(kij)
+                if kij:
+                    entry *= C[i, j] ** kij
+            if entry != 0.0:
+                splits.append((comp, w * entry))
+        new: dict = {}
+        for exps, coeff in states.items():
+            for comp, w in splits:
+                ne = tuple(e + a for e, a in zip(exps, comp))
+                new[ne] = new.get(ne, 0.0) + coeff * w
+        states = new
+
+    total = 0.0
+    for exps, coeff in states.items():
+        val = coeff
+        for j, e in enumerate(exps):
+            if e:
+                val *= raw_moment(comps[j], e)
+                if val == 0.0:
+                    break
+        total += val
+    return total

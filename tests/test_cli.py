@@ -144,6 +144,11 @@ def test_kernel_subcommand(tmp_path):
     assert abs(rows["mass"] - 1.0) <= 1e-8
     assert abs(rows["moment_4"]) <= 1e-6
     assert rows["degree4_reproduction_error"] <= 1e-6
+    default_hash = json.loads((tmp_path / "kernel.json").read_text())["config_hash"]
+    # every field that shapes the kernel enters the config hash
+    cpath.write_text(json.dumps(dict(cfg, moment_bound=1e-3, out_stem="kernel_bound")))
+    assert main(["kernel", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "kernel_bound.json").read_text())["config_hash"] != default_hash
 
 
 def test_nummelin_subcommand(tmp_path):

@@ -141,16 +141,16 @@ def test_gamma_dp_matches_enumeration():
 
 
 def test_build_cost_is_per_record(monkeypatch):
-    # pushforward moments are the unit of work of corrector and moment
-    # builds; their number must depend on the records, not on n
+    # per-record cumulant tables are the unit of work of corrector and
+    # moment builds; their number must depend on the records, not on n
     calls = [0]
-    real = moments.pushforward_moment
+    real = moments.cumulant_table
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(moments, "pushforward_moment", counted)
+    monkeypatch.setattr(moments, "cumulant_table", counted)
 
     def cost(model, N, betas):
         calls[0] = 0
@@ -168,9 +168,8 @@ def test_build_cost_is_per_record(monkeypatch):
         assert small > 0
         assert cost(make(10**6), N, betas) == small
 
-    # non-iid: each record's gap operators of orders 3, 4, 5 are built
-    # once for all corrector orders, two pushforward moments per index
-    # (10 + 15 + 21 = 46 indices in d = 3)
+    # non-iid: each record's table of orders up to N + 2 = 5 is built
+    # once for all corrector orders
     kinds = [rademacher(), uniform_centered(), skewed_two_point(0.25),
              gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)]
     rng = np.random.default_rng(12)
@@ -178,7 +177,7 @@ def test_build_cost_is_per_record(monkeypatch):
         Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3)))
         for _ in range(50)
     )
-    assert cost(normalize(ModelSpec(d=3, n=50, summands=summands)), 3, []) == 2 * 50 * 46
+    assert cost(normalize(ModelSpec(d=3, n=50, summands=summands)), 3, []) == 50
 
 
 def test_odd_orders_vanish_for_symmetric_components():

@@ -4,18 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth.moments import (
     ComponentDistribution,
     ModelSpec,
     Summand,
     averaged_moment_gaps,
+    cumulant_table,
     exact_sum_moment,
     gaussian_mixture,
     iid_model,
     iid_vector_model,
     moment_gap,
-    pushforward_moment,
+    moments_from_cumulants,
     rademacher,
     raw_moment,
     skewed_two_point,
@@ -23,6 +26,7 @@ from edgeworth.moments import (
     two_point,
     uniform_centered,
 )
+from moment_reference import pushforward_moment
 
 CATALOG = [
     rademacher(),
@@ -63,10 +67,21 @@ def test_mixture_moments_against_quadrature():
         assert raw_moment(dist, k) == pytest.approx(quad, abs=1e-8)
 
 
+def table_moment(C, comps, beta):
+    """E[(C Y)^beta] from the record's cumulant table and the moment recursion."""
+    C = np.atleast_2d(C)
+    return moments_from_cumulants(cumulant_table(C, comps, sum(beta)), C.shape[0], sum(beta))[beta]
+
+
+# the library's per-record table and the multilinear-expansion oracle
+MOMENTS = (table_moment, pushforward_moment)
+
+
 def test_pushforward_examples():
-    assert pushforward_moment(np.eye(1), (rademacher(),), (3,)) == 0.0
-    assert pushforward_moment(np.eye(1), (uniform_centered(),), (4,)) == pytest.approx(9 / 5)
-    assert pushforward_moment(np.eye(2), (rademacher(), rademacher()), (2, 2)) == 1.0
+    for moment in MOMENTS:
+        assert moment(np.eye(1), (rademacher(),), (3,)) == 0.0
+        assert moment(np.eye(1), (uniform_centered(),), (4,)) == pytest.approx(9 / 5)
+        assert moment(np.eye(2), (rademacher(), rademacher()), (2, 2)) == 1.0
 
 
 def test_pushforward_multilinear_in_rows():
@@ -74,10 +89,11 @@ def test_pushforward_multilinear_in_rows():
     C = rng.normal(size=(2, 3))
     comps = (uniform_centered(), skewed_two_point(0.3), rademacher())
     beta = (3, 2)
-    base = pushforward_moment(C, comps, beta)
-    C2 = C.copy()
-    C2[0] *= 2.5  # row scaling multiplies by 2.5^beta_0
-    assert pushforward_moment(C2, comps, beta) == pytest.approx(2.5**3 * base, rel=1e-12)
+    for moment in MOMENTS:
+        base = moment(C, comps, beta)
+        C2 = C.copy()
+        C2[0] *= 2.5  # row scaling multiplies by 2.5^beta_0
+        assert moment(C2, comps, beta) == pytest.approx(2.5**3 * base, rel=1e-12)
 
 
 def test_pushforward_vs_direct_expansion():
@@ -92,7 +108,8 @@ def test_pushforward_vs_direct_expansion():
             for (y2, p2) in vals:
                 z = C @ np.array([y1, y2])
                 total += p1 * p2 * z[0] ** beta[0] * z[1] ** beta[1]
-        assert pushforward_moment(C, (tp, tp), beta) == pytest.approx(total, rel=1e-12)
+        for moment in MOMENTS:
+            assert moment(C, (tp, tp), beta) == pytest.approx(total, rel=1e-12)
 
 
 @pytest.mark.parametrize("dist", CATALOG)
@@ -173,7 +190,7 @@ def _sum_moment_loop(model, beta):
 
 
 def test_exact_sum_moment_squaring_matches_loop():
-    # n in {1, 2, 3, 5, 8, 1000} covers every branch of the binary expansion
+    # summed cumulants against the summand-by-summand loop, small n to 1000
     C = np.array([[1.0, 0.4], [-0.3, 0.9]])
     d1 = Summand(np.eye(1), (skewed_two_point(0.2),))
     d2 = Summand(C, (skewed_two_point(0.3), gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)))
@@ -240,5 +257,37 @@ def test_model_json_roundtrip():
 
 
 def test_order_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact sum moment order capped at 8"):
         exact_sum_moment(iid_model(rademacher(), 4), (9,))
+    with pytest.raises(ValueError, match="pushforward moment order capped at 12"):
+        moment_gap(np.eye(1), (rademacher(),), (13,))
+
+
+def _record(data, d):
+    m = data.draw(st.integers(1, 3), label="m")
+    entry = st.floats(-2.0, 2.0, allow_subnormal=False)
+    C = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=d, max_size=d), label="C")
+    comps = data.draw(st.lists(st.sampled_from(CATALOG), min_size=m, max_size=m), label="comps")
+    return Summand(np.array(C), tuple(comps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_table_moments_match_oracle(data):
+    # random records: d, m <= 3, catalog laws, 3 <= |beta| <= 6
+    d = data.draw(st.integers(1, 3), label="d")
+    rec = _record(data, d)
+    beta = tuple(data.draw(
+        st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(lambda b: 3 <= sum(b) <= 6), label="beta"
+    ))
+    law = pushforward_moment(rec.C, rec.components, beta)
+    twin = pushforward_moment(rec.C, tuple(standard_normal() for _ in rec.components), beta)
+    assert abs(moment_gap(rec.C, rec.components, beta) - (law - twin)) <= 1e-12 * max(1.0, abs(law))
+
+    n = data.draw(st.integers(1, 5), label="n")
+    if data.draw(st.booleans(), label="iid"):
+        model = ModelSpec(d=d, n=n, summands=(rec,), iid=True)
+    else:
+        model = ModelSpec(d=d, n=n, summands=(rec,) + tuple(_record(data, d) for _ in range(n - 1)))
+    ref = _sum_moment_loop(model, beta)
+    assert abs(exact_sum_moment(model, beta) - ref) <= 1e-12 * max(1.0, abs(ref))
