@@ -5,7 +5,6 @@ experiment machinery used to verify their convergence rates."""
 from .corrector import (
     CorrectorPolynomial,
     DiffOp,
-    corrector_index_tuples,
     corrector_operator,
     corrector_polynomial,
     edgeworth_expectation,

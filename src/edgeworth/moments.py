@@ -1,8 +1,8 @@
 """Distribution catalog with exact raw moments, model specification for
 scaled sums of independent non-identically distributed vectors, and one
 cumulant table per summand record, from which a single moment recursion
-gives the record's moment gaps against its Gaussian twin and the exact
-moments of the scaled sum.
+gives the record's moment gaps against its Gaussian twin, its Hermite
+moments and the exact moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -353,6 +353,17 @@ def gap_table(C: np.ndarray, comps, K: int) -> dict:
     full = moments_from_cumulants(kappa, d, K)
     twin = moments_from_cumulants({b: v for b, v in kappa.items() if sum(b) == 2}, d, K)
     return {b: v - twin[b] for b, v in full.items() if sum(b) >= 3 and v != twin[b]}
+
+
+def hermite_moments(C: np.ndarray, comps, K: int) -> dict:
+    """Hermite moments h_beta of one summand record for 3 <= |beta| <= K,
+    zeros left out: the moment recursion on the record's cumulant table with
+    its order-2 entries dropped.  They are the Taylor coefficients (over
+    beta!) of E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment
+    generating function over its Gaussian twin's."""
+    kappa = {b: v for b, v in cumulant_table(C, comps, K).items() if sum(b) >= 3}
+    mu = moments_from_cumulants(kappa, np.atleast_2d(C).shape[0], K)
+    return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
 
 
 def moment_gap(C: np.ndarray, comps, beta) -> float:

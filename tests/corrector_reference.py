@@ -1,0 +1,170 @@
+"""Reference corrector operators written apart from the graded series used
+by the package.
+
+The order-k operator is built straight from its definition: ordered slot
+tuples ((l_1, l'_1), ..., (l_m, l'_m)) with sum l_i + 2 sum l'_i = k + 2m,
+each slot the moment-gap operator of order l composed with the l'-th power
+of the summand's Laplace operator, summed over r_1 < ... < r_m either by
+enumeration or by a dynamic program over the n summands.  The explicit
+order-3 correctors are the hand-expanded closed forms in averaged moment
+gaps.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from edgeworth.corrector import DiffOp
+from edgeworth.moments import gap_table
+from edgeworth.multiindex import concat, enumerate_multiindices, multinomial_weight, unit
+
+
+def corrector_index_tuples(m: int, k: int, N: int) -> list[tuple]:
+    """All ordered tuples ((l_1,l'_1),...,(l_m,l'_m)) with
+    N+2 >= l_i >= 3, floor(N/2) >= l'_i >= 0 and
+    sum l_i + 2 sum l'_i = k + 2m, in lexicographic order."""
+    if not 1 <= m <= k <= N:
+        raise ValueError("need 1 <= m <= k <= N")
+    target = k + 2 * m
+    lp_max = N // 2
+    pairs = [(l, lp) for l in range(3, N + 3) for lp in range(lp_max + 1)]
+
+    out: list[tuple] = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for (l, lp) in pairs:
+            cost = l + 2 * lp
+            # remaining slots each cost at least 3
+            if cost > remaining - 3 * (slots - 1):
+                continue
+            rec(prefix + [(l, lp)], remaining - cost, slots - 1)
+
+    rec([], target, m)
+    out.sort()
+    return out
+
+
+def moment_gap_operator(summand, l: int) -> DiffOp:
+    """Order-l operator whose coefficient at each derivative is the moment
+    gap of the summand, with ordered-tuple counts folded in."""
+    d = summand.C.shape[0]
+    gaps = gap_table(summand.C, summand.components, l)
+    terms = {}
+    for beta in enumerate_multiindices(d, l):
+        gap = gaps.get(beta, 0.0)
+        if gap != 0.0:
+            terms[beta] = multinomial_weight(beta) * gap
+    return DiffOp(d, terms)
+
+
+def laplace_operator(sigma: np.ndarray, power: int = 1) -> DiffOp:
+    """The power-th power of sum_{i,j} sigma_ij d_i d_j in multiplicity form,
+    by repeated composition."""
+    sigma = np.asarray(sigma, dtype=float)
+    d = sigma.shape[0]
+    terms: dict = {}
+    for i in range(d):
+        if sigma[i, i] != 0.0:
+            terms[concat(unit(d, i), unit(d, i))] = sigma[i, i]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if sigma[i, j] != 0.0:
+                terms[concat(unit(d, i), unit(d, j))] = 2.0 * sigma[i, j]
+    lap = DiffOp(d, terms)
+    out = DiffOp.identity(d)
+    for _ in range(power):
+        out = out.compose(lap)
+    return out
+
+
+def slot_operator(summand, l: int, lp: int) -> DiffOp:
+    """(1/l!) D^{(l)} composed with ((-1)^{l'} / (2^{l'} l'!)) L^{l'} of one summand."""
+    op = moment_gap_operator(summand, l).scale(1.0 / math.factorial(l))
+    if op.is_zero() or lp == 0:
+        return op
+    lap = laplace_operator(summand.sigma(), lp)
+    return op.compose(lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp))))
+
+
+def corrector_operator_enumerated(model, k, N):
+    """Oracle: the increasing-index sums by explicit enumeration of the
+    index tuples r_1 < ... < r_m (small n only)."""
+    total = DiffOp(model.d)
+    for m in range(1, k + 1):
+        for lam in corrector_index_tuples(m, k, N):
+            for rs in combinations(range(model.n), m):
+                op = DiffOp.identity(model.d)
+                for (l, lp), r in zip(lam, rs):
+                    op = op.compose(slot_operator(model.summand(r), l, lp))
+                total = total + op.scale(float(model.n) ** (-m))
+    return total
+
+
+def corrector_operator_dp(model, k, N):
+    """Oracle: the increasing-index sums by a dynamic program over the n
+    summands, dp[j] = sum over r_1 < ... < r_j of composed slot operators."""
+    total = DiffOp(model.d)
+    for m in range(1, k + 1):
+        for lam in corrector_index_tuples(m, k, N):
+            dp = [DiffOp.identity(model.d)] + [DiffOp(model.d) for _ in range(m)]
+            for r in range(model.n):
+                ops_r = [slot_operator(model.summand(r), l, lp) for (l, lp) in lam]
+                for j in range(m, 0, -1):
+                    dp[j] = dp[j] + dp[j - 1].compose(ops_r[j - 1])
+            total = total + dp[m].scale(float(model.n) ** (-m))
+    return total
+
+
+def explicit_order3_closed_form(model) -> tuple[dict, dict, dict]:
+    """Hermite coefficients of the three explicit order-3 correctors from
+    the averaged moment gaps c_l (ordered-tuple counts folded in) and the
+    covariance-weighted average cbar_3:
+
+        h1 = c3/6,  h2 = c4/24 + c3 c3/72,
+        h3 = c5/120 - cbar3 (x) e_i e_j / 12 + c3 c4/144 + c3 c3 c3/1296,
+
+    products read as concatenations of the Hermite indices."""
+    d = model.d
+    tables = [(rec, count, gap_table(rec.C, rec.components, 5)) for rec, count in model.unique_summands()]
+
+    def averaged(l):
+        out = {}
+        for beta in enumerate_multiindices(d, l):
+            total = sum(gaps.get(beta, 0.0) * count for _, count, gaps in tables)
+            if total != 0.0:
+                out[beta] = multinomial_weight(beta) * total / model.n
+        return out
+
+    c3, c4, c5 = averaged(3), averaged(4), averaged(5)
+
+    def add(h, b, v):
+        h[b] = h.get(b, 0.0) + v
+
+    h1 = {b: c / 6.0 for b, c in c3.items()}
+
+    h2: dict = {b: c / 24.0 for b, c in c4.items()}
+    for b1, v1 in c3.items():
+        for b2, v2 in c3.items():
+            add(h2, concat(b1, b2), v1 * v2 / 72.0)
+
+    h3: dict = {}
+    for beta in enumerate_multiindices(d, 3):
+        w = multinomial_weight(beta)
+        cbar = sum(gaps.get(beta, 0.0) * rec.sigma() * count for rec, count, gaps in tables) / model.n
+        for i in range(d):
+            for j in range(d):
+                add(h3, concat(beta, concat(unit(d, i), unit(d, j))), -w * cbar[i, j] / 12.0)
+    for b, c in c5.items():
+        add(h3, b, c / 120.0)
+    for b1, v1 in c3.items():
+        for b2, v2 in c4.items():
+            add(h3, concat(b1, b2), v1 * v2 / 144.0)
+        for b2, v2 in c3.items():
+            for b3, v3 in c3.items():
+                add(h3, concat(concat(b1, b2), b3), v1 * v2 * v3 / 1296.0)
+    return h1, h2, h3

@@ -9,14 +9,24 @@ from edgeworth.kernels import build_super_kernel
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-def test_super_kernel_demo_writes_grid(tmp_path):
-    # the demo writes its CSV into the working directory
+def run_demo(name, cwd):
     src = str(Path(edgeworth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / "super_kernel.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(DEMOS / name)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_super_kernel_demo_writes_grid(tmp_path):
+    # the demo writes its CSV into the working directory
+    run_demo("super_kernel.py", tmp_path)
     lines = (tmp_path / "super_kernel_grid.csv").read_text().splitlines()
     assert len(lines) == len(build_super_kernel().x) + 1
+
+
+def test_corrector_demo_runs(tmp_path):
+    # the only caller of explicit_order3 and order_discrepancy outside the tests
+    assert "constant across n" in run_demo("corrector_polynomials.py", tmp_path).stdout
