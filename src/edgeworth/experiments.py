@@ -3,9 +3,10 @@ approximate-density checks, occupation time of the scaled random walk,
 expected root counts of random trigonometric polynomials, and small-ball
 probabilities for parametrized sums.
 
-Every driver takes a seed and draws in fixed-size blocks, one counter-based
-stream per block, combining block results in block order; rerunning with the
-same seed reproduces results bit for bit regardless of worker count.
+Every Monte Carlo driver takes a seed and draws through
+``sampling.run_blocks``: fixed-size blocks, one counter-based stream per
+block, results combined in block order; rerunning with the same seed
+reproduces results bit for bit regardless of worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .moments import (
     exact_sum_moment,
     sample_component,
 )
-from .sampling import RngStream, sample_sum
+from .sampling import RngStream, fsums, mc_expectation, mean_var, run_blocks, sample_sum
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +43,11 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _json_scalar(v):
+    # numpy scalars become native JSON numbers and booleans
+    return v.item() if isinstance(v, np.generic) else _fmt(v)
 
 
 @dataclass
@@ -84,7 +90,7 @@ class ExperimentResult:
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=1, sort_keys=True, default=_fmt)
+            json.dump(self.summary(), fh, indent=1, sort_keys=True, default=_json_scalar)
             fh.write("\n")
 
 
@@ -119,38 +125,33 @@ def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int) -> d
     """Monte Carlo means/SEs of g(S_n) over an n-grid with common random
     numbers: one uniform block drives every n through the component's
     inverse CDF (prefix columns), so estimates across the grid are coupled."""
-    dists = {}
-    scales = {}
+    laws = {}
     for n, model in models.items():
         rec = model.summands[0]
         if not (model.iid and model.d == 1 and rec.C.shape == (1, 1)):
             raise ValueError("common random numbers need a one-dimensional iid model family")
-        component_icdf(rec.components[0], np.array([0.5]))  # raises TypeError if unsupported
-        dists[n] = rec.components[0]
-        scales[n] = float(rec.C[0, 0])
+        if not _has_icdf(rec.components[0]):
+            raise ValueError(
+                f"common random numbers need a closed-form inverse CDF; {rec.components[0].kind} has none"
+            )
+        laws[n] = (rec.components[0], float(rec.C[0, 0]))
     n_max = max(models)
-    block = max(64, (1 << 21) // n_max)
-    sums = {n: [] for n in models}
-    sums_sq = {n: [] for n in models}
-    done = 0
-    bid = 0
-    while done < samples:
-        bsize = min(block, samples - done)
+
+    def block_sums(bid, bsize):
         u = RngStream(seed, bid).generator().random((bsize, n_max))
-        for n in models:
-            y = component_icdf(dists[n], u[:, :n])
-            s = y.sum(axis=1) * (scales[n] / math.sqrt(n))
+        out = []
+        for n, (dist, scale) in laws.items():
+            s = component_icdf(dist, u[:, :n]).sum(axis=1) * (scale / math.sqrt(n))
             vals = np.asarray(g(s[:, None]), dtype=float)
-            sums[n].append(vals.sum())
-            sums_sq[n].append((vals * vals).sum())
-        done += bsize
-        bid += 1
-    out = {}
-    for n in models:
-        mean = math.fsum(sums[n]) / samples
-        var = max(math.fsum(sums_sq[n]) / samples - mean * mean, 0.0)
-        out[n] = (mean, math.sqrt(var / samples))
-    return out
+            out += [vals.sum(), (vals * vals).sum()]
+        return out
+
+    totals = fsums(run_blocks(samples, max(64, (1 << 21) // n_max), block_sums))
+    estimates = {}
+    for i, n in enumerate(laws):
+        mean, var = mean_var(totals[2 * i], totals[2 * i + 1], samples)
+        estimates[n] = (mean, math.sqrt(var / samples))
+    return estimates
 
 
 def rate_experiment(
@@ -200,8 +201,6 @@ def rate_experiment(
             if crn_estimates is not None:
                 truth, se = crn_estimates[int(n)]
             else:
-                from .sampling import mc_expectation
-
                 truth, se = mc_expectation(
                     g, model, samples, seed=seed ^ (int(n) << 20), workers=workers
                 )
@@ -286,16 +285,11 @@ def density_experiment(
         delta = float(delta_rule(n))
         vol = (2.0 * delta) ** model.d
 
-        hits = 0
-        done = 0
-        bid = 0
-        while done < samples:
-            bsize = min(DENSITY_BLOCK, samples - done)
-            rng = RngStream(seed ^ (n << 20), bid).generator()
-            pts = sample_sum(model, rng, bsize)
-            hits += int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
-            done += bsize
-            bid += 1
+        def block_hits(bid, bsize):
+            pts = sample_sum(model, RngStream(seed ^ (n << 20), bid).generator(), bsize)
+            return int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
+
+        hits = sum(run_blocks(samples, DENSITY_BLOCK, block_hits))
         p_hat = hits / samples
         est = p_hat / vol
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples) / vol
@@ -333,6 +327,53 @@ def density_experiment(
         seed=seed,
         workers=workers,
     )
+
+
+# ---------------------------------------------------------------------------
+# a law against its Gaussian twin, block by block
+
+
+def _has_icdf(dist: ComponentDistribution) -> bool:
+    try:
+        component_icdf(dist, np.array([0.5]))
+    except TypeError:
+        return False
+    return True
+
+
+def _paired_draws(dist, couple: bool, key: int, bid: int, shape):
+    """One block of draws from ``dist`` and from standard normals: the same
+    uniforms through both inverse CDFs when ``couple``, otherwise the law's
+    own stream and an independent normal stream."""
+    rng = RngStream(key, bid).generator()
+    if couple:
+        u = rng.random(shape)
+        return component_icdf(dist, u), norm.ppf(u)
+    g = RngStream(key ^ (1 << 40), bid).generator().standard_normal(shape)
+    return sample_component(dist, rng, shape), g
+
+
+def _paired_sums(y: np.ndarray, g: np.ndarray) -> tuple:
+    """Sums and sums of squares of y, g and y - g."""
+    d = y - g
+    return y.sum(), (y * y).sum(), g.sum(), (g * g).sum(), d.sum(), (d * d).sum()
+
+
+def _paired_row(totals, samples: int, couple: bool, name: str) -> dict:
+    """Means and standard errors of the law, its Gaussian twin and their gap
+    from the reduced ``_paired_sums``; uncoupled runs are independent, so
+    their gap variance is the sum of the two variances."""
+    mean, var = mean_var(totals[0], totals[1], samples)
+    mean_g, var_g = mean_var(totals[2], totals[3], samples)
+    mean_d, var_d = mean_var(totals[4], totals[5], samples)
+    return {
+        name: mean,
+        "se": math.sqrt(var / samples),
+        f"{name}_gaussian": mean_g,
+        "se_gaussian": math.sqrt(var_g / samples),
+        "gap": abs(mean_d) if couple else abs(mean - mean_g),
+        "gap_se": math.sqrt(var_d / samples) if couple else math.sqrt((var + var_g) / samples),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -378,73 +419,28 @@ def occupation_time(
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
-    eps_list = [float(n) ** (-0.5 * (1.0 - rho)) for n in n_grid]
-
-    try:
-        component_icdf(dist, np.array([0.5]))
-        can_couple = True
-    except TypeError:
-        can_couple = False
-    couple = crn and can_couple
+    couple = crn and _has_icdf(dist)
 
     rows = []
-    for n, eps in zip(n_grid, eps_list):
+    for n in n_grid:
+        eps = float(n) ** (-0.5 * (1.0 - rho))
         n = int(n)
-        block = max(64, (1 << 21) // n)
-        sums_y = []
-        sums_g = []
-        sums_d = []
-        sums_d2 = []
-        sums_y2 = []
-        sums_g2 = []
-        done = 0
-        bid = 0
-        while done < samples:
-            bsize = min(block, samples - done)
-            rng = RngStream(seed ^ (n << 24), bid).generator()
-            if couple:
-                u = rng.random((bsize, n))
-                y = component_icdf(dist, u)
-                g = norm.ppf(u)
-            else:
-                y = sample_component(dist, rng, (bsize, n))
-                g = RngStream(seed ^ (n << 24) ^ (1 << 40), bid).generator().standard_normal((bsize, n))
-            ly = _walk_band_fraction(y, eps)
-            lg = _walk_band_fraction(g, eps)
-            sums_y.append(ly.sum())
-            sums_g.append(lg.sum())
-            sums_y2.append((ly * ly).sum())
-            sums_g2.append((lg * lg).sum())
-            d = ly - lg
-            sums_d.append(d.sum())
-            sums_d2.append((d * d).sum())
-            done += bsize
-            bid += 1
 
-        mean_y = math.fsum(sums_y) / samples
-        mean_g = math.fsum(sums_g) / samples
-        var_y = max(math.fsum(sums_y2) / samples - mean_y**2, 0.0)
-        var_g = max(math.fsum(sums_g2) / samples - mean_g**2, 0.0)
-        mean_d = math.fsum(sums_d) / samples
-        var_d = max(math.fsum(sums_d2) / samples - mean_d**2, 0.0)
+        def block_sums(bid, bsize):
+            y, g = _paired_draws(dist, couple, seed ^ (n << 24), bid, (bsize, n))
+            return _paired_sums(_walk_band_fraction(y, eps), _walk_band_fraction(g, eps))
+
+        totals = fsums(run_blocks(samples, max(64, (1 << 21) // n), block_sums))
         rows.append(
-            {
-                "n": n,
-                "eps": eps,
-                "occupation": mean_y,
-                "se": math.sqrt(var_y / samples),
-                "occupation_gaussian": mean_g,
-                "se_gaussian": math.sqrt(var_g / samples),
-                "gap": abs(mean_d) if couple else abs(mean_y - mean_g),
-                "gap_se": math.sqrt(var_d / samples) if couple else math.sqrt((var_y + var_g) / samples),
+            {"n": n, "eps": eps}
+            | _paired_row(totals, samples, couple, "occupation")
+            | {
                 "gaussian_exact": occupation_closed_form_gaussian(n, eps),
+                # Brownian reference: the Gaussian walk on ref_grid steps, exactly
+                "brownian_ref": occupation_closed_form_gaussian(ref_grid, eps),
+                "brownian_ref_se": 0.0,
             }
         )
-
-    # Brownian reference: the Gaussian walk on ref_grid steps, exactly
-    for row, eps in zip(rows, eps_list):
-        row["brownian_ref"] = occupation_closed_form_gaussian(ref_grid, eps)
-        row["brownian_ref_se"] = 0.0
 
     return ExperimentResult(
         name="occupation",
@@ -535,72 +531,26 @@ def kac_rice_roots(
     Per-sample counts above twice the degree violate the trigonometric
     root bound and abort.
     """
-    try:
-        component_icdf(dist, np.array([0.5]))
-        can_couple = True
-    except TypeError:
-        can_couple = False
-    couple = crn and can_couple
+    couple = crn and _has_icdf(dist)
 
     rows = []
     for n in n_grid:
         n = int(n)
-        block = max(16, (1 << 21) // (oversample * n))
-        sums_y = []
-        sums_g = []
-        sums_d = []
-        sums_y2 = []
-        sums_g2 = []
-        sums_d2 = []
-        max_count = 0
-        done = 0
-        bid = 0
-        while done < samples:
-            bsize = min(block, samples - done)
-            rng = RngStream(seed ^ (n << 16), bid).generator()
-            if couple:
-                u = rng.random((bsize, 2 * n))
-                y = component_icdf(dist, u)
-                g = norm.ppf(u)
-            else:
-                y = sample_component(dist, rng, (bsize, 2 * n))
-                g = RngStream(seed ^ (n << 16) ^ (1 << 40), bid).generator().standard_normal(
-                    (bsize, 2 * n)
-                )
+
+        def block_sums(bid, bsize):
+            y, g = _paired_draws(dist, couple, seed ^ (n << 16), bid, (bsize, 2 * n))
             cy = _count_roots(y[:, :n], y[:, n:], oversample)
             cg = _count_roots(g[:, :n], g[:, n:], oversample)
-            if cy.max(initial=0) > 2 * n or cg.max(initial=0) > 2 * n:
+            max_count = int(max(cy.max(initial=0), cg.max(initial=0)))
+            if max_count > 2 * n:
                 raise NumericalGuardError("root count exceeds twice the degree: counting bug")
-            max_count = max(max_count, int(cy.max(initial=0)), int(cg.max(initial=0)))
-            ry = cy / n
-            rg = cg / n
-            sums_y.append(ry.sum())
-            sums_y2.append((ry * ry).sum())
-            sums_g.append(rg.sum())
-            sums_g2.append((rg * rg).sum())
-            d = ry - rg
-            sums_d.append(d.sum())
-            sums_d2.append((d * d).sum())
-            done += bsize
-            bid += 1
-        mean = math.fsum(sums_y) / samples
-        mean_g = math.fsum(sums_g) / samples
-        var = max(math.fsum(sums_y2) / samples - mean * mean, 0.0)
-        var_g = max(math.fsum(sums_g2) / samples - mean_g * mean_g, 0.0)
-        mean_d = math.fsum(sums_d) / samples
-        var_d = max(math.fsum(sums_d2) / samples - mean_d * mean_d, 0.0)
+            return _paired_sums(cy / n, cg / n), max_count
+
+        results = run_blocks(samples, max(16, (1 << 21) // (oversample * n)), block_sums)
         rows.append(
-            {
-                "n": n,
-                "roots_per_n": mean,
-                "se": math.sqrt(var / samples),
-                "roots_per_n_gaussian": mean_g,
-                "se_gaussian": math.sqrt(var_g / samples),
-                "gap": abs(mean_d) if couple else abs(mean - mean_g),
-                "gap_se": math.sqrt(var_d / samples) if couple else math.sqrt((var + var_g) / samples),
-                "max_count": max_count,
-                "limit": 1.0 / math.sqrt(3.0),
-            }
+            {"n": n}
+            | _paired_row(fsums(sums for sums, _ in results), samples, couple, "roots_per_n")
+            | {"max_count": max(m for _, m in results), "limit": 1.0 / math.sqrt(3.0)}
         )
     return ExperimentResult(
         name="roots",
@@ -669,23 +619,17 @@ def small_ball(
     u_values = np.linspace(0.0, math.pi, u_grid_size)
     delta_inf = float(n) ** (-theta)
 
-    hits_eta = np.zeros(len(eta_grid), dtype=np.int64)
-    hits_inf = 0
-    done = 0
-    bid = 0
-    while done < samples:
-        bsize = min(SMALLBALL_BLOCK, samples - done)
-        rng = RngStream(seed ^ (n << 8), bid).generator()
-        y = sample_component(dist, rng, (bsize, 2 * n))
+    def block_hits(bid, bsize):
+        y = sample_component(dist, RngStream(seed ^ (n << 8), bid).generator(), (bsize, 2 * n))
         s_point = trig_parametrized_sum(y, np.array([u_point]))[:, 0, :]
         norms = np.hypot(s_point[:, 0], s_point[:, 1])
-        for i, eta in enumerate(eta_grid):
-            hits_eta[i] += int(np.count_nonzero(norms <= eta))
         s_grid = trig_parametrized_sum(y, u_values)
         min_norm = np.min(np.hypot(s_grid[..., 0], s_grid[..., 1]), axis=1)
-        hits_inf += int(np.count_nonzero(min_norm <= delta_inf))
-        done += bsize
-        bid += 1
+        return [int(np.count_nonzero(norms <= eta)) for eta in eta_grid] + [
+            int(np.count_nonzero(min_norm <= delta_inf))
+        ]
+
+    *hits_eta, hits_inf = (sum(col) for col in zip(*run_blocks(samples, SMALLBALL_BLOCK, block_hits)))
 
     rows = []
     for eta, h in zip(eta_grid, hits_eta):

@@ -229,6 +229,30 @@ def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.
     return out * scale
 
 
+def run_blocks(samples: int, block: int, block_fn, workers: int = 1) -> list:
+    """Runs ``block_fn(bid, bsize)`` over the fixed plan of ``samples`` draws
+    in blocks of ``block`` (the last block takes the remainder) and returns
+    the results in block order.  ``workers > 1`` runs the blocks on a thread
+    pool, which changes scheduling only."""
+    plan = [(bid, min(block, samples - start))
+            for bid, start in enumerate(range(0, samples, block))]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda p: block_fn(*p), plan))
+    return [block_fn(bid, bsize) for bid, bsize in plan]
+
+
+def fsums(results) -> list[float]:
+    """Compensated sum of each position across the per-block results."""
+    return [math.fsum(col) for col in zip(*results)]
+
+
+def mean_var(total: float, total_sq: float, samples: int) -> tuple[float, float]:
+    """Mean and (population) variance from a sum and a sum of squares."""
+    mean = total / samples
+    return mean, max(total_sq / samples - mean * mean, 0.0)
+
+
 def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
                    workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of E[f(S_n)] with its standard error.
@@ -240,24 +264,10 @@ def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    plan = [(bid, min(MC_BLOCK, samples - start))
-            for bid, start in enumerate(range(0, samples, MC_BLOCK))]
 
-    def run_block(args):
-        bid, bsize = args
-        rng = RngStream(seed, bid).generator()
-        vals = np.asarray(f(sample_sum(model, rng, bsize)), dtype=float)
+    def block_sums(bid, bsize):
+        vals = np.asarray(f(sample_sum(model, RngStream(seed, bid).generator(), bsize)), dtype=float)
         return float(vals.sum()), float((vals * vals).sum())
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, plan))
-    else:
-        results = [run_block(p) for p in plan]
-
-    total = math.fsum(r[0] for r in results)
-    total_sq = math.fsum(r[1] for r in results)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    se = math.sqrt(var / samples)
-    return mean, se
+    mean, var = mean_var(*fsums(run_blocks(samples, MC_BLOCK, block_sums, workers)), samples)
+    return mean, math.sqrt(var / samples)

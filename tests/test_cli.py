@@ -85,7 +85,25 @@ def test_rate_with_inline_model(tmp_path):
     assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "rate.json").read_text())
     # order-2 corrector reproduces the fourth moment of uniform sums exactly
-    assert summary["notes"]["all_degenerate"] in (True, "true")
+    assert summary["notes"]["all_degenerate"] is True
+
+
+def test_rate_crn_without_inverse_cdf_is_config_error(tmp_path, capsys):
+    cfg = {
+        "experiment": "rate",
+        "component": {"kind": "gaussian_mixture", "w": 0.5, "mu1": 0.6, "sigma1": 0.8,
+                      "mu2": -0.6, "sigma2": 0.8},
+        "N": 1,
+        "n_grid": [8, 16],
+        "f": {"[4]": 1.0},
+        "mode": "mc",
+        "crn": True,
+        "samples": 1000,
+    }
+    cpath = tmp_path / "rate_crn.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -165,7 +183,7 @@ def test_nummelin_subcommand(tmp_path):
     cpath.write_text(json.dumps(cfg))
     assert main(["nummelin", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "nummelin.json").read_text())
-    assert summary["notes"]["ks_pass"] in (True, "true")
+    assert summary["notes"]["ks_pass"] is True
 
 
 def test_seed_determinism_byte_identical(tmp_path):

@@ -30,3 +30,13 @@ def test_super_kernel_demo_writes_grid(tmp_path):
 def test_corrector_demo_runs(tmp_path):
     # the only caller of explicit_order3 and order_discrepancy outside the tests
     assert "constant across n" in run_demo("corrector_polynomials.py", tmp_path).stdout
+
+
+def test_trig_root_counts_demo_runs(tmp_path):
+    out = run_demo("trig_root_counts.py", tmp_path).stdout
+    assert out.splitlines()[-1] == "per-sample counts never exceed twice the degree (guard enforced in the counter)"
+
+
+def test_small_ball_demo_runs(tmp_path):
+    out = run_demo("small_ball.py", tmp_path).stdout
+    assert out.splitlines()[-1] == "upper-bound exponent from the tail estimate: 1.0"

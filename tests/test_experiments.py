@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from edgeworth.experiments import (
 )
 from edgeworth.hermite import Polynomial
 from edgeworth.moments import (
+    gaussian_mixture,
     iid_model,
     rademacher,
     skewed_two_point,
@@ -97,6 +99,12 @@ def test_rate_mc_common_random_numbers():
         rate_experiment(
             lambda n: iid_vector_model((rademacher(), rademacher()), n),
             Polynomial(2, {(2, 2): 1.0}), 0, [8], mode="mc", samples=1000, seed=0, crn=True,
+        )
+    # the shared uniforms need a closed-form inverse CDF
+    mix = gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)
+    with pytest.raises(ValueError, match="inverse CDF"):
+        rate_experiment(
+            lambda n: iid_model(mix, n), f, 0, [8, 16], mode="mc", samples=1000, seed=0, crn=True,
         )
 
 
@@ -179,6 +187,37 @@ def test_kac_rice_gaussian_small_n():
     assert row["max_count"] <= 40
 
 
+UNCOUPLED = [
+    pytest.param(gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8), True, id="no-inverse-cdf"),
+    pytest.param(uniform_centered(), False, id="crn-off"),
+]
+
+
+def _check_uncoupled(row, name):
+    assert row["gap"] == abs(row[name] - row[f"{name}_gaussian"])
+    assert row["gap_se"] == pytest.approx(math.hypot(row["se"], row["se_gaussian"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("dist, crn", UNCOUPLED)
+def test_occupation_time_uncoupled(dist, crn):
+    res = occupation_time(dist, rho=0.5, n_grid=[100, 400], samples=2000, seed=4, crn=crn)
+    assert res.parameters["crn"] is False
+    for row in res.rows:
+        _check_uncoupled(row, "occupation")
+        assert abs(row["occupation_gaussian"] - row["gaussian_exact"]) <= 5 * row["se_gaussian"]
+
+
+@pytest.mark.parametrize("dist, crn", UNCOUPLED)
+def test_kac_rice_uncoupled(dist, crn):
+    res = kac_rice_roots(dist, [10, 20], samples=300, seed=6, crn=crn)
+    assert res.parameters["crn"] is False
+    for row in res.rows:
+        _check_uncoupled(row, "roots_per_n")
+        n = row["n"]
+        exact = math.sqrt((n + 1) * (2 * n + 1) / 6.0) / n
+        assert abs(row["roots_per_n_gaussian"] - exact) <= 5 * row["se_gaussian"]
+
+
 def test_count_roots_tangency_guard():
     # Q(t) = sin t (cos t - cos t0)^8 touches zero at t0 without a sign
     # change; t0 is the midpoint of a grid interval, so only the tangency
@@ -250,3 +289,6 @@ def test_experiment_result_csv_roundtrip(tmp_path):
     assert len(lines) == 3
     res.write_json(tmp_path / "rate.json")
     assert (tmp_path / "rate.json").read_text().startswith("{")
+    doc = json.loads((tmp_path / "rate.json").read_text())
+    assert all(type(row["degenerate"]) is bool for row in doc["rows"])
+    assert type(doc["notes"]["all_degenerate"]) is bool

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from edgeworth.sampling import (
     bump_mass,
     doeblin_check,
     mc_expectation,
+    mean_var,
     nummelin_sample,
+    run_blocks,
     sample_sum,
     smoothed_ball_indicator,
     taper_exponent,
@@ -155,3 +158,33 @@ def test_mc_expectation_contract():
     assert abs(est - math.exp(-0.5)) <= 4 * se
     with pytest.raises(ValueError):
         mc_expectation(lambda x: np.ones(len(x)), model, 10, seed=0)
+
+
+def test_run_blocks_plan_and_order():
+    finished = []
+    block1_done = threading.Event()
+
+    def block_fn(bid, bsize):
+        if bid == 0:
+            assert block1_done.wait(timeout=30)  # block 0 finishes after block 1
+        if bid == 1:
+            block1_done.set()
+        finished.append(bid)
+        return bid, bsize
+
+    out = run_blocks(1003, 100, block_fn, workers=3)
+    assert finished.index(1) < finished.index(0)
+    # results come back in block order; the last block takes the remainder
+    assert out == [(bid, 100) for bid in range(10)] + [(10, 3)]
+    assert sum(bsize for _, bsize in out) == 1003
+    assert run_blocks(1003, 100, lambda bid, bsize: (bid, bsize)) == out
+
+    def draw(bid, bsize):
+        return float(RngStream(9, bid).generator().standard_normal(bsize).sum())
+
+    assert run_blocks(1003, 100, draw) == run_blocks(1003, 100, draw, workers=3)
+
+
+def test_mean_var():
+    assert mean_var(6.0, 20.0, 2) == (3.0, 1.0)
+    assert mean_var(2.0, 2.0 - 1e-15, 2) == (1.0, 0.0)  # rounding never gives a negative variance
