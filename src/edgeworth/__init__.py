@@ -4,7 +4,6 @@ experiment machinery used to verify their convergence rates."""
 
 from .corrector import (
     CorrectorPolynomial,
-    DiffOp,
     corrector_operator,
     corrector_polynomial,
     edgeworth_expectation,

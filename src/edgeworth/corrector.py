@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,73 +56,24 @@ from .multiindex import check_multiindex, concat, enumerate_multiindices, multin
 from .moments import ModelSpec, Summand, cumulant_table, hermite_moments
 
 
-class DiffOp:
-    """Constant-coefficient differential operator in multiplicity form.
-
-    ``terms[beta]`` is the total coefficient of the derivative with
-    per-coordinate multiplicities ``beta`` (ordered-tuple sums are already
-    folded in).  Composition is coefficient convolution; everything
-    commutes.
-    """
-
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d: int, terms: dict | None = None):
-        self.d = d
-        self.terms = {b: c for b, c in (terms or {}).items() if c != 0.0}
-
-    @classmethod
-    def identity(cls, d: int) -> "DiffOp":
-        return cls(d, {(0,) * d: 1.0})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms.get(b, 0.0) + c
-        return DiffOp(self.d, terms)
-
-    def scale(self, a: float) -> "DiffOp":
-        if a == 0.0:
-            return DiffOp(self.d)
-        return DiffOp(self.d, {b: a * c for b, c in self.terms.items()})
-
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        terms: dict = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                b = tuple(map(operator.add, b1, b2))
-                terms[b] = terms.get(b, 0.0) + c1 * c2
-        return DiffOp(self.d, terms)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        out = Polynomial(f.d)
-        for beta, c in self.terms.items():
-            out = out + f.diff(beta).scale(c)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"DiffOp(d={self.d}, {len(self.terms)} terms)"
-
-
-# A graded series truncated at grade N is the list of its N + 1 grades.
+# A graded series truncated at grade N is the list of its N + 1 grades, each
+# a constant-coefficient operator stored as a Polynomial read in the partial
+# derivatives: the monomial beta stands for d^beta, so products compose.
 
 def _series_product(a: list, b: list) -> list:
     """Product of two graded series, truncated at the last grade of a."""
-    out = [DiffOp(a[0].d) for _ in a]
+    out = [Polynomial(a[0].d) for _ in a]
     for i, ai in enumerate(a):
         for j in range(len(a) - i):
             if ai.terms and b[j].terms:
-                out[i + j] = out[i + j] + ai.compose(b[j])
+                out[i + j] = out[i + j] + ai * b[j]
     return out
 
 
 def _power_series(s: list, coeffs: list) -> list:
     """sum_j coeffs[j] s^j for a series s without grade 0, truncated at its
     last grade N = len(coeffs) - 1 (s^j starts at grade j)."""
-    out = [DiffOp.identity(s[0].d).scale(coeffs[0])] + [t.scale(coeffs[1]) for t in s[1:]]
+    out = [Polynomial.monomial((0,) * s[0].d, coeffs[0])] + [t.scale(coeffs[1]) for t in s[1:]]
     power = s
     for c in coeffs[2:]:
         power = _series_product(power, s)
@@ -135,22 +85,23 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
     k is Gamma_k, or with log=False of exp(sum_records count * T_record)."""
     d = model.d
-    total = [DiffOp(d) for _ in range(N + 1)]
+    total = [Polynomial(d) for _ in range(N + 1)]
     for rec, count in model.unique_summands():
         grades: list = [{} for _ in range(N + 1)]
         for b, h in hermite_moments(rec.C, rec.components, N + 2).items():
             grades[sum(b) - 2][b] = h / (model.n * math.prod(map(math.factorial, b)))
-        t = [DiffOp(d, g) for g in grades]
+        t = [Polynomial._of(d, g) for g in grades]
         if log:
             t = _power_series(t, [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)])
         total = [a + b.scale(float(count)) for a, b in zip(total, t)]
     return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)])
 
 
-def corrector_operator(model: ModelSpec, k: int, N: int) -> DiffOp:
+def corrector_operator(model: ModelSpec, k: int, N: int) -> Polynomial:
     """The order-k corrector operator of the model for expansions up to
     order N: grade k of the product of the records' series (cost
-    independent of n)."""
+    independent of n), as a :class:`Polynomial` read in the partial
+    derivatives (the term ``beta: c`` is ``c d^beta``)."""
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
     return _graded_series(model, N)[k]
@@ -230,17 +181,16 @@ def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     n^{-k/2}-weighted Hermite duals of the order-k operators, k = 1..N).
 
     The Hermite dual of a constant-coefficient operator keeps its
-    coefficient map and reads it over the Hermite basis (shared
-    multiplicity form), so that Gaussian expectations of the operator
-    applied to f match expectations of f times the dual polynomial."""
+    coefficient map (the operator's :class:`Polynomial` terms) and reads
+    it over the Hermite basis, so that Gaussian expectations of the
+    operator applied to f match expectations of f times the dual
+    polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    terms: dict = {}
+    total = Polynomial(model.d)
     for k, op in enumerate(_graded_series(model, N)[1:], start=1):
-        w = float(model.n) ** (-0.5 * k)
-        for b, c in op.terms.items():
-            terms[b] = terms.get(b, 0.0) + w * c
-    return CorrectorPolynomial(d=model.d, constant=1.0, terms=terms, n=model.n, order=N)
+        total = total + op.scale(float(model.n) ** (-0.5 * k))
+    return CorrectorPolynomial(d=model.d, constant=1.0, terms=total.terms, n=model.n, order=N)
 
 
 def explicit_order3(model: ModelSpec) -> tuple[CorrectorPolynomial, CorrectorPolynomial, CorrectorPolynomial]:
@@ -281,11 +231,9 @@ def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
     for k in {2, 3}."""
     if k not in (1, 2, 3):
         raise ValueError("explicit correctors exist for k in {1, 2, 3}")
-    explicit = explicit_order3(model)[k - 1]
-    diff_terms = dict(corrector_operator(model, k, N=3).terms)
-    for b, c in explicit.terms.items():
-        diff_terms[b] = diff_terms.get(b, 0.0) - c
-    gap = CorrectorPolynomial(d=model.d, constant=0.0, terms=diff_terms, n=model.n)
+    explicit = _graded_series(model, 3, log=False)[k]
+    diff = corrector_operator(model, k, N=3) + explicit.scale(-1.0)
+    gap = CorrectorPolynomial(d=model.d, constant=0.0, terms=diff.terms, n=model.n)
     return gap.evaluate(x)
 
 

@@ -1,5 +1,6 @@
 """Probabilists' Hermite polynomials, exact standard-normal moments, and
-polynomial algebra used by the corrector machinery.
+the one sparse polynomial type: test functions are Polynomials in x, and the
+corrector operators are Polynomials read in the partial derivatives.
 
 Everything here is exact in double precision for the orders the library
 supports (degree <= 12): coefficients and Gaussian moments are integers,
@@ -9,6 +10,7 @@ so sums of products round only at the final accumulation.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -104,7 +106,11 @@ def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Polynomial:
-    """Multivariate polynomial as a map monomial multi-index -> coefficient."""
+    """Multivariate polynomial as a map monomial multi-index -> coefficient.
+
+    Read in the partial derivatives instead of x, the same map is a
+    constant-coefficient differential operator, and ``*`` composes two of
+    them."""
 
     __slots__ = ("d", "terms")
 
@@ -121,6 +127,15 @@ class Polynomial:
                 self.terms[beta] = self.terms.get(beta, 0.0) + c
 
     @classmethod
+    def _of(cls, d: int, terms: dict) -> "Polynomial":
+        """Unchecked constructor for canonical keys of dimension d: only
+        drops zero coefficients."""
+        p = cls.__new__(cls)
+        p.d = d
+        p.terms = {b: c for b, c in terms.items() if c != 0.0}
+        return p
+
+    @classmethod
     def monomial(cls, beta, coeff: float = 1.0) -> "Polynomial":
         beta = check_multiindex(beta)
         return cls(len(beta), {beta: coeff})
@@ -134,10 +149,10 @@ class Polynomial:
         terms = dict(self.terms)
         for b, c in other.terms.items():
             terms[b] = terms.get(b, 0.0) + c
-        return Polynomial(self.d, terms)
+        return Polynomial._of(self.d, terms)
 
     def scale(self, a: float) -> "Polynomial":
-        return Polynomial(self.d, {b: a * c for b, c in self.terms.items()})
+        return Polynomial._of(self.d, {b: a * c for b, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.d != other.d:
@@ -145,9 +160,9 @@ class Polynomial:
         terms: dict = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                b = tuple(x + y for x, y in zip(b1, b2))
+                b = tuple(map(operator.add, b1, b2))
                 terms[b] = terms.get(b, 0.0) + c1 * c2
-        return Polynomial(self.d, terms)
+        return Polynomial._of(self.d, terms)
 
     def diff(self, gamma) -> "Polynomial":
         """Apply the differential operator with multiplicities ``gamma``."""
@@ -165,7 +180,7 @@ class Polynomial:
                     coeff *= b - j
             nb = tuple(b - g for b, g in zip(beta, gamma))
             terms[nb] = terms.get(nb, 0.0) + coeff
-        return Polynomial(self.d, terms)
+        return Polynomial._of(self.d, terms)
 
     def __call__(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)

@@ -396,21 +396,26 @@ def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float,
     return plain / model.n, weighted / model.n
 
 
-def exact_sum_moment(model: ModelSpec, beta) -> float:
-    """Exact E[S_n^beta] from the summand records' cumulant tables.
+def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
+    """Exact E[S_n^beta] for every |beta| <= K from the summand records'
+    cumulant tables.
 
     Cumulants add over independent summands and scale by n^{-|delta|/2}, so
     kappa_delta(S_n) = n^{-|delta|/2} sum_records count * kappa_delta(record)
     for any count; one moment recursion turns them into moments.
     """
-    beta = check_multiindex(beta)
-    if len(beta) != model.d:
-        raise ValueError("index dimension != model dimension")
-    K = sum(beta)
     if K > 8:
         raise ValueError("exact sum moment order capped at 8")
     kappa: dict = {}
     for rec, count in model.unique_summands():
         for delta, v in cumulant_table(rec.C, rec.components, K).items():
             kappa[delta] = kappa.get(delta, 0.0) + count * v * float(model.n) ** (-0.5 * sum(delta))
-    return moments_from_cumulants(kappa, model.d, K)[beta]
+    return moments_from_cumulants(kappa, model.d, K)
+
+
+def exact_sum_moment(model: ModelSpec, beta) -> float:
+    """Exact E[S_n^beta]: one entry of :func:`exact_sum_moment_table`."""
+    beta = check_multiindex(beta)
+    if len(beta) != model.d:
+        raise ValueError("index dimension != model dimension")
+    return exact_sum_moment_table(model, sum(beta))[beta]

@@ -8,6 +8,9 @@ of the summand's Laplace operator, summed over r_1 < ... < r_m either by
 enumeration or by a dynamic program over the n summands.  The explicit
 order-3 correctors are the hand-expanded closed forms in averaged moment
 gaps.
+
+Operators are :class:`Polynomial` objects read in the partial derivatives
+(the term ``beta: c`` is ``c d^beta``), so composition is ``*``.
 """
 
 import math
@@ -15,9 +18,18 @@ from itertools import combinations
 
 import numpy as np
 
-from edgeworth.corrector import DiffOp
+from edgeworth.hermite import Polynomial
 from edgeworth.moments import gap_table
 from edgeworth.multiindex import concat, enumerate_multiindices, multinomial_weight, unit
+
+
+def apply_operator(op: Polynomial, f: Polynomial) -> Polynomial:
+    """The operator op, read in the partial derivatives, applied to f:
+    sum over its terms of c * d^beta f."""
+    out = Polynomial(f.d)
+    for beta, c in op.terms.items():
+        out = out + f.diff(beta).scale(c)
+    return out
 
 
 def corrector_index_tuples(m: int, k: int, N: int) -> list[tuple]:
@@ -49,7 +61,7 @@ def corrector_index_tuples(m: int, k: int, N: int) -> list[tuple]:
     return out
 
 
-def moment_gap_operator(summand, l: int) -> DiffOp:
+def moment_gap_operator(summand, l: int) -> Polynomial:
     """Order-l operator whose coefficient at each derivative is the moment
     gap of the summand, with ordered-tuple counts folded in."""
     d = summand.C.shape[0]
@@ -59,10 +71,10 @@ def moment_gap_operator(summand, l: int) -> DiffOp:
         gap = gaps.get(beta, 0.0)
         if gap != 0.0:
             terms[beta] = multinomial_weight(beta) * gap
-    return DiffOp(d, terms)
+    return Polynomial(d, terms)
 
 
-def laplace_operator(sigma: np.ndarray, power: int = 1) -> DiffOp:
+def laplace_operator(sigma: np.ndarray, power: int = 1) -> Polynomial:
     """The power-th power of sum_{i,j} sigma_ij d_i d_j in multiplicity form,
     by repeated composition."""
     sigma = np.asarray(sigma, dtype=float)
@@ -75,32 +87,32 @@ def laplace_operator(sigma: np.ndarray, power: int = 1) -> DiffOp:
         for j in range(i + 1, d):
             if sigma[i, j] != 0.0:
                 terms[concat(unit(d, i), unit(d, j))] = 2.0 * sigma[i, j]
-    lap = DiffOp(d, terms)
-    out = DiffOp.identity(d)
+    lap = Polynomial(d, terms)
+    out = Polynomial.monomial((0,) * d)
     for _ in range(power):
-        out = out.compose(lap)
+        out = out * lap
     return out
 
 
-def slot_operator(summand, l: int, lp: int) -> DiffOp:
+def slot_operator(summand, l: int, lp: int) -> Polynomial:
     """(1/l!) D^{(l)} composed with ((-1)^{l'} / (2^{l'} l'!)) L^{l'} of one summand."""
     op = moment_gap_operator(summand, l).scale(1.0 / math.factorial(l))
-    if op.is_zero() or lp == 0:
+    if not op.terms or lp == 0:
         return op
     lap = laplace_operator(summand.sigma(), lp)
-    return op.compose(lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp))))
+    return op * lap.scale(((-1.0) ** lp) / (2.0 ** lp * math.factorial(lp)))
 
 
 def corrector_operator_enumerated(model, k, N):
     """Oracle: the increasing-index sums by explicit enumeration of the
     index tuples r_1 < ... < r_m (small n only)."""
-    total = DiffOp(model.d)
+    total = Polynomial(model.d)
     for m in range(1, k + 1):
         for lam in corrector_index_tuples(m, k, N):
             for rs in combinations(range(model.n), m):
-                op = DiffOp.identity(model.d)
+                op = Polynomial.monomial((0,) * model.d)
                 for (l, lp), r in zip(lam, rs):
-                    op = op.compose(slot_operator(model.summand(r), l, lp))
+                    op = op * slot_operator(model.summand(r), l, lp)
                 total = total + op.scale(float(model.n) ** (-m))
     return total
 
@@ -108,14 +120,14 @@ def corrector_operator_enumerated(model, k, N):
 def corrector_operator_dp(model, k, N):
     """Oracle: the increasing-index sums by a dynamic program over the n
     summands, dp[j] = sum over r_1 < ... < r_j of composed slot operators."""
-    total = DiffOp(model.d)
+    total = Polynomial(model.d)
     for m in range(1, k + 1):
         for lam in corrector_index_tuples(m, k, N):
-            dp = [DiffOp.identity(model.d)] + [DiffOp(model.d) for _ in range(m)]
+            dp = [Polynomial.monomial((0,) * model.d)] + [Polynomial(model.d) for _ in range(m)]
             for r in range(model.n):
                 ops_r = [slot_operator(model.summand(r), l, lp) for (l, lp) in lam]
                 for j in range(m, 0, -1):
-                    dp[j] = dp[j] + dp[j - 1].compose(ops_r[j - 1])
+                    dp[j] = dp[j] + dp[j - 1] * ops_r[j - 1]
             total = total + dp[m].scale(float(model.n) ** (-m))
     return total
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from edgeworth import experiments, sampling
 from edgeworth.cli import main
 from edgeworth.corrector import CorrectorPolynomial, corrector_polynomial
 from edgeworth.moments import iid_model, uniform_centered
@@ -206,3 +207,63 @@ def test_seed_determinism_byte_identical(tmp_path):
     cfg_seed9 = tmp_path / "run3"
     assert main(["smallball", "--config", str(cpath), "--seed", "9", "--out-dir", str(cfg_seed9)]) == 0
     assert (out1 / "smallball.csv").read_bytes() != (cfg_seed9 / "smallball.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # each config runs at least two blocks of its driver
+        pytest.param(
+            {"experiment": "rate", "component": {"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5},
+             "N": 1, "n_grid": [8, 16], "f": {"[3]": 1.0, "[4]": 1.0}, "mode": "mc",
+             "samples": 20_000, "seed": 5},
+            id="rate-mc",
+        ),
+        pytest.param(
+            {"experiment": "rate", "component": {"kind": "uniform_centered"}, "N": 1,
+             "n_grid": [1024, 8192], "f": {"[4]": 1.0}, "mode": "mc", "crn": True,
+             "samples": 600, "seed": 5},
+            id="rate-mc-crn",
+        ),
+        pytest.param(
+            {"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1,
+             "a": [0.3], "n_grid": [4, 8], "samples": 70_000, "seed": 5},
+            id="density",
+        ),
+        pytest.param(
+            {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5,
+             "n_grid": [4096], "samples": 600, "ref_grid": 1000, "seed": 5},
+            id="occupation",
+        ),
+        pytest.param(
+            {"experiment": "roots", "component": {"kind": "uniform_centered"},
+             "n_grid": [8, 16], "samples": 600, "oversample": 512, "seed": 5},
+            id="roots",
+        ),
+        pytest.param(
+            {"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10,
+             "samples": 9000, "u_grid_size": 16, "eta_grid": [0.2, 0.4], "seed": 5},
+            id="smallball",
+        ),
+    ],
+)
+def test_worker_count_never_changes_csv(tmp_path, monkeypatch, cfg):
+    plans, real = [], sampling.run_blocks
+
+    def counted(samples, block, block_fn, workers=1):
+        plans.append(-(-samples // block))
+        return real(samples, block, block_fn, workers)
+
+    # the drivers import the engine by name; mc_expectation looks it up in sampling
+    monkeypatch.setattr(experiments, "run_blocks", counted)
+    monkeypatch.setattr(sampling, "run_blocks", counted)
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    csvs = []
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        args = [cfg["experiment"], "--config", str(cpath), "--workers", str(workers), "--out-dir", str(out)]
+        assert main(args) == 0
+        csvs.append((out / f"{cfg['experiment']}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert max(plans) >= 2

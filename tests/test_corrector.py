@@ -6,7 +6,6 @@ import pytest
 from edgeworth import moments
 from edgeworth.corrector import (
     CorrectorPolynomial,
-    DiffOp,
     corrector_operator,
     corrector_polynomial,
     edgeworth_expectation,
@@ -30,6 +29,7 @@ from edgeworth.moments import (
     uniform_centered,
 )
 from corrector_reference import (
+    apply_operator,
     corrector_index_tuples,
     corrector_operator_dp,
     corrector_operator_enumerated,
@@ -61,25 +61,27 @@ def test_index_tuples_examples():
         assert sum(l for l, _ in lam) + 2 * sum(lp for _, lp in lam) == 4 + 2 * 2
 
 
-def test_diffop_algebra():
-    a = DiffOp(1, {(2,): 1.5})
-    b = DiffOp(1, {(1,): 2.0, (0,): 1.0})
-    c = a.compose(b)
+def test_operator_algebra():
+    # operators are polynomials read in the partial derivatives
+    a = Polynomial(1, {(2,): 1.5})
+    b = Polynomial(1, {(1,): 2.0, (0,): 1.0})
+    c = a * b
     assert c.terms == {(3,): 3.0, (2,): 1.5}
-    assert a.compose(b).terms == b.compose(a).terms
+    assert (a * b).terms == (b * a).terms
     f = Polynomial(1, {(4,): 1.0})
-    assert a.apply(f).terms == {(2,): 18.0}
+    assert apply_operator(a, f).terms == {(2,): 18.0}
+    assert isinstance(corrector_operator(iid_model(uniform_centered(), 10), 2, 2), Polynomial)
 
 
 def test_gamma_zero_for_gaussian_model():
     model = iid_model(standard_normal(), 25)
     for k in (1, 2, 3):
-        assert corrector_operator(model, k, 3).is_zero()
+        assert not corrector_operator(model, k, 3).terms
 
 
 def test_gamma_uniform_examples():
     model = iid_model(uniform_centered(), 100)
-    assert corrector_operator(model, 1, 2).is_zero()
+    assert not corrector_operator(model, 1, 2).terms
     g2 = corrector_operator(model, 2, 2)
     assert set(g2.terms) == {(4,)}
     assert g2.terms[(4,)] == pytest.approx(-1.0 / 20.0, abs=1e-15)
@@ -147,7 +149,7 @@ def test_build_cost_is_per_record(monkeypatch):
 def test_odd_orders_vanish_for_symmetric_components():
     model = iid_model(uniform_centered(), 50)
     for k in (1, 3):
-        assert corrector_operator(model, k, 4).is_zero()
+        assert not corrector_operator(model, k, 4).terms
 
 
 def test_corrector_polynomial_basics():
@@ -174,13 +176,13 @@ def test_hermitize_duality():
     model = random_model(rng, 2, 5, normalized=False)
     op = corrector_operator(model, 2, 3)
     f = Polynomial(2, {(2, 1): 1.0, (0, 4): -0.5, (1, 0): 2.0, (2, 2): 0.25})
-    lhs = op.apply(f).gaussian_expectation()
+    lhs = apply_operator(op, f).gaussian_expectation()
     dual = CorrectorPolynomial(d=2, constant=0.0, terms=dict(op.terms))
     rhs = edgeworth_expectation(f, (0, 0), dual)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
     # spec example: a * d^4 -> a * H_4, E[d^4 x^4] = 24 = E[x^4 H_4]
-    quart = DiffOp(1, {(4,): 1.0})
-    assert quart.apply(Polynomial(1, {(4,): 1.0})).gaussian_expectation() == 24.0
+    quart = Polynomial(1, {(4,): 1.0})
+    assert apply_operator(quart, Polynomial(1, {(4,): 1.0})).gaussian_expectation() == 24.0
 
 
 def test_order1_identity_and_order2_discrepancy():

@@ -40,3 +40,19 @@ def test_trig_root_counts_demo_runs(tmp_path):
 def test_small_ball_demo_runs(tmp_path):
     out = run_demo("small_ball.py", tmp_path).stdout
     assert out.splitlines()[-1] == "upper-bound exponent from the tail estimate: 1.0"
+
+
+def test_rate_convergence_demo_runs(tmp_path):
+    # drives the corrector and the exact rate path end to end
+    out = run_demo("rate_convergence.py", tmp_path).stdout
+    assert out.splitlines()[-1] == (
+        "order N=2: every row at machine zero; the corrector reproduces "
+        "the third and fourth moments identically"
+    )
+
+
+def test_nummelin_splitting_demo_runs(tmp_path):
+    out = run_demo("nummelin_splitting.py", tmp_path).stdout
+    assert out.splitlines()[-1] == (
+        "moment check: split mean +0.0005, direct mean -0.0011; split var 1.0051, direct var 0.9987"
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth.hermite import (
     Polynomial,
@@ -93,6 +95,47 @@ def test_polynomial_algebra():
     assert f.diff((1,)).terms == {(1,): 2.0}
     assert f(np.array([[2.0]]))[0] == 3.0
     assert f.gaussian_expectation() == 0.0
+
+
+# dyadic coefficients k/4: products and sums of a few of them are exact, so
+# p * q and q * p agree exactly whatever order the products are summed in
+_COEFF = st.integers(-20, 20).filter(bool).map(lambda k: k / 4.0)
+
+
+def _sparse_polynomial(data, d, label):
+    index = st.tuples(*[st.integers(0, 4)] * d)
+    return Polynomial(d, data.draw(st.dictionaries(index, _COEFF, max_size=6), label=label))
+
+
+def _abs_value(p, x):
+    """The polynomial with |coefficients| at |x|: the scale that bounds the
+    rounding of any summation order of p(x)."""
+    return Polynomial(p.d, {b: abs(c) for b, c in p.terms.items()})(np.abs(x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_polynomial_algebra_pointwise(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    p, q = _sparse_polynomial(data, d, "p"), _sparse_polynomial(data, d, "q")
+    a = data.draw(st.floats(-3.0, 3.0, allow_subnormal=False), label="a")
+    x = np.array(data.draw(st.lists(st.floats(-1.5, 1.5, allow_subnormal=False),
+                                    min_size=d, max_size=d), label="x"))
+    sp, sq = _abs_value(p, x), _abs_value(q, x)
+    assert abs((p * q)(x) - p(x) * q(x)) <= 1e-12 * sp * sq
+    assert abs((p + q)(x) - (p(x) + q(x))) <= 1e-12 * (sp + sq)
+    assert abs(p.scale(a)(x) - a * p(x)) <= 1e-12 * abs(a) * sp
+    assert (p * q).terms == (q * p).terms
+    assert not (p + p.scale(-1.0)).terms
+
+
+def test_public_constructor_checks():
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        Polynomial(2, {(1, -1): 1.0})
+    with pytest.raises(ValueError, match="monomial dimension mismatch"):
+        Polynomial(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Polynomial(0)
 
 
 def test_gauss_hermite_exactness():

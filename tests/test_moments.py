@@ -14,6 +14,7 @@ from edgeworth.moments import (
     averaged_moment_gaps,
     cumulant_table,
     exact_sum_moment,
+    exact_sum_moment_table,
     gaussian_mixture,
     iid_model,
     iid_vector_model,
@@ -256,9 +257,36 @@ def test_model_json_roundtrip():
     assert exact_sum_moment(back, (2, 2)) == exact_sum_moment(model, (2, 2))
 
 
+def test_exact_sum_moment_table_entries():
+    # one table serves every monomial: each entry is the single-moment
+    # call bit for bit, whatever order the table was built to
+    rng = np.random.default_rng(17)
+    noniid = ModelSpec(d=2, n=30, summands=tuple(
+        Summand(rng.normal(size=(2, 2)) + np.eye(2), (CATALOG[k % 5], CATALOG[(k + 2) % 5]))
+        for k in range(30)
+    ))
+    models = [
+        noniid,
+        iid_model(skewed_two_point(0.2), 1000),
+        iid_vector_model((skewed_two_point(0.3), uniform_centered(), rademacher()), 50),
+    ]
+    for model in models:
+        for K in (6, 8):
+            table = exact_sum_moment_table(model, K)
+            assert set(table) == {
+                b for b in itertools.product(range(K + 1), repeat=model.d) if sum(b) <= K
+            }
+            for beta, v in table.items():
+                assert v == exact_sum_moment(model, beta)
+
+
 def test_order_cap():
     with pytest.raises(ValueError, match="exact sum moment order capped at 8"):
         exact_sum_moment(iid_model(rademacher(), 4), (9,))
+    with pytest.raises(ValueError, match="exact sum moment order capped at 8"):
+        exact_sum_moment_table(iid_model(rademacher(), 4), 9)
+    with pytest.raises(ValueError, match="index dimension != model dimension"):
+        exact_sum_moment(iid_model(rademacher(), 4), (2, 2))
     with pytest.raises(ValueError, match="pushforward moment order capped at 12"):
         moment_gap(np.eye(1), (rademacher(),), (13,))
 
