@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .corrector import corrector_polynomial
-from .errors import NumericalGuardError
+from .errors import ConfigError, NumericalGuardError, check_fields
 from .experiments import (
     ExperimentResult,
     density_experiment,
@@ -25,23 +25,10 @@ from .experiments import (
 )
 from .hermite import Polynomial
 from .kernels import build_super_kernel, mollify
-from .moments import ComponentDistribution, ModelSpec, iid_model
+from .moments import ComponentDistribution, ModelSpec, Summand
 from .sampling import DoeblinCert, RngStream, doeblin_check, nummelin_sample, sample_component
 
 N_CAP = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_fields(doc: dict, required: set, optional: set, where: str) -> None:
-    missing = required - doc.keys()
-    if missing:
-        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
-    unknown = doc.keys() - required - optional
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 def _load_model(doc: dict, base_dir: str) -> ModelSpec:
@@ -56,6 +43,19 @@ def _load_model(doc: dict, base_dir: str) -> ModelSpec:
 
 def _component(doc: dict) -> ComponentDistribution:
     return ComponentDistribution.from_json(doc)
+
+
+def _n_family(cfg: dict, base_dir: str, experiment: str):
+    """Dimension and n -> model map of the config's component or
+    one-record model: that record with count n."""
+    if "component" in cfg:
+        d, rec = 1, Summand(np.eye(1), (_component(cfg["component"]),))
+    else:
+        base = _load_model(cfg, base_dir)
+        if len(base.records) != 1:
+            raise ConfigError(f"{experiment} experiment over an n-grid needs an iid model or a component")
+        d, rec = base.d, base.records[0][0]
+    return d, lambda n: ModelSpec(d=d, records=((rec, n),))
 
 
 def _check_order(N: int) -> int:
@@ -114,23 +114,14 @@ def cmd_expand(args) -> int:
 
 
 def _run_rate(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "N", "n_grid", "f"},
         {"model", "model_path", "component", "gamma", "mode", "samples", "crn",
          "seed", "workers", "out_stem"},
         "rate config",
     )
     N = _check_order(cfg["N"])
-    if "component" in cfg:
-        dist = _component(cfg["component"])
-        builder = lambda n: iid_model(dist, n)
-        d = 1
-    else:
-        base = _load_model(cfg, base_dir)
-        if not base.iid:
-            raise ConfigError("rate experiment over an n-grid needs an iid model or a component")
-        builder = lambda n: ModelSpec(d=base.d, n=n, summands=base.summands, iid=True)
-        d = base.d
+    d, builder = _n_family(cfg, base_dir, "rate")
     f = _polynomial_from_config(cfg["f"], d)
     return rate_experiment(
         builder, f, N, cfg["n_grid"],
@@ -143,21 +134,14 @@ def _run_rate(cfg, base_dir, seed, workers):
 
 
 def _run_density(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "N", "n_grid", "a"},
         {"component", "model", "model_path", "samples", "delta_exponent", "delta_scale",
          "seed", "workers", "out_stem"},
         "density config",
     )
     N = _check_order(cfg["N"])
-    if "component" in cfg:
-        dist = _component(cfg["component"])
-        builder = lambda n: iid_model(dist, n)
-    else:
-        base = _load_model(cfg, base_dir)
-        if not base.iid:
-            raise ConfigError("density experiment over an n-grid needs an iid model or a component")
-        builder = lambda n: ModelSpec(d=base.d, n=n, summands=base.summands, iid=True)
+    _, builder = _n_family(cfg, base_dir, "density")
     expo = float(cfg.get("delta_exponent", 0.5 * (N + 1)))
     scale = float(cfg.get("delta_scale", 1.0))
     return density_experiment(
@@ -169,7 +153,7 @@ def _run_density(cfg, base_dir, seed, workers):
 
 
 def _run_occupation(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "component", "rho", "n_grid"},
         {"samples", "crn", "ref_grid", "ref_eps", "seed", "workers", "out_stem"},
         "occupation config",
@@ -185,7 +169,7 @@ def _run_occupation(cfg, base_dir, seed, workers):
 
 
 def _run_roots(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "component", "n_grid"},
         {"samples", "oversample", "crn", "seed", "workers", "out_stem"},
         "roots config",
@@ -200,7 +184,7 @@ def _run_roots(cfg, base_dir, seed, workers):
 
 
 def _run_smallball(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "component", "n"},
         {"theta", "a_exp", "u_point", "eta_grid", "u_grid_size", "samples",
          "seed", "workers", "out_stem"},
@@ -219,7 +203,7 @@ def _run_smallball(cfg, base_dir, seed, workers):
 
 
 def _run_nummelin(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment", "component", "center", "radius", "epsilon"},
         {"samples", "grid_points", "seed", "workers", "out_stem"},
         "nummelin config",
@@ -265,7 +249,7 @@ def _run_nummelin(cfg, base_dir, seed, workers):
 
 
 def _run_kernel(cfg, base_dir, seed, workers):
-    _check_fields(
+    check_fields(
         cfg, {"experiment"},
         {"plateau", "rolloff", "half_width", "points", "moment_bound", "seed",
          "workers", "out_stem"},

@@ -86,7 +86,7 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     k is Gamma_k, or with log=False of exp(sum_records count * T_record)."""
     d = model.d
     total = [Polynomial(d) for _ in range(N + 1)]
-    for rec, count in model.unique_summands():
+    for rec, count in model.records:
         grades: list = [{} for _ in range(N + 1)]
         for b, h in hermite_moments(rec.C, rec.components, N + 2).items():
             grades[sum(b) - 2][b] = h / (model.n * math.prod(map(math.factorial, b)))
@@ -212,7 +212,7 @@ def order2_discrepancy_terms(model: ModelSpec) -> dict:
     d = model.d
     prods: dict = {}
     betas3 = enumerate_multiindices(d, 3)
-    tables = [(count, cumulant_table(rec.C, rec.components, 3)) for rec, count in model.unique_summands()]
+    tables = [(count, cumulant_table(rec.C, rec.components, 3)) for rec, count in model.records]
     for b1 in betas3:
         w1 = multinomial_weight(b1)
         for b2 in betas3:
@@ -231,8 +231,8 @@ def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
     for k in {2, 3}."""
     if k not in (1, 2, 3):
         raise ValueError("explicit correctors exist for k in {1, 2, 3}")
-    explicit = _graded_series(model, 3, log=False)[k]
-    diff = corrector_operator(model, k, N=3) + explicit.scale(-1.0)
+    explicit = _graded_series(model, k, log=False)[k]
+    diff = corrector_operator(model, k, N=k) + explicit.scale(-1.0)
     gap = CorrectorPolynomial(d=model.d, constant=0.0, terms=diff.terms, n=model.n)
     return gap.evaluate(x)
 
@@ -312,5 +312,5 @@ def normalize(model: ModelSpec, tol: float = 1e-12) -> ModelSpec:
     if vals.min() < tol:
         raise NumericalGuardError(f"mean covariance nearly singular: min eigenvalue {vals.min():.3e}")
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-    new = tuple(Summand(inv_sqrt @ s.C, s.components) for s in model.summands)
-    return ModelSpec(d=model.d, n=model.n, summands=new, iid=model.iid)
+    return ModelSpec(d=model.d, records=tuple(
+        (Summand(inv_sqrt @ s.C, s.components), count) for s, count in model.records))

@@ -1,4 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types and the field check of JSON documents."""
+
+
+class ConfigError(ValueError):
+    """A config or model document is malformed."""
+
+
+def check_fields(doc: dict, required: set, optional: set, where: str) -> None:
+    """Rejects a document that lacks a required field or has one outside
+    ``required | optional``."""
+    missing = required - doc.keys()
+    if missing:
+        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
+    unknown = doc.keys() - required - optional
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 class NumericalGuardError(RuntimeError):

@@ -127,8 +127,8 @@ def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int) -> d
     inverse CDF (prefix columns), so estimates across the grid are coupled."""
     laws = {}
     for n, model in models.items():
-        rec = model.summands[0]
-        if not (model.iid and model.d == 1 and rec.C.shape == (1, 1)):
+        rec = model.records[0][0]
+        if not (len(model.records) == 1 and rec.C.shape == (1, 1)):
             raise ValueError("common random numbers need a one-dimensional iid model family")
         if not _has_icdf(rec.components[0]):
             raise ValueError(
@@ -173,9 +173,9 @@ def rate_experiment(
     exact mode evaluates both sides through exact moments (polynomial f);
     mc mode estimates the left side by Monte Carlo, with ``crn`` sharing
     one stream of uniforms across the whole n-grid (variance reduction for
-    the error profile; needs a one-dimensional iid family whose component
-    has a closed inverse CDF).  Rows where the error is below the
-    resolution of the method (machine noise for exact, three standard
+    the error profile; needs a one-dimensional one-record family whose
+    component has a closed inverse CDF).  Rows where the error is below
+    the resolution of the method (machine noise for exact, three standard
     errors for mc) are flagged degenerate and excluded from the fit; if
     every row is degenerate the corrector reproduces the test function's
     moments identically and the slope is reported as -inf.

@@ -1,8 +1,9 @@
 """Distribution catalog with exact raw moments, model specification for
-scaled sums of independent non-identically distributed vectors, and one
-cumulant table per summand record, from which a single moment recursion
-gives the record's moment gaps against its Gaussian twin, its Hermite
-moments and the exact moments of the scaled sum.
+scaled sums of independent non-identically distributed vectors as counted
+summand records (a law and how many summands share it), and one cumulant
+table per record, from which a single moment recursion gives the record's
+moment gaps against its Gaussian twin, its Hermite moments and the exact
+moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import check_fields
 from .multiindex import check_multiindex, enumerate_multiindices
 
 SQRT3 = math.sqrt(3.0)
@@ -201,80 +204,78 @@ class Summand:
 class ModelSpec:
     """Problem instance: S_n = n^{-1/2} sum_k C_k Y_k in R^d.
 
-    ``iid=True`` means a single summand record is reused n times (the
-    summands tuple then has length 1).
+    ``records`` holds pairs (summand record, count): each record stands for
+    ``count`` independent summands with its law, and n is the sum of the
+    counts.  Identically distributed summands share one record of count n;
+    summands that all differ each have a record of count 1.
     """
 
     d: int
-    n: int
-    summands: tuple
-    iid: bool = False
+    records: tuple
+    n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
+        for _, c in self.records:
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+                raise ValueError(f"record count must be an integer >= 1, got {c!r}")
+        object.__setattr__(self, "records", tuple((s, int(c)) for s, c in self.records))
+        object.__setattr__(self, "n", sum(c for _, c in self.records))
         if self.d < 1 or self.n < 1:
             raise ValueError("need d >= 1 and n >= 1")
-        expected = 1 if self.iid else self.n
-        if len(self.summands) != expected:
-            raise ValueError(f"expected {expected} summand records, got {len(self.summands)}")
-        for s in self.summands:
+        for s, _ in self.records:
             if s.C.shape[0] != self.d:
                 raise ValueError("summand matrix rows != model dimension")
 
-    def summand(self, k: int) -> Summand:
-        """Record of summand k (0-based)."""
-        if not 0 <= k < self.n:
-            raise IndexError(k)
-        return self.summands[0] if self.iid else self.summands[k]
-
     def covariance_mean(self) -> np.ndarray:
         """(1/n) sum_k C_k C_k^T, the covariance of S_n."""
-        if self.iid:
-            return self.summands[0].sigma()
-        return sum(s.sigma() for s in self.summands) / self.n
+        return sum(c * s.sigma() for s, c in self.records) / self.n
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.covariance_mean() - np.eye(self.d))) <= tol)
-
-    def unique_summands(self) -> list[tuple[Summand, int]]:
-        """Pairs (record, count): the summand records and how many of the
-        n summands share each one."""
-        if self.iid:
-            return [(self.summands[0], self.n)]
-        return [(s, 1) for s in self.summands]
 
     def to_json(self) -> dict:
         return {
             "d": self.d,
             "n": self.n,
-            "iid": self.iid,
             "summands": [
-                {"C": s.C.tolist(), "components": [c.to_json() for c in s.components]}
-                for s in self.summands
+                {"C": s.C.tolist(), "components": [c.to_json() for c in s.components], "count": count}
+                for s, count in self.records
             ],
         }
 
     @staticmethod
     def from_json(doc: dict) -> "ModelSpec":
-        summands = tuple(
-            Summand(
-                np.asarray(rec["C"], dtype=float),
-                tuple(ComponentDistribution.from_json(c) for c in rec["components"]),
-            )
-            for rec in doc["summands"]
-        )
-        return ModelSpec(d=int(doc["d"]), n=int(doc["n"]), summands=summands, iid=bool(doc.get("iid", False)))
+        """Reads :meth:`to_json` documents and the legacy layout: ``iid: true``
+        is one record of count n, and a record without ``count`` counts once."""
+        check_fields(doc, {"d", "n", "summands"}, {"iid"}, "model")
+        iid = doc.get("iid", False)
+        if not isinstance(iid, bool):
+            raise ValueError(f"model field 'iid' must be true or false, got {iid!r}")
+        n = int(doc["n"])
+        if iid and len(doc["summands"]) != 1:
+            raise ValueError(f"expected 1 summand records, got {len(doc['summands'])}")
+        records = []
+        for rec in doc["summands"]:
+            check_fields(rec, {"C", "components"}, {"count"}, "model record")
+            summand = Summand(rec["C"], [ComponentDistribution.from_json(c) for c in rec["components"]])
+            records.append((summand, rec.get("count", n if iid else 1)))
+        model = ModelSpec(d=int(doc["d"]), records=tuple(records))
+        if model.n != n:
+            raise ValueError(f"expected {n} summand records, got {model.n}")
+        return model
 
 
 def iid_model(dist: ComponentDistribution, n: int) -> ModelSpec:
-    """One-dimensional iid model with unit mixing matrix."""
-    return ModelSpec(d=1, n=n, summands=(Summand(np.eye(1), (dist,)),), iid=True)
+    """One-dimensional model of n identically distributed summands with
+    unit mixing matrix: one record of count n."""
+    return ModelSpec(d=1, records=((Summand(np.eye(1), (dist,)), n),))
 
 
 def iid_vector_model(dists, n: int) -> ModelSpec:
-    """iid model in d = len(dists) dimensions with identity mixing."""
+    """Model of n identically distributed summands in d = len(dists)
+    dimensions with identity mixing: one record of count n."""
     dists = tuple(dists)
-    return ModelSpec(d=len(dists), n=n, summands=(Summand(np.eye(len(dists)), dists),), iid=True)
+    return ModelSpec(d=len(dists), records=((Summand(np.eye(len(dists)), dists), n),))
 
 
 def _component_cumulants(dist: ComponentDistribution, K: int) -> list[float]:
@@ -388,7 +389,7 @@ def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float,
     beta = check_multiindex(beta)
     plain = 0.0
     weighted = 0.0
-    for rec, count in model.unique_summands():
+    for rec, count in model.records:
         gap = moment_gap(rec.C, rec.components, beta)
         sig = rec.sigma()[i, j]
         plain += gap * count
@@ -407,7 +408,7 @@ def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
     if K > 8:
         raise ValueError("exact sum moment order capped at 8")
     kappa: dict = {}
-    for rec, count in model.unique_summands():
+    for rec, count in model.records:
         for delta, v in cumulant_table(rec.C, rec.components, K).items():
             kappa[delta] = kappa.get(delta, 0.0) + count * v * float(model.n) ** (-0.5 * sum(delta))
     return moments_from_cumulants(kappa, model.d, K)

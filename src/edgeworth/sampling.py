@@ -219,13 +219,12 @@ def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.
     """Draws of the scaled sum n^{-1/2} sum_k C_k Y_k; shape (size, d)."""
     out = np.zeros((size, model.d))
     scale = 1.0 / math.sqrt(model.n)
-    for k in range(model.n):
-        rec = model.summand(k)
-        m = len(rec.components)
-        y = np.empty((size, m))
-        for j, comp in enumerate(rec.components):
-            y[:, j] = sample_component(comp, rng, size)
-        out += y @ rec.C.T
+    for rec, count in model.records:
+        for _ in range(count):
+            y = np.empty((size, len(rec.components)))
+            for j, comp in enumerate(rec.components):
+                y[:, j] = sample_component(comp, rng, size)
+            out += y @ rec.C.T
     return out * scale
 
 

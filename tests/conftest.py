@@ -30,5 +30,5 @@ def make_random_model(rng: np.random.Generator, d: int, n: int, normalized: bool
         )
         for _ in range(n)
     )
-    model = ModelSpec(d=d, n=n, summands=summands)
+    model = ModelSpec(d=d, records=tuple((s, 1) for s in summands))
     return normalize(model) if normalized else model

@@ -21,6 +21,7 @@ import numpy as np
 from edgeworth.hermite import Polynomial
 from edgeworth.moments import gap_table
 from edgeworth.multiindex import concat, enumerate_multiindices, multinomial_weight, unit
+from moment_reference import summand_list
 
 
 def apply_operator(op: Polynomial, f: Polynomial) -> Polynomial:
@@ -106,13 +107,14 @@ def slot_operator(summand, l: int, lp: int) -> Polynomial:
 def corrector_operator_enumerated(model, k, N):
     """Oracle: the increasing-index sums by explicit enumeration of the
     index tuples r_1 < ... < r_m (small n only)."""
+    summands = summand_list(model)
     total = Polynomial(model.d)
     for m in range(1, k + 1):
         for lam in corrector_index_tuples(m, k, N):
             for rs in combinations(range(model.n), m):
                 op = Polynomial.monomial((0,) * model.d)
                 for (l, lp), r in zip(lam, rs):
-                    op = op * slot_operator(model.summand(r), l, lp)
+                    op = op * slot_operator(summands[r], l, lp)
                 total = total + op.scale(float(model.n) ** (-m))
     return total
 
@@ -120,12 +122,13 @@ def corrector_operator_enumerated(model, k, N):
 def corrector_operator_dp(model, k, N):
     """Oracle: the increasing-index sums by a dynamic program over the n
     summands, dp[j] = sum over r_1 < ... < r_j of composed slot operators."""
+    summands = summand_list(model)
     total = Polynomial(model.d)
     for m in range(1, k + 1):
         for lam in corrector_index_tuples(m, k, N):
             dp = [Polynomial.monomial((0,) * model.d)] + [Polynomial(model.d) for _ in range(m)]
             for r in range(model.n):
-                ops_r = [slot_operator(model.summand(r), l, lp) for (l, lp) in lam]
+                ops_r = [slot_operator(summands[r], l, lp) for (l, lp) in lam]
                 for j in range(m, 0, -1):
                     dp[j] = dp[j] + dp[j - 1] * ops_r[j - 1]
             total = total + dp[m].scale(float(model.n) ** (-m))
@@ -142,7 +145,7 @@ def explicit_order3_closed_form(model) -> tuple[dict, dict, dict]:
 
     products read as concatenations of the Hermite indices."""
     d = model.d
-    tables = [(rec, count, gap_table(rec.C, rec.components, 5)) for rec, count in model.unique_summands()]
+    tables = [(rec, count, gap_table(rec.C, rec.components, 5)) for rec, count in model.records]
 
     def averaged(l):
         out = {}

@@ -3,7 +3,8 @@ independent of the cumulant tables used by the package.
 
 Each output coordinate's multiplicity splits over the input coordinates;
 every split contributes a multinomial count, powers of the matrix entries
-and the grouped raw moments of the independent components.
+and the grouped raw moments of the independent components.  The
+summand-by-summand oracles read a model through :func:`summand_list`.
 """
 
 import math
@@ -12,6 +13,11 @@ import numpy as np
 
 from edgeworth.moments import raw_moment
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
+
+
+def summand_list(model) -> list:
+    """The model's n summands in order: each record repeated by its count."""
+    return [rec for rec, count in model.records for _ in range(count)]
 
 
 def pushforward_moment(C: np.ndarray, comps, beta) -> float:

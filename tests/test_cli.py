@@ -47,6 +47,38 @@ def test_expand_gaussian_constant_one(tmp_path, capsys):
     assert doc["terms"] == [] and doc["constant"] == 1.0
 
 
+@pytest.mark.parametrize("field, value", [("iid", "false"), ("idd", True)])
+def test_expand_rejects_loose_model(tmp_path, capsys, field, value):
+    # a string flag and a misspelt field are errors, not an iid model
+    doc = {"d": 1, "n": 5, field: value,
+           "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]}
+    p = tmp_path / "loose.json"
+    p.write_text(json.dumps(doc))
+    assert main(["expand", "--model", str(p), "--N", "2"]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_expand_reads_counted_records(tmp_path, capsys):
+    doc = dict(MODEL_UNIFORM, summands=[dict(MODEL_UNIFORM["summands"][0], count=100)])
+    del doc["iid"]
+    p = tmp_path / "counted.json"
+    p.write_text(json.dumps(doc))
+    assert main(["expand", "--model", str(p), "--N", "2"]) == 0
+    phi = CorrectorPolynomial.from_json(json.loads(capsys.readouterr().out))
+    assert phi.terms == corrector_polynomial(iid_model(uniform_centered(), 100), 2).terms
+
+
+@pytest.mark.parametrize("experiment, fields", [("rate", {"f": {"[4]": 1.0}}), ("density", {"a": [0.3]})])
+def test_n_grid_needs_one_record(tmp_path, capsys, experiment, fields):
+    model = {"d": 1, "n": 2, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]},
+                                          {"C": [[1.0]], "components": [{"kind": "uniform_centered"}]}]}
+    cfg = {"experiment": experiment, "model": model, "N": 1, "n_grid": [8], **fields}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
+    assert f"{experiment} experiment over an n-grid needs an iid model or a component" in capsys.readouterr().err
+
+
 def test_expand_rejects_large_order(model_path, capsys):
     assert main(["expand", "--model", model_path, "--N", "9"]) == 2
     assert "N" in capsys.readouterr().err

@@ -48,7 +48,7 @@ def random_model(rng, d, n, normalized=True):
         )
         for _ in range(n)
     )
-    model = ModelSpec(d=d, n=n, summands=summands)
+    model = ModelSpec(d=d, records=tuple((s, 1) for s in summands))
     return normalize(model) if normalized else model
 
 
@@ -139,11 +139,11 @@ def test_build_cost_is_per_record(monkeypatch):
     kinds = [rademacher(), uniform_centered(), skewed_two_point(0.25),
              gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)]
     rng = np.random.default_rng(12)
-    summands = tuple(
-        Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3)))
+    records = tuple(
+        (Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3))), 1)
         for _ in range(50)
     )
-    assert cost(normalize(ModelSpec(d=3, n=50, summands=summands)), 3, []) == 50
+    assert cost(normalize(ModelSpec(d=3, records=records)), 3, []) == 50
 
 
 def test_odd_orders_vanish_for_symmetric_components():
@@ -277,24 +277,20 @@ def test_derivative_index_exact_mode():
 
 def test_normalize():
     model = iid_model(uniform_centered(), 10)
-    scaled = ModelSpec(
-        d=1, n=10,
-        summands=(Summand(2.0 * np.eye(1), (uniform_centered(),)),),
-        iid=True,
-    )
+    scaled = ModelSpec(d=1, records=((Summand(2.0 * np.eye(1), (uniform_centered(),)), 10),))
     normed = normalize(scaled)
-    assert normed.summands[0].C[0, 0] == pytest.approx(1.0)
+    assert normed.records[0][0].C[0, 0] == pytest.approx(1.0)
     again = normalize(normed)
-    assert again.summands[0].C[0, 0] == pytest.approx(1.0)
-    assert normalize(model).summands[0].C[0, 0] == pytest.approx(1.0)
+    assert again.records[0][0].C[0, 0] == pytest.approx(1.0)
+    assert normalize(model).records[0][0].C[0, 0] == pytest.approx(1.0)
     rng = np.random.default_rng(31)
     rand = random_model(rng, 2, 7, normalized=False)
     assert normalize(rand).is_normalized(1e-10)
     degenerate = ModelSpec(
-        d=2, n=2,
-        summands=(
-            Summand(np.array([[1.0, 0.0], [0.0, 0.0]]), (rademacher(), rademacher())),
-            Summand(np.array([[1.0, 0.0], [0.0, 0.0]]), (rademacher(), rademacher())),
+        d=2,
+        records=(
+            (Summand(np.array([[1.0, 0.0], [0.0, 0.0]]), (rademacher(), rademacher())), 1),
+            (Summand(np.array([[1.0, 0.0], [0.0, 0.0]]), (rademacher(), rademacher())), 1),
         ),
     )
     with pytest.raises(NumericalGuardError):

@@ -27,7 +27,9 @@ from edgeworth.moments import (
     two_point,
     uniform_centered,
 )
-from moment_reference import pushforward_moment
+from edgeworth.corrector import corrector_polynomial
+from edgeworth.sampling import RngStream, sample_sum
+from moment_reference import pushforward_moment, summand_list
 
 CATALOG = [
     rademacher(),
@@ -136,8 +138,7 @@ def test_averaged_gaps_iid():
 def _enumerate_discrete_sum_moment(model, beta):
     # full enumeration over discrete outcomes, n <= 4
     outcomes = []
-    for k in range(model.n):
-        rec = model.summand(k)
+    for rec in summand_list(model):
         per_comp = []
         for comp in rec.components:
             if comp.kind == "rademacher":
@@ -170,8 +171,7 @@ def _sum_moment_loop(model, beta):
     ]
     moms = {}  # per record, scaled moment of every part
     state = {(0,) * model.d: 1.0}
-    for k in range(model.n):
-        rec = model.summand(k)
+    for rec in summand_list(model):
         if id(rec) not in moms:
             moms[id(rec)] = {
                 delta: (pushforward_moment(rec.C, rec.components, delta) if sum(delta) else 1.0)
@@ -202,7 +202,7 @@ def test_exact_sum_moment_squaring_matches_loop():
     for rec in (d1, d2):
         d = rec.C.shape[0]
         for n in (1, 2, 3, 5, 8, 1000):
-            model = ModelSpec(d=d, n=n, summands=(rec,), iid=True)
+            model = ModelSpec(d=d, records=((rec, n),))
             for beta in betas[d]:
                 ref = _sum_moment_loop(model, beta)
                 assert exact_sum_moment(model, beta) == pytest.approx(ref, rel=1e-12)
@@ -225,7 +225,7 @@ def test_exact_sum_moment_vs_enumeration():
         summands = tuple(
             Summand(rng.normal(size=(2, 2)), (rademacher(), tp)) for _ in range(n)
         )
-        model = ModelSpec(d=2, n=n, summands=summands)
+        model = ModelSpec(d=2, records=tuple((s, 1) for s in summands))
         for beta in [(2, 0), (1, 1), (3, 1), (2, 2), (0, 3)]:
             dp = exact_sum_moment(model, beta)
             brute = _enumerate_discrete_sum_moment(model, beta)
@@ -235,7 +235,7 @@ def test_exact_sum_moment_vs_enumeration():
 def test_second_moments_reproduce_covariance():
     rng = np.random.default_rng(13)
     summands = tuple(Summand(rng.normal(size=(2, 2)), (uniform_centered(), rademacher())) for _ in range(6))
-    model = ModelSpec(d=2, n=6, summands=summands)
+    model = ModelSpec(d=2, records=tuple((s, 1) for s in summands))
     cov = model.covariance_mean()
     assert exact_sum_moment(model, (2, 0)) == pytest.approx(cov[0, 0], rel=1e-12)
     assert exact_sum_moment(model, (1, 1)) == pytest.approx(cov[0, 1], rel=1e-12)
@@ -248,21 +248,99 @@ def test_second_moments_reproduce_covariance():
 
 
 def test_model_json_roundtrip():
-    model = iid_vector_model((skewed_two_point(0.2), uniform_centered()), 12)
-    doc = json.loads(json.dumps(model.to_json()))
-    back = ModelSpec.from_json(doc)
-    assert back.d == model.d and back.n == model.n and back.iid
-    assert np.array_equal(back.summands[0].C, model.summands[0].C)
-    assert back.summands[0].components == model.summands[0].components
-    assert exact_sum_moment(back, (2, 2)) == exact_sum_moment(model, (2, 2))
+    a = Summand(np.array([[1.0, 0.3], [-0.2, 0.9]]), (skewed_two_point(0.2), gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)))
+    b = Summand(np.eye(2), (rademacher(), two_point(0.2, 2.0, 0.5)))
+    counted = ModelSpec(d=2, records=((a, 3), (b, 1), (a, 2)))
+    for model in (iid_vector_model((skewed_two_point(0.2), uniform_centered()), 12), counted):
+        doc = json.loads(json.dumps(model.to_json()))
+        assert "iid" not in doc and [r["count"] for r in doc["summands"]] == [c for _, c in model.records]
+        back = ModelSpec.from_json(doc)
+        assert back.d == model.d and back.n == model.n
+        for (r1, c1), (r2, c2) in zip(back.records, model.records, strict=True):
+            assert c1 == c2 and np.array_equal(r1.C, r2.C) and r1.components == r2.components
+        assert exact_sum_moment(back, (2, 2)) == exact_sum_moment(model, (2, 2))
+
+
+def test_model_json_legacy_layout():
+    # documents with an iid flag and no counts, shaped like the benchmark's
+    rec = {"C": [[1.0, 0.25], [0.0, 0.5]],
+           "components": [{"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5}, {"kind": "uniform_centered"}]}
+    other = {"C": [[0.5, 0.0], [0.1, 1.0]], "components": [{"kind": "rademacher"}, {"kind": "standard_normal"}]}
+    iid = ModelSpec.from_json({"d": 2, "n": 100, "iid": True, "summands": [rec]})
+    assert iid.n == 100 and [c for _, c in iid.records] == [100]
+    assert np.array_equal(iid.records[0][0].C, rec["C"])
+    assert iid.records[0][0].components == (two_point(0.2, 2.0, 0.5), uniform_centered())
+    for flag in ({"iid": False}, {}):
+        model = ModelSpec.from_json({"d": 2, "n": 3, **flag, "summands": [rec, other, rec]})
+        assert model.n == 3 and [c for _, c in model.records] == [1, 1, 1]
+        assert [r.components[0].kind for r, _ in model.records] == ["two_point", "rademacher", "two_point"]
+    # a document whose n disagrees with its records keeps its message
+    with pytest.raises(ValueError, match=r"^expected 4 summand records, got 3$"):
+        ModelSpec.from_json({"d": 2, "n": 4, "iid": False, "summands": [rec, other, rec]})
+    with pytest.raises(ValueError, match=r"^expected 1 summand records, got 2$"):
+        ModelSpec.from_json({"d": 2, "n": 4, "iid": True, "summands": [rec, other]})
+    with pytest.raises(ValueError, match=r"^expected 5 summand records, got 4$"):
+        ModelSpec.from_json({"d": 2, "n": 5, "summands": [dict(rec, count=3), other]})
+
+
+BAD_MODEL_DOCS = [
+    pytest.param({"d": 1, "n": 5, "iid": "false", "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model field 'iid' must be true or false, got 'false'", id="iid-string"),
+    pytest.param({"d": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model: missing fields ['n']", id="missing-model-field"),
+    pytest.param({"d": 1, "n": 5, "idd": True, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model: unknown fields ['idd']", id="unknown-model-field"),
+    pytest.param({"d": 1, "n": 5, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}], "cnt": 5}]},
+                 "model record: unknown fields ['cnt']", id="unknown-record-field"),
+    pytest.param({"d": 1, "n": 5, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}], "count": 5.0}]},
+                 "record count must be an integer >= 1, got 5.0", id="float-count"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}], "count": True}]},
+                 "record count must be an integer >= 1, got True", id="bool-count"),
+    pytest.param({"d": 1, "n": 0, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}], "count": 0}]},
+                 "record count must be an integer >= 1, got 0", id="zero-count"),
+]
+
+
+@pytest.mark.parametrize("doc, message", BAD_MODEL_DOCS)
+def test_model_json_rejects_loose_documents(doc, message):
+    with pytest.raises(ValueError) as err:
+        ModelSpec.from_json(doc)
+    assert str(err.value) == message
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_counted_records_equal_expanded_model(data):
+    # ((A, c1), (B, c2)) against the same summands as count-1 records
+    d = data.draw(st.integers(1, 3), label="d")
+    a, b = _record(data, d), _record(data, d)
+    c1, c2 = data.draw(st.integers(1, 4), label="c1"), data.draw(st.integers(1, 4), label="c2")
+    counted = ModelSpec(d=d, records=((a, c1), (b, c2)))
+    expanded = ModelSpec(d=d, records=tuple((rec, 1) for rec in [a] * c1 + [b] * c2))
+    assert counted.n == expanded.n == c1 + c2
+
+    def close(x: dict, y: dict):
+        scale = max([1.0] + [abs(v) for v in x.values()])
+        assert all(abs(x.get(k, 0.0) - y.get(k, 0.0)) <= 1e-12 * scale for k in x.keys() | y.keys())
+
+    K = 4 if d == 3 else 6
+    close(exact_sum_moment_table(counted, K), exact_sum_moment_table(expanded, K))
+    close(corrector_polynomial(counted, 3).terms, corrector_polynomial(expanded, 3).terms)
+    cov = counted.covariance_mean()
+    assert np.max(np.abs(cov - expanded.covariance_mean())) <= 1e-12 * max(1.0, np.max(np.abs(cov)))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    assert np.array_equal(sample_sum(counted, RngStream(seed, 0).generator(), 16),
+                          sample_sum(expanded, RngStream(seed, 0).generator(), 16))
+    back = ModelSpec.from_json(json.loads(json.dumps(counted.to_json())))
+    assert back.n == counted.n and exact_sum_moment_table(back, K) == exact_sum_moment_table(counted, K)
 
 
 def test_exact_sum_moment_table_entries():
     # one table serves every monomial: each entry is the single-moment
     # call bit for bit, whatever order the table was built to
     rng = np.random.default_rng(17)
-    noniid = ModelSpec(d=2, n=30, summands=tuple(
-        Summand(rng.normal(size=(2, 2)) + np.eye(2), (CATALOG[k % 5], CATALOG[(k + 2) % 5]))
+    noniid = ModelSpec(d=2, records=tuple(
+        (Summand(rng.normal(size=(2, 2)) + np.eye(2), (CATALOG[k % 5], CATALOG[(k + 2) % 5])), 1)
         for k in range(30)
     ))
     models = [
@@ -314,8 +392,8 @@ def test_table_moments_match_oracle(data):
 
     n = data.draw(st.integers(1, 5), label="n")
     if data.draw(st.booleans(), label="iid"):
-        model = ModelSpec(d=d, n=n, summands=(rec,), iid=True)
+        model = ModelSpec(d=d, records=((rec, n),))
     else:
-        model = ModelSpec(d=d, n=n, summands=(rec,) + tuple(_record(data, d) for _ in range(n - 1)))
+        model = ModelSpec(d=d, records=((rec, 1),) + tuple((_record(data, d), 1) for _ in range(n - 1)))
     ref = _sum_moment_loop(model, beta)
     assert abs(exact_sum_moment(model, beta) - ref) <= 1e-12 * max(1.0, abs(ref))
