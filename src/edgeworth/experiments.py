@@ -1,12 +1,16 @@
 """Experiment drivers: convergence-rate tables with fitted slopes,
 approximate-density checks, occupation time of the scaled random walk,
-expected root counts of random trigonometric polynomials, and small-ball
-probabilities for parametrized sums.
+expected root counts of random trigonometric polynomials, small-ball
+probabilities for parametrized sums, the Nummelin splitting check and the
+super-kernel's moment table.
 
 Every Monte Carlo driver takes a seed and draws through
 ``sampling.run_blocks``: fixed-size blocks, one counter-based stream per
 block, results combined in block order; rerunning with the same seed
-reproduces results bit for bit regardless of worker count.
+reproduces results bit for bit.  Only ``rate_experiment`` takes a worker
+count, which threads the blocks of its Monte Carlo path without common
+random numbers (``sampling.mc_expectation``) and never changes results;
+every other driver runs its blocks in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,18 +21,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from .corrector import corrector_polynomial, edgeworth_expectation
 from .errors import NumericalGuardError
 from .hermite import Polynomial
+from .kernels import build_super_kernel, mollify
 from .moments import (
     ComponentDistribution,
     component_icdf,
     exact_sum_moment_table,
     sample_component,
 )
-from .sampling import RngStream, fsums, mc_expectation, mean_var, run_blocks, sample_sum
+from .sampling import (
+    DoeblinCert,
+    RngStream,
+    doeblin_check,
+    fsums,
+    mc_expectation,
+    mean_var,
+    nummelin_sample,
+    run_blocks,
+    sample_sum,
+)
 
 SCHEMA_VERSION = 1
 
@@ -180,7 +195,7 @@ def rate_experiment(
     every row is degenerate the corrector reproduces the test function's
     moments identically and the slope is reported as -inf.
     """
-    gamma = tuple(gamma) if gamma is not None else None
+    gamma = tuple(gamma) if gamma else None
     g = f.diff(gamma) if gamma is not None else f
     crn_estimates = None
     if mode == "mc" and crn:
@@ -262,7 +277,6 @@ def density_experiment(
     delta_rule=None,
     samples: int = 1_000_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Monte Carlo check that the box-probability density estimate
     P(|S_n - a|_sup <= delta) / (2 delta)^d approaches the corrected
@@ -326,7 +340,6 @@ def density_experiment(
         fitted_slope=slope,
         slope_stderr=stderr,
         seed=seed,
-        workers=workers,
     )
 
 
@@ -400,7 +413,6 @@ def occupation_time(
     n_grid,
     samples: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
     crn: bool = True,
     ref_grid: int = 10_000,
     ref_eps: float | None = None,
@@ -460,7 +472,6 @@ def occupation_time(
         ],
         rows=rows,
         seed=seed,
-        workers=workers,
         notes={
             "local_time_ref": occupation_closed_form_gaussian(ref_grid, ref_eps),
             "local_time_ref_se": 0.0,
@@ -520,7 +531,6 @@ def kac_rice_roots(
     n_grid,
     samples: int = 2000,
     seed: int = 0,
-    workers: int = 1,
     oversample: int = 8,
     crn: bool = True,
 ) -> ExperimentResult:
@@ -568,7 +578,6 @@ def kac_rice_roots(
         ],
         rows=rows,
         seed=seed,
-        workers=workers,
     )
 
 
@@ -603,7 +612,6 @@ def small_ball(
     u_grid_size: int = 64,
     samples: int = 100_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Small-ball probabilities for the two-dimensional parametrized sum
     built from random trigonometric polynomials (d = 2, one parameter).
@@ -680,9 +688,75 @@ def small_ball(
         fitted_slope=slope,
         slope_stderr=stderr,
         seed=seed,
-        workers=workers,
         notes={
             "eta_exponent_reference": 2.0,
             "infimum_bound_exponent": theta * 1.0 - a_exp * 1.0,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Nummelin splitting against direct draws
+
+
+def nummelin_experiment(
+    dist: ComponentDistribution,
+    center: float,
+    radius: float,
+    epsilon: float,
+    samples: int = 100_000,
+    grid_points: int = 256,
+    seed: int = 0,
+) -> ExperimentResult:
+    """Draws through the density splitting of ``dist`` on the certified ball
+    (stream (seed, 0)) against direct draws (stream (seed, 1)), compared by
+    the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A failed
+    grid check of the lower bound aborts."""
+    ok, margin = doeblin_check(dist, center, radius, epsilon, grid_points)
+    if not ok:
+        raise NumericalGuardError(f"lower-bound check failed: margin {margin:.3e}")
+    cert = DoeblinCert(center, radius, epsilon)
+    split = nummelin_sample(dist, cert, RngStream(seed, 0).generator(), samples)
+    direct = sample_component(dist, RngStream(seed, 1).generator(), samples)
+    stat = float(ks_2samp(split, direct).statistic)
+    crit = 1.628 * np.sqrt(2.0 / samples)
+    row = {
+        "samples": samples,
+        "ks_statistic": stat,
+        "ks_critical_1pct": float(crit),
+        "split_probability": cert.split_probability,
+        "bump_mass": cert.mass,
+        "margin": margin,
+        "mean_split": float(split.mean()),
+        "mean_direct": float(direct.mean()),
+        "in_band_fraction": float(np.mean(np.abs(split - center) <= cert.support_radius)),
+    }
+    return ExperimentResult(
+        name="nummelin",
+        parameters={"component": dist.to_json(), "center": center, "radius": radius, "epsilon": epsilon,
+                    "samples": samples},
+        columns=list(row),
+        rows=[row],
+        seed=seed,
+        notes={"ks_pass": stat < crit},
+    )
+
+
+# ---------------------------------------------------------------------------
+# super-kernel moment table
+
+
+def kernel_experiment(seed: int = 0, **window) -> ExperimentResult:
+    """Mass, absolute norm, moments 1..6 and the degree-4 reproduction error
+    (a quartic mollified at scale 0.5 on nine points of [-2, 2]) of the
+    super-kernel built from the ``build_super_kernel`` keywords ``window``.
+    The parameters record only the keywords given."""
+    kernel = build_super_kernel(**window)
+    rows = [{"quantity": "mass", "value": kernel.mass()}, {"quantity": "abs_norm", "value": kernel.abs_norm()}]
+    rows += [{"quantity": f"moment_{k}", "value": kernel.moment(k)} for k in range(1, 7)]
+    probe = Polynomial(1, {(0,): -7.0, (1,): 1.0, (3,): -2.0, (4,): 1.5})
+    xs = np.linspace(-2.0, 2.0, 9)
+    smoothed = mollify(lambda y: probe(y.reshape(-1, 1)).reshape(y.shape), kernel, 0.5, xs)
+    err = float(np.max(np.abs(smoothed - probe(xs.reshape(-1, 1)))))
+    rows.append({"quantity": "degree4_reproduction_error", "value": err})
+    return ExperimentResult(name="kernel", parameters=dict(window), columns=["quantity", "value"], rows=rows, seed=seed)

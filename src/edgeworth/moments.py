@@ -27,6 +27,8 @@ from .multiindex import check_multiindex, enumerate_multiindices
 SQRT3 = math.sqrt(3.0)
 
 _KINDS = ("rademacher", "uniform_centered", "two_point", "gaussian_mixture", "standard_normal")
+# parameter names of the parametrized kinds, in ``params`` order
+_PARAMS = {"two_point": ("p", "a", "b"), "gaussian_mixture": ("w", "mu1", "sigma1", "mu2", "sigma2")}
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,18 @@ class ComponentDistribution:
             raise ValueError(f"{self.kind}{self.params}: mean {m1}, variance {m2}; need (0, 1)")
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "two_point":
-            out.update(dict(zip(("p", "a", "b"), self.params)))
-        elif self.kind == "gaussian_mixture":
-            out.update(dict(zip(("w", "mu1", "sigma1", "mu2", "sigma2"), self.params)))
-        return out
+        return {"kind": self.kind} | dict(zip(_PARAMS.get(self.kind, ()), self.params))
 
     @staticmethod
     def from_json(doc: dict) -> "ComponentDistribution":
+        """Reads :meth:`to_json` documents: ``kind`` plus exactly the
+        parameters of that kind."""
         kind = doc.get("kind")
-        if kind == "two_point":
-            return two_point(doc["p"], doc["a"], doc["b"])
-        if kind == "gaussian_mixture":
-            return gaussian_mixture(doc["w"], doc["mu1"], doc["sigma1"], doc["mu2"], doc["sigma2"])
-        if kind in _KINDS:
-            return ComponentDistribution(kind)
-        raise ValueError(f"unknown component kind {kind!r}")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown component kind {kind!r}")
+        names = _PARAMS.get(kind, ())
+        check_fields(doc, {"kind", *names}, set(), f"{kind} component")
+        return ComponentDistribution(kind, tuple(float(doc[k]) for k in names))
 
 
 def rademacher() -> ComponentDistribution:

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import re
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth import experiments, sampling
-from edgeworth.cli import main
+from edgeworth.cli import COMMON, SPECS, main
 from edgeworth.corrector import CorrectorPolynomial, corrector_polynomial
 from edgeworth.moments import iid_model, uniform_centered
 
@@ -299,3 +307,143 @@ def test_worker_count_never_changes_csv(tmp_path, monkeypatch, cfg):
         csvs.append((out / f"{cfg['experiment']}.csv").read_bytes())
     assert csvs[0] == csvs[1]
     assert max(plans) >= 2
+
+
+# one cheap, well-typed config per subcommand with the config_hash it had
+# before the subcommands were field specs
+MINIMAL = {
+    "rate": ({"experiment": "rate", "component": {"kind": "rademacher"}, "N": 1, "n_grid": [8, 16],
+              "f": {"[4]": 1.0}}, "9e5fa3ba82e206dd"),
+    "density": ({"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1, "a": [0.3],
+                 "n_grid": [4, 8], "samples": 2000}, "0705efe2d2ff6296"),
+    "occupation": ({"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5, "n_grid": [16],
+                    "samples": 100, "ref_grid": 100}, "db1a59b2d550bba0"),
+    "roots": ({"experiment": "roots", "component": {"kind": "standard_normal"}, "n_grid": [5], "samples": 20},
+              "fc8e957d29679d8d"),
+    "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
+                   "u_grid_size": 8}, "3f68fcfa51d7c0fd"),
+    "nummelin": ({"experiment": "nummelin", "component": {"kind": "uniform_centered"}, "center": 0.0,
+                  "radius": 0.25, "epsilon": 0.2, "samples": 2000}, "95d34cbf19aaf72f"),
+    "kernel": ({"experiment": "kernel"}, "44136fa355b3678a"),
+}
+
+
+def test_minimal_configs_cover_every_subcommand():
+    assert MINIMAL.keys() == SPECS.keys()
+
+
+@pytest.mark.parametrize("experiment", sorted(MINIMAL))
+def test_config_hash_pinned(tmp_path, experiment):
+    cfg, expected = MINIMAL[experiment]
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / f"{experiment}.json").read_text())["config_hash"] == expected
+
+
+def _run_config(cfg: dict, experiment: str) -> tuple[int, str]:
+    """Exit code and standard error of one run, in a fresh directory."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cpath = Path(tmp) / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        code = main([experiment, "--config", str(cpath), "--out-dir", tmp])
+    return code, err.getvalue()
+
+
+def _fields(experiment: str) -> dict:
+    required, optional, _ = SPECS[experiment]
+    return required | optional | COMMON
+
+
+_NOT_INTEGER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not x.is_integer()),
+    st.booleans(), st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
+)
+_NOT_BOOLEAN = st.one_of(st.integers(), st.floats(), st.text(max_size=5), st.none())
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiment=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_spec_rejects_unknown_field(experiment, data):
+    fields = _fields(experiment)
+    name = data.draw(st.text(string.ascii_lowercase + "_", min_size=1, max_size=12)
+                     .filter(lambda k: k not in fields and k != "experiment"))
+    code, err = _run_config(MINIMAL[experiment][0] | {name: 1}, experiment)
+    assert code == 2 and f"'{name}'" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiment=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_spec_rejects_missing_required_field(experiment, data):
+    name = data.draw(st.sampled_from(["experiment", *SPECS[experiment][0]]))
+    cfg = dict(MINIMAL[experiment][0])
+    del cfg[name]
+    code, err = _run_config(cfg, experiment)
+    assert code == 2 and f"'{name}'" in err
+
+
+@settings(max_examples=80, deadline=None)
+@given(experiment=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_spec_rejects_ill_typed_field(experiment, data):
+    typed = {k: conv for k, conv in _fields(experiment).items() if conv in (int, bool)}
+    name = data.draw(st.sampled_from(sorted(typed)))
+    value = data.draw(_NOT_INTEGER if typed[name] is int else _NOT_BOOLEAN)
+    code, err = _run_config(MINIMAL[experiment][0] | {name: value}, experiment)
+    assert code == 2 and f"field '{name}'" in err
+
+
+@pytest.mark.parametrize(
+    "experiment, field, value",
+    [
+        ("rate", "crn", "false"),  # bool("false") used to switch common random numbers on
+        ("rate", "N", 1.7),  # used to run at N = 1
+        ("rate", "n_grid", [8, 16.5]),
+    ],
+)
+def test_ill_typed_field_names_it(experiment, field, value):
+    code, err = _run_config(MINIMAL[experiment][0] | {field: value}, experiment)
+    assert code == 2 and f"field '{field}'" in err
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    cfg = MINIMAL["roots"][0]
+    outs = []
+    for samples in (20, 20.0):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg | {"samples": samples}))
+        assert main(["roots", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+        outs.append((tmp_path / "roots.json").read_text())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "component, field",
+    [
+        ({"kind": "uniform_centered", "p": 0.3}, "p"),
+        ({"kind": "two_point", "p": 0.2, "a": 2.0, "bb": 0.5}, "b"),
+        ({"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5, "w": 9}, "w"),
+        ({"kind": "gaussian_mixture", "w": 0.5, "mu1": 0.6, "sigma1": 0.8, "mu2": -0.6, "sigma_2": 0.8}, "sigma2"),
+    ],
+)
+def test_misspelt_component_field_rejected(component, field):
+    code, err = _run_config(MINIMAL["roots"][0] | {"component": component}, "roots")
+    assert code == 2 and f"'{field}'" in err
+
+
+def test_readme_rate_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example config \(`rate.json`\):\s*```json\n(.*?)```", readme, re.S).group(1)
+    cpath = tmp_path / "rate.json"
+    cpath.write_text(block)
+    assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "rate.csv").read_text().startswith("n,estimate,se,corrected,error,degenerate\n")
+
+
+def test_readme_field_table_matches_specs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, (required, optional, _) in SPECS.items():
+        row = re.search(rf"^\| {name} +\| (.*?) \| (.*?) \|$", readme, re.M)
+        assert re.findall(r"`(\w+)`", row.group(1)) == list(required)
+        assert re.findall(r"`(\w+)`", row.group(2)) == list(optional)

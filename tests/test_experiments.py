@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -10,6 +11,8 @@ from edgeworth.experiments import (
     fit_loglog,
     gaussian_density,
     kac_rice_roots,
+    kernel_experiment,
+    nummelin_experiment,
     occupation_closed_form_gaussian,
     occupation_time,
     rate_experiment,
@@ -18,6 +21,7 @@ from edgeworth.experiments import (
 )
 from edgeworth.hermite import Polynomial
 from edgeworth.moments import (
+    ComponentDistribution,
     gaussian_mixture,
     iid_model,
     rademacher,
@@ -25,6 +29,7 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
+from edgeworth.sampling import DoeblinCert, RngStream, nummelin_sample, sample_component
 
 
 def test_fit_loglog_recovers_slope():
@@ -292,3 +297,28 @@ def test_experiment_result_csv_roundtrip(tmp_path):
     doc = json.loads((tmp_path / "rate.json").read_text())
     assert all(type(row["degenerate"]) is bool for row in doc["rows"])
     assert type(doc["notes"]["all_degenerate"]) is bool
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [density_experiment, occupation_time, kac_rice_roots, small_ball, nummelin_experiment, kernel_experiment],
+)
+def test_single_thread_drivers_take_no_worker_count(driver):
+    # only rate_experiment hands a worker count on (to mc_expectation)
+    assert "workers" not in inspect.signature(driver).parameters
+
+
+def test_nummelin_experiment_streams():
+    dist = uniform_centered()
+    res = nummelin_experiment(dist, 0.0, 0.25, 0.2, samples=5000, seed=3)
+    split = nummelin_sample(dist, DoeblinCert(0.0, 0.25, 0.2), RngStream(3, 0).generator(), 5000)
+    direct = sample_component(dist, RngStream(3, 1).generator(), 5000)
+    row = res.rows[0]
+    assert row["mean_split"] == float(split.mean()) and row["mean_direct"] == float(direct.mean())
+    assert res.notes["ks_pass"]
+    assert ComponentDistribution.from_json(res.parameters["component"]) == dist
+
+
+def test_kernel_experiment_records_given_window():
+    assert kernel_experiment().parameters == {}
+    assert kernel_experiment(moment_bound=1e-3).parameters == {"moment_bound": 1e-3}

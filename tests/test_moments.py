@@ -298,6 +298,10 @@ BAD_MODEL_DOCS = [
                  "record count must be an integer >= 1, got True", id="bool-count"),
     pytest.param({"d": 1, "n": 0, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}], "count": 0}]},
                  "record count must be an integer >= 1, got 0", id="zero-count"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "uniform_centered", "p": 0.3}]}]},
+                 "uniform_centered component: unknown fields ['p']", id="unknown-component-field"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": 0.2, "a": 2.0}]}]},
+                 "two_point component: missing fields ['b']", id="missing-component-field"),
 ]
 
 
