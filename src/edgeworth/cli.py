@@ -43,13 +43,32 @@ def _n_grid(grid) -> list:
     return [int(n) for n in grid]
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _ref_eps(eps):
+    if eps is not None and not _number(eps):
+        raise ConfigError(f"field 'ref_eps' must be a number or null, got {eps!r}")
+    return eps
+
+
+def _eta_grid(grid):
+    if grid is not None and not (isinstance(grid, list) and all(map(_number, grid))):
+        raise ConfigError(f"field 'eta_grid' must be a list of numbers or null, got {grid!r}")
+    return grid
+
+
 def _field(name: str, conv, value):
     """``value`` through ``conv`` (None: as is); an integer field takes only
-    an integral number and a boolean field only true or false."""
+    an integral number, a boolean field only true or false and a float
+    field only a number."""
     if conv is int and not _integral(value):
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     if conv is bool and not isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
+    if conv is float and not _number(value):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
     return value if conv is None else conv(value)
 
 
@@ -106,11 +125,11 @@ SPECS = {
     "density": ({"N": _order, "n_grid": _n_grid, "a": None},
                 {**_N_FAMILY, "samples": int, "delta_exponent": float, "delta_scale": float}, _density),
     "occupation": ({"component": _COMPONENT, "rho": float, "n_grid": _n_grid},
-                   {"samples": int, "crn": bool, "ref_grid": int, "ref_eps": None}, _driver("occupation_time")),
+                   {"samples": int, "crn": bool, "ref_grid": int, "ref_eps": _ref_eps}, _driver("occupation_time")),
     "roots": ({"component": _COMPONENT, "n_grid": _n_grid},
               {"samples": int, "oversample": int, "crn": bool}, _driver("kac_rice_roots")),
     "smallball": ({"component": _COMPONENT, "n": int},
-                  {"theta": float, "a_exp": float, "u_point": float, "eta_grid": None, "u_grid_size": int,
+                  {"theta": float, "a_exp": float, "u_point": float, "eta_grid": _eta_grid, "u_grid_size": int,
                    "samples": int}, _driver("small_ball")),
     "nummelin": ({"component": _COMPONENT, "center": float, "radius": float, "epsilon": float},
                  {"samples": int, "grid_points": int}, _driver("nummelin_experiment")),

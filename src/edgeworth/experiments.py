@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp, norm
+from scipy.special import ndtr, ndtri
 
 from .corrector import corrector_polynomial, edgeworth_expectation
 from .errors import NumericalGuardError
@@ -31,6 +31,7 @@ from .moments import (
     ComponentDistribution,
     component_icdf,
     exact_sum_moment_table,
+    has_density,
     sample_component,
 )
 from .sampling import (
@@ -362,7 +363,7 @@ def _paired_draws(dist, couple: bool, key: int, bid: int, shape):
     rng = RngStream(key, bid).generator()
     if couple:
         u = rng.random(shape)
-        return component_icdf(dist, u), norm.ppf(u)
+        return component_icdf(dist, u), ndtri(u)
     g = RngStream(key ^ (1 << 40), bid).generator().standard_normal(shape)
     return sample_component(dist, rng, shape), g
 
@@ -397,7 +398,7 @@ def _paired_row(totals, samples: int, couple: bool, name: str) -> dict:
 def occupation_closed_form_gaussian(n: int, eps: float) -> float:
     """Exact E of the banded occupation average for Gaussian steps."""
     k = np.arange(1, n + 1)
-    return float(np.mean(2.0 * norm.cdf(eps * np.sqrt(n / k)) - 1.0)) / (2.0 * eps)
+    return float(np.mean(2.0 * ndtr(eps * np.sqrt(n / k)) - 1.0)) / (2.0 * eps)
 
 
 def _walk_band_fraction(steps: np.ndarray, eps: float) -> np.ndarray:
@@ -710,8 +711,13 @@ def nummelin_experiment(
 ) -> ExperimentResult:
     """Draws through the density splitting of ``dist`` on the certified ball
     (stream (seed, 0)) against direct draws (stream (seed, 1)), compared by
-    the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A failed
-    grid check of the lower bound aborts."""
+    the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
+    without a density is a ValueError; a failed grid check of the lower
+    bound aborts."""
+    from scipy.stats import ks_2samp  # scipy.stats costs most of the package's import time
+
+    if not has_density(dist):
+        raise ValueError(f"nummelin splitting needs a law with a density; {dist.kind} has none")
     ok, margin = doeblin_check(dist, center, radius, epsilon, grid_points)
     if not ok:
         raise NumericalGuardError(f"lower-bound check failed: margin {margin:.3e}")

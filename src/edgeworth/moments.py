@@ -58,6 +58,9 @@ class ComponentDistribution:
             raise ValueError(f"unknown component kind {kind!r}")
         names = _PARAMS.get(kind, ())
         check_fields(doc, {"kind", *names}, set(), f"{kind} component")
+        for k in names:
+            if isinstance(doc[k], bool) or not isinstance(doc[k], numbers.Real):
+                raise ValueError(f"{kind} component: field {k!r} must be a number, got {doc[k]!r}")
         return ComponentDistribution(kind, tuple(float(doc[k]) for k in names))
 
 

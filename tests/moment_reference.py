@@ -4,20 +4,35 @@ independent of the cumulant tables used by the package.
 Each output coordinate's multiplicity splits over the input coordinates;
 every split contributes a multinomial count, powers of the matrix entries
 and the grouped raw moments of the independent components.  The
-summand-by-summand oracles read a model through :func:`summand_list`.
+summand-by-summand oracles read a model through :func:`summand_list`,
+and :func:`sample_sum_reference` draws the scaled sum summand by summand.
 """
 
 import math
 
 import numpy as np
 
-from edgeworth.moments import raw_moment
+from edgeworth.moments import raw_moment, sample_component
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
 def summand_list(model) -> list:
     """The model's n summands in order: each record repeated by its count."""
     return [rec for rec, count in model.records for _ in range(count)]
+
+
+def sample_sum_reference(model, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+    """Draws of n^{-1/2} sum_k C_k Y_k, one summand at a time and one
+    component at a time: the draw order ``sampling.sample_sum`` keeps for
+    records of count 1 and records with a ``uniform_centered`` component."""
+    out = np.zeros((size, model.d))
+    scale = 1.0 / math.sqrt(model.n)
+    for rec in summand_list(model):
+        y = np.empty((size, len(rec.components)))
+        for j, comp in enumerate(rec.components):
+            y[:, j] = sample_component(comp, rng, size)
+        out += y @ rec.C.T
+    return out * scale
 
 
 def pushforward_moment(C: np.ndarray, comps, beta) -> float:

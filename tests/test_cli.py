@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -227,6 +230,21 @@ def test_nummelin_subcommand(tmp_path):
     assert summary["notes"]["ks_pass"] is True
 
 
+def test_nummelin_law_without_density_is_config_error():
+    cfg = MINIMAL["nummelin"][0] | {"component": {"kind": "rademacher"}}
+    code, err = _run_config(cfg, "nummelin")
+    assert code == 2
+    assert "config error: nummelin splitting needs a law with a density; rademacher has none" in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, edgeworth.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=os.environ | {"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_seed_determinism_byte_identical(tmp_path):
     cfg = {
         "experiment": "smallball",
@@ -362,6 +380,10 @@ _NOT_INTEGER = st.one_of(
     st.booleans(), st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
 )
 _NOT_BOOLEAN = st.one_of(st.integers(), st.floats(), st.text(max_size=5), st.none())
+_NOT_NUMBER = st.one_of(
+    st.booleans(), st.text(max_size=5), st.none(), st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,9 +409,10 @@ def test_spec_rejects_missing_required_field(experiment, data):
 @settings(max_examples=80, deadline=None)
 @given(experiment=st.sampled_from(sorted(SPECS)), data=st.data())
 def test_spec_rejects_ill_typed_field(experiment, data):
-    typed = {k: conv for k, conv in _fields(experiment).items() if conv in (int, bool)}
+    strategies = {int: _NOT_INTEGER, bool: _NOT_BOOLEAN, float: _NOT_NUMBER}
+    typed = {k: strategies[conv] for k, conv in _fields(experiment).items() if conv in strategies}
     name = data.draw(st.sampled_from(sorted(typed)))
-    value = data.draw(_NOT_INTEGER if typed[name] is int else _NOT_BOOLEAN)
+    value = data.draw(typed[name])
     code, err = _run_config(MINIMAL[experiment][0] | {name: value}, experiment)
     assert code == 2 and f"field '{name}'" in err
 
@@ -400,6 +423,10 @@ def test_spec_rejects_ill_typed_field(experiment, data):
         ("rate", "crn", "false"),  # bool("false") used to switch common random numbers on
         ("rate", "N", 1.7),  # used to run at N = 1
         ("rate", "n_grid", [8, 16.5]),
+        ("occupation", "rho", "0.5"),  # used to run as 0.5
+        ("smallball", "theta", None),  # used to end in a TypeError traceback
+        ("smallball", "eta_grid", 0.2),
+        ("occupation", "ref_eps", "0.01"),
     ],
 )
 def test_ill_typed_field_names_it(experiment, field, value):
@@ -425,6 +452,7 @@ def test_integral_float_is_an_integer(tmp_path):
         ({"kind": "two_point", "p": 0.2, "a": 2.0, "bb": 0.5}, "b"),
         ({"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5, "w": 9}, "w"),
         ({"kind": "gaussian_mixture", "w": 0.5, "mu1": 0.6, "sigma1": 0.8, "mu2": -0.6, "sigma_2": 0.8}, "sigma2"),
+        ({"kind": "two_point", "p": None, "a": 2.0, "b": 0.5}, "p"),  # used to end in a TypeError traceback
     ],
 )
 def test_misspelt_component_field_rejected(component, field):

@@ -302,6 +302,10 @@ BAD_MODEL_DOCS = [
                  "uniform_centered component: unknown fields ['p']", id="unknown-component-field"),
     pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": 0.2, "a": 2.0}]}]},
                  "two_point component: missing fields ['b']", id="missing-component-field"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": None, "a": 2.0, "b": 0.5}]}]},
+                 "two_point component: field 'p' must be a number, got None", id="null-component-field"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": "0.2", "a": 2.0, "b": 0.5}]}]},
+                 "two_point component: field 'p' must be a number, got '0.2'", id="string-component-field"),
 ]
 
 
@@ -332,9 +336,13 @@ def test_counted_records_equal_expanded_model(data):
     close(corrector_polynomial(counted, 3).terms, corrector_polynomial(expanded, 3).terms)
     cov = counted.covariance_mean()
     assert np.max(np.abs(cov - expanded.covariance_mean())) <= 1e-12 * max(1.0, np.max(np.abs(cov)))
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    assert np.array_equal(sample_sum(counted, RngStream(seed, 0).generator(), 16),
-                          sample_sum(expanded, RngStream(seed, 0).generator(), 16))
+    # records without a closed-form sum draw summand by summand, so their
+    # draws are the expanded model's bit for bit; the closed-form records are
+    # checked in law by tests/test_sampling.py
+    if all(count == 1 or uniform_centered() in rec.components for rec, count in counted.records):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        assert np.array_equal(sample_sum(counted, RngStream(seed, 0).generator(), 16),
+                              sample_sum(expanded, RngStream(seed, 0).generator(), 16))
     back = ModelSpec.from_json(json.loads(json.dumps(counted.to_json())))
     assert back.n == counted.n and exact_sum_moment_table(back, K) == exact_sum_moment_table(counted, K)
 

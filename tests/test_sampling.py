@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from conftest import make_random_model
 from edgeworth.errors import CertificateError
 from edgeworth.moments import (
+    ModelSpec,
+    Summand,
     exact_sum_moment,
     gaussian_mixture,
     iid_model,
@@ -16,8 +19,10 @@ from edgeworth.moments import (
     sample_component,
     skewed_two_point,
     standard_normal,
+    two_point,
     uniform_centered,
 )
+from edgeworth.multiindex import enumerate_multiindices
 from edgeworth.sampling import (
     DoeblinCert,
     RngStream,
@@ -31,6 +36,16 @@ from edgeworth.sampling import (
     smoothed_ball_indicator,
     taper_exponent,
 )
+from moment_reference import sample_sum_reference
+
+# the laws whose sum of c iid copies sample_sum draws in one go
+CLOSED_FORM = [
+    standard_normal(),
+    rademacher(),
+    skewed_two_point(0.2),
+    two_point(0.2, 2.0, 0.5),
+    gaussian_mixture(0.5, 0.6, 0.6, -0.6, math.sqrt(0.92)),  # skewed: unequal component widths
+]
 
 
 def test_stream_determinism_and_independence():
@@ -134,6 +149,59 @@ def test_sample_sum_moments_against_oracle():
             est = (x**order).mean()
             se = (x**order).std() / math.sqrt(len(x))
             assert abs(est - target) <= 4 * se + 1e-12, (dist.kind, order)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_sum_per_summand_records_match_reference(d):
+    # count-1 records and records with a uniform component keep the
+    # summand-by-summand draw order bit for bit
+    rng = np.random.default_rng(40 + d)
+    uniform = Summand(rng.normal(size=(d, d)) + np.eye(d), (uniform_centered(),) * d)
+    mixed = Summand(rng.normal(size=(d, d)) + np.eye(d), (uniform_centered(),) + (skewed_two_point(0.2),) * (d - 1))
+    models = [
+        make_random_model(rng, d, 12),
+        iid_vector_model((uniform_centered(),) * d, 37),
+        ModelSpec(d=d, records=((uniform, 5), (mixed, 3), (uniform, 1))),
+    ]
+    for seed, model in enumerate(models):
+        assert np.array_equal(sample_sum(model, RngStream(seed, 3).generator(), 500),
+                              sample_sum_reference(model, RngStream(seed, 3).generator(), 500))
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 1000])
+@pytest.mark.parametrize("dist", CLOSED_FORM, ids=lambda dist: "-".join([dist.kind, *map(str, dist.params)]))
+def test_closed_form_sums_match_exact_moments(dist, count):
+    model = iid_model(dist, count)
+    x = sample_sum(model, RngStream(count, 11).generator(), 200_000)[:, 0]
+    for order in (1, 2, 3, 4):
+        xk = x**order
+        target = exact_sum_moment(model, (order,))
+        assert abs(xk.mean() - target) <= 5 * xk.std() / math.sqrt(len(x)) + 1e-12, order
+
+
+@pytest.mark.parametrize("count", [2, 7, 1000])
+def test_closed_form_record_moments_in_two_dimensions(count):
+    # one record, two closed-form components mixed by a full matrix
+    rec = Summand(np.array([[1.0, 0.4], [-0.3, 0.8]]), (two_point(0.2, 2.0, 0.5), CLOSED_FORM[-1]))
+    model = ModelSpec(d=2, records=((rec, count),))
+    x = sample_sum(model, RngStream(count, 13).generator(), 200_000)
+    for order in (1, 2, 3, 4):
+        for beta in enumerate_multiindices(2, order):
+            xb = x[:, 0] ** beta[0] * x[:, 1] ** beta[1]
+            target = exact_sum_moment(model, beta)
+            assert abs(xb.mean() - target) <= 5 * xb.std() / math.sqrt(len(x)) + 1e-12, beta
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 1000])
+@pytest.mark.parametrize("dist", [rademacher(), skewed_two_point(0.2), two_point(0.2, 2.0, 0.5)],
+                         ids=lambda dist: "-".join([dist.kind, *map(str, dist.params)]))
+def test_lattice_sums_stay_on_lattice(dist, count):
+    # every draw of c summands with values a, -b is a k - b (c - k), 0 <= k <= c
+    a, b = dist.params[1:] if dist.params else (1.0, 1.0)
+    s = sample_sum(iid_model(dist, count), RngStream(count, 12).generator(), 20_000)[:, 0] * math.sqrt(count)
+    k = np.rint((s + b * count) / (a + b))
+    assert np.all((k >= 0) & (k <= count))
+    assert np.max(np.abs(s - (a * k - b * (count - k)))) <= 1e-12 * (a + b) * count
 
 
 def test_sample_sum_normalized_vector_model():
