@@ -9,7 +9,6 @@ from .corrector import (
     edgeworth_expectation,
     explicit_order3,
     normalize,
-    order2_discrepancy_terms,
     order_discrepancy,
 )
 from .errors import CertificateError, KernelMomentError, NumericalGuardError
@@ -19,18 +18,15 @@ from .hermite import (
     gauss_hermite,
     gaussian_moment,
     hermite1d,
-    hermite_eval,
 )
 from .moments import (
     ComponentDistribution,
     ModelSpec,
     Summand,
-    averaged_moment_gaps,
     exact_sum_moment,
     gaussian_mixture,
     iid_model,
     iid_vector_model,
-    moment_gap,
     rademacher,
     raw_moment,
     skewed_two_point,
@@ -38,6 +34,6 @@ from .moments import (
     two_point,
     uniform_centered,
 )
-from .multiindex import concat, enumerate_multiindices, multinomial_weight
+from .multiindex import enumerate_multiindices
 
 __version__ = "0.1.0"

@@ -52,8 +52,8 @@ import numpy as np
 
 from .errors import NumericalGuardError
 from .hermite import Polynomial, gauss_hermite, hermite_value_table
-from .multiindex import check_multiindex, concat, enumerate_multiindices, multinomial_weight
-from .moments import ModelSpec, Summand, cumulant_table, hermite_moments
+from .multiindex import check_multiindex
+from .moments import ModelSpec, Summand, hermite_moments
 
 
 # A graded series truncated at grade N is the list of its N + 1 grades, each
@@ -123,7 +123,13 @@ class CorrectorPolynomial:
     order: int | None = None
 
     def __post_init__(self):
-        clean = {check_multiindex(b): float(c) for b, c in self.terms.items() if c != 0.0}
+        clean = {}
+        for b, c in self.terms.items():
+            b = check_multiindex(b)
+            if len(b) != self.d:
+                raise ValueError(f"Hermite index {b} has {len(b)} coordinates, need d = {self.d}")
+            if c != 0.0:
+                clean[b] = float(c)
         # fixed descending-lexicographic term order: evaluation and
         # serialization are byte-stable regardless of construction order
         ordered = {b: clean[b] for b in sorted(clean, reverse=True)}
@@ -201,28 +207,6 @@ def explicit_order3(model: ModelSpec) -> tuple[CorrectorPolynomial, CorrectorPol
         CorrectorPolynomial(d=model.d, constant=0.0, terms=op.terms, n=model.n)
         for op in _graded_series(model, 3, log=False)[1:]
     )
-
-
-def order2_discrepancy_terms(model: ModelSpec) -> dict:
-    """Closed form of the gap between the order-2 operator dual and the
-    explicit order-2 corrector:  -(1/(72 n)) sum over pairs of order-3
-    indices of the averaged gap-product d(a, b) = (1/n) sum_r gap_r(a)
-    gap_r(b), Hermite index the concatenation.  Exactly O(1/n).  The
-    order-3 gaps of a centered law are its order-3 cumulants."""
-    d = model.d
-    prods: dict = {}
-    betas3 = enumerate_multiindices(d, 3)
-    tables = [(count, cumulant_table(rec.C, rec.components, 3)) for rec, count in model.records]
-    for b1 in betas3:
-        w1 = multinomial_weight(b1)
-        for b2 in betas3:
-            w2 = multinomial_weight(b2)
-            total = sum(g.get(b1, 0.0) * g.get(b2, 0.0) * c for c, g in tables)
-            dval = total / model.n
-            if dval != 0.0:
-                b = concat(b1, b2)
-                prods[b] = prods.get(b, 0.0) - w1 * w2 * dval / (72.0 * model.n)
-    return prods
 
 
 def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:

@@ -32,6 +32,7 @@ from .moments import (
     component_icdf,
     exact_sum_moment_table,
     has_density,
+    has_icdf,
     sample_component,
 )
 from .sampling import (
@@ -146,7 +147,7 @@ def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int) -> d
         rec = model.records[0][0]
         if not (len(model.records) == 1 and rec.C.shape == (1, 1)):
             raise ValueError("common random numbers need a one-dimensional iid model family")
-        if not _has_icdf(rec.components[0]):
+        if not has_icdf(rec.components[0]):
             raise ValueError(
                 f"common random numbers need a closed-form inverse CDF; {rec.components[0].kind} has none"
             )
@@ -348,14 +349,6 @@ def density_experiment(
 # a law against its Gaussian twin, block by block
 
 
-def _has_icdf(dist: ComponentDistribution) -> bool:
-    try:
-        component_icdf(dist, np.array([0.5]))
-    except TypeError:
-        return False
-    return True
-
-
 def _paired_draws(dist, couple: bool, key: int, bid: int, shape):
     """One block of draws from ``dist`` and from standard normals: the same
     uniforms through both inverse CDFs when ``couple``, otherwise the law's
@@ -433,7 +426,7 @@ def occupation_time(
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
-    couple = crn and _has_icdf(dist)
+    couple = crn and has_icdf(dist)
 
     rows = []
     for n in n_grid:
@@ -543,7 +536,7 @@ def kac_rice_roots(
     Per-sample counts above twice the degree violate the trigonometric
     root bound and abort.
     """
-    couple = crn and _has_icdf(dist)
+    couple = crn and has_icdf(dist)
 
     rows = []
     for n in n_grid:

@@ -54,27 +54,6 @@ def hermite_value_table(max_order: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def hermite_eval(beta, x) -> np.ndarray | float:
-    """H_beta(x) = prod_i H_{beta_i}(x_i) for points in R^d.
-
-    ``x`` may be a single point of shape (d,) or an array of shape
-    (npts, d); the product runs over all coordinates (entries with
-    beta_i = 0 contribute the factor H_0 = 1).
-    """
-    beta = check_multiindex(beta)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != len(beta):
-        raise ValueError(f"point dimension {pts.shape[1]} != index dimension {len(beta)}")
-    table = hermite_value_table(max(beta), pts)
-    out = np.ones(pts.shape[0])
-    for i, b in enumerate(beta):
-        if b > 0:
-            out = out * table[b, :, i]
-    return float(out[0]) if single else out
-
-
 def gaussian_moment_1d(k: int) -> float:
     """E[Z^k] for Z standard normal: (k-1)!! for even k, 0 for odd k."""
     if k < 0:

@@ -69,13 +69,6 @@ class SuperKernel:
         """L1 norm of the kernel (finite; reported for diagnostics)."""
         return float(np.trapezoid(np.abs(self.values), dx=self.spacing))
 
-    def weighted_derivative_norm(self, weight_power: int, deriv_order: int) -> float:
-        """Grid estimate of int |y|^m |kernel^(j)(y)| dy via finite differences."""
-        v = self.values
-        for _ in range(deriv_order):
-            v = np.gradient(v, self.spacing)
-        return float(np.trapezoid(np.abs(v) * np.abs(self.x) ** weight_power, dx=self.spacing))
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("x,value\n")

@@ -2,8 +2,7 @@
 scaled sums of independent non-identically distributed vectors as counted
 summand records (a law and how many summands share it), and one cumulant
 table per record, from which a single moment recursion gives the record's
-moment gaps against its Gaussian twin, its Hermite moments and the exact
-moments of the scaled sum.
+Hermite moments and the exact moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -22,6 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import check_fields
+from .hermite import gaussian_moment_1d
 from .multiindex import check_multiindex, enumerate_multiindices
 
 SQRT3 = math.sqrt(3.0)
@@ -99,8 +99,7 @@ def gaussian_mixture(w: float, mu1: float, sigma1: float, mu2: float, sigma2: fl
 def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
     total = 0.0
     for j in range(0, k + 1, 2):
-        gm = math.prod(range(j - 1, 0, -2)) if j > 0 else 1
-        total += math.comb(k, j) * (sigma ** j) * gm * (mu ** (k - j))
+        total += math.comb(k, j) * (sigma ** j) * gaussian_moment_1d(j) * (mu ** (k - j))
     return total
 
 
@@ -117,7 +116,7 @@ def raw_moment(dist: ComponentDistribution, k: int) -> float:
         # (1/(2 sqrt 3)) int_{-s3}^{s3} x^k dx = 3^{k/2}/(k+1) for even k
         return (SQRT3 ** k) / (k + 1) if k % 2 == 0 else 0.0
     if kind == "standard_normal":
-        return float(math.prod(range(k - 1, 0, -2))) if k % 2 == 0 else 0.0
+        return gaussian_moment_1d(k)
     if kind == "two_point":
         p, a, b = dist.params
         return p * a ** k + (1.0 - p) * (-b) ** k
@@ -129,6 +128,11 @@ def raw_moment(dist: ComponentDistribution, k: int) -> float:
 
 def has_density(dist: ComponentDistribution) -> bool:
     return dist.kind in ("uniform_centered", "standard_normal", "gaussian_mixture")
+
+
+def has_icdf(dist: ComponentDistribution) -> bool:
+    """Whether :func:`component_icdf` has a closed form for the law."""
+    return dist.kind in ("rademacher", "uniform_centered", "standard_normal", "two_point")
 
 
 def pdf(dist: ComponentDistribution, x) -> np.ndarray:
@@ -229,9 +233,6 @@ class ModelSpec:
     def covariance_mean(self) -> np.ndarray:
         """(1/n) sum_k C_k C_k^T, the covariance of S_n."""
         return sum(c * s.sigma() for s, c in self.records) / self.n
-
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.covariance_mean() - np.eye(self.d))) <= tol)
 
     def to_json(self) -> dict:
         return {
@@ -341,21 +342,6 @@ def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
     return mu
 
 
-def gap_table(C: np.ndarray, comps, K: int) -> dict:
-    """Moment gaps E[(C Y)^beta] - E[(C G)^beta], G standard normal of the
-    same shape, for 3 <= |beta| <= K, zeros left out: the moment recursion on
-    the record's cumulant table minus the same recursion on its order-2
-    entries C C^T, the only cumulants of the Gaussian twin."""
-    comps = tuple(comps)
-    if all(c.kind == "standard_normal" for c in comps):
-        return {}
-    d = np.atleast_2d(C).shape[0]
-    kappa = cumulant_table(C, comps, K)
-    full = moments_from_cumulants(kappa, d, K)
-    twin = moments_from_cumulants({b: v for b, v in kappa.items() if sum(b) == 2}, d, K)
-    return {b: v - twin[b] for b, v in full.items() if sum(b) >= 3 and v != twin[b]}
-
-
 def hermite_moments(C: np.ndarray, comps, K: int) -> dict:
     """Hermite moments h_beta of one summand record for 3 <= |beta| <= K,
     zeros left out: the moment recursion on the record's cumulant table with
@@ -365,36 +351,6 @@ def hermite_moments(C: np.ndarray, comps, K: int) -> dict:
     kappa = {b: v for b, v in cumulant_table(C, comps, K).items() if sum(b) >= 3}
     mu = moments_from_cumulants(kappa, np.atleast_2d(C).shape[0], K)
     return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
-
-
-def moment_gap(C: np.ndarray, comps, beta) -> float:
-    """E[(C Y)^beta] - E[(C G)^beta] with G standard normal of the same shape,
-    read from the record's gap table.
-
-    Identically zero for orders <= 2 (the catalog matches mean and
-    covariance), returned as an exact 0 there.
-    """
-    beta = check_multiindex(beta)
-    if sum(beta) <= 2:
-        return 0.0
-    if len(beta) != np.atleast_2d(C).shape[0]:
-        raise ValueError("index dimension != matrix rows")
-    return gap_table(C, comps, sum(beta)).get(beta, 0.0)
-
-
-def averaged_moment_gaps(model: ModelSpec, beta, i: int, j: int) -> tuple[float, float]:
-    """The two per-model averages driving the explicit order-3 correctors:
-    the plain average of summand moment gaps, and the average weighted by
-    the (i, j) entry of each summand covariance (i, j 0-based)."""
-    beta = check_multiindex(beta)
-    plain = 0.0
-    weighted = 0.0
-    for rec, count in model.records:
-        gap = moment_gap(rec.C, rec.components, beta)
-        sig = rec.sigma()[i, j]
-        plain += gap * count
-        weighted += gap * sig * count
-    return plain / model.n, weighted / model.n
 
 
 def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:

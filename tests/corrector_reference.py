@@ -7,7 +7,9 @@ each slot the moment-gap operator of order l composed with the l'-th power
 of the summand's Laplace operator, summed over r_1 < ... < r_m either by
 enumeration or by a dynamic program over the n summands.  The explicit
 order-3 correctors are the hand-expanded closed forms in averaged moment
-gaps.
+gaps, and the order-2 operator-versus-explicit gap has its own closed form.
+The multi-index helpers for ordered index tuples and the record moment-gap
+table that these forms read live here too.
 
 Operators are :class:`Polynomial` objects read in the partial derivatives
 (the term ``beta: c`` is ``c d^beta``), so composition is ``*``.
@@ -19,9 +21,52 @@ from itertools import combinations
 import numpy as np
 
 from edgeworth.hermite import Polynomial
-from edgeworth.moments import gap_table
-from edgeworth.multiindex import concat, enumerate_multiindices, multinomial_weight, unit
+from edgeworth.moments import cumulant_table, moments_from_cumulants
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 from moment_reference import summand_list
+
+
+def multinomial_weight(beta) -> int:
+    """Number of ordered index tuples with per-coordinate counts ``beta``,
+    i.e. ``|beta|! / prod(beta_i!)``."""
+    beta = check_multiindex(beta)
+    n = sum(beta)
+    if n > 170:
+        raise OverflowError("multi-index order too large for exact factorials")
+    w = math.factorial(n)
+    for b in beta:
+        w //= math.factorial(b)
+    return w
+
+
+def concat(beta1, beta2) -> tuple:
+    """Multiplicity vector of the concatenation of two index tuples
+    (entrywise sum; orders add)."""
+    if len(beta1) != len(beta2):
+        raise ValueError(f"dimension mismatch: {len(beta1)} vs {len(beta2)}")
+    return tuple(a + b for a, b in zip(beta1, beta2))
+
+
+def unit(d: int, i: int) -> tuple:
+    """Multiplicity vector of the single coordinate ``i`` (0-based)."""
+    beta = [0] * d
+    beta[i] = 1
+    return tuple(beta)
+
+
+def gap_table(C: np.ndarray, comps, K: int) -> dict:
+    """Moment gaps E[(C Y)^beta] - E[(C G)^beta], G standard normal of the
+    same shape, for 3 <= |beta| <= K, zeros left out: the moment recursion on
+    the record's cumulant table minus the same recursion on its order-2
+    entries C C^T, the only cumulants of the Gaussian twin."""
+    comps = tuple(comps)
+    if all(c.kind == "standard_normal" for c in comps):
+        return {}
+    d = np.atleast_2d(C).shape[0]
+    kappa = cumulant_table(C, comps, K)
+    full = moments_from_cumulants(kappa, d, K)
+    twin = moments_from_cumulants({b: v for b, v in kappa.items() if sum(b) == 2}, d, K)
+    return {b: v - twin[b] for b, v in full.items() if sum(b) >= 3 and v != twin[b]}
 
 
 def apply_operator(op: Polynomial, f: Polynomial) -> Polynomial:
@@ -183,3 +228,25 @@ def explicit_order3_closed_form(model) -> tuple[dict, dict, dict]:
             for b3, v3 in c3.items():
                 add(h3, concat(concat(b1, b2), b3), v1 * v2 * v3 / 1296.0)
     return h1, h2, h3
+
+
+def order2_discrepancy_terms(model) -> dict:
+    """Closed form of the gap between the order-2 operator dual and the
+    explicit order-2 corrector:  -(1/(72 n)) sum over pairs of order-3
+    indices of the averaged gap-product d(a, b) = (1/n) sum_r gap_r(a)
+    gap_r(b), Hermite index the concatenation.  Exactly O(1/n).  The
+    order-3 gaps of a centered law are its order-3 cumulants."""
+    d = model.d
+    prods: dict = {}
+    betas3 = enumerate_multiindices(d, 3)
+    tables = [(count, cumulant_table(rec.C, rec.components, 3)) for rec, count in model.records]
+    for b1 in betas3:
+        w1 = multinomial_weight(b1)
+        for b2 in betas3:
+            w2 = multinomial_weight(b2)
+            total = sum(g.get(b1, 0.0) * g.get(b2, 0.0) * c for c, g in tables)
+            dval = total / model.n
+            if dval != 0.0:
+                b = concat(b1, b2)
+                prods[b] = prods.get(b, 0.0) - w1 * w2 * dval / (72.0 * model.n)
+    return prods

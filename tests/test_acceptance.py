@@ -16,6 +16,7 @@ import pytest
 from scipy.stats import binom, ks_2samp, norm
 
 from conftest import make_random_model
+from corrector_reference import order2_discrepancy_terms
 from edgeworth.cli import main as cli_main
 from edgeworth.corrector import (
     CorrectorPolynomial,
@@ -23,7 +24,6 @@ from edgeworth.corrector import (
     edgeworth_expectation,
     corrector_operator,
     explicit_order3,
-    order2_discrepancy_terms,
     order_discrepancy,
 )
 from edgeworth.experiments import (

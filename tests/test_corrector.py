@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth import moments
 from edgeworth.corrector import (
@@ -11,7 +13,6 @@ from edgeworth.corrector import (
     edgeworth_expectation,
     explicit_order3,
     normalize,
-    order2_discrepancy_terms,
     order_discrepancy,
 )
 from edgeworth.errors import NumericalGuardError
@@ -34,6 +35,7 @@ from corrector_reference import (
     corrector_operator_dp,
     corrector_operator_enumerated,
     explicit_order3_closed_form,
+    order2_discrepancy_terms,
 )
 from hermite_helpers import random_polynomial, univariate_polynomial
 
@@ -285,7 +287,7 @@ def test_normalize():
     assert normalize(model).records[0][0].C[0, 0] == pytest.approx(1.0)
     rng = np.random.default_rng(31)
     rand = random_model(rng, 2, 7, normalized=False)
-    assert normalize(rand).is_normalized(1e-10)
+    assert np.max(np.abs(normalize(rand).covariance_mean() - np.eye(2))) <= 1e-10
     degenerate = ModelSpec(
         d=2,
         records=(
@@ -305,6 +307,37 @@ def test_corrector_json_roundtrip():
     assert back.terms == phi.terms
     x = np.linspace(-2, 2, 7).reshape(-1, 1)
     np.testing.assert_array_equal(back.evaluate(x), phi.evaluate(x))
+
+
+@st.composite
+def _corrector_polynomials(draw):
+    d = draw(st.integers(1, 3))
+    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * d), coeff, max_size=8))
+    return CorrectorPolynomial(
+        d=d,
+        constant=draw(coeff),
+        terms=terms,
+        n=draw(st.none() | st.integers(1, 10**6)),
+        order=draw(st.none() | st.integers(0, 8)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(phi=_corrector_polynomials())
+def test_corrector_json_roundtrip_property(phi):
+    back = CorrectorPolynomial.from_json(json.loads(phi.to_json_str()))
+    assert (back.d, back.constant, back.n, back.order) == (phi.d, phi.constant, phi.n, phi.order)
+    assert list(back.terms.items()) == list(phi.terms.items())
+    assert back.to_json_str() == phi.to_json_str()
+
+
+def test_corrector_rejects_index_of_wrong_dimension():
+    doc = {"d": 2, "constant": 1.0, "terms": [{"beta": [3], "coeff": 1.0}]}
+    with pytest.raises(ValueError, match="Hermite index"):
+        CorrectorPolynomial.from_json(doc)
+    with pytest.raises(ValueError, match="Hermite index"):
+        CorrectorPolynomial(d=1, constant=0.0, terms={(1, 0): 1.0})
 
 
 def test_gamma_requires_valid_order():
