@@ -20,7 +20,7 @@ import sys
 from . import experiments
 from .corrector import corrector_polynomial
 from .errors import ConfigError, NumericalGuardError, check_fields
-from .experiments import ExperimentResult, density_experiment, rate_experiment
+from .experiments import ExperimentResult
 from .hermite import Polynomial
 from .moments import ComponentDistribution, ModelSpec, iid_model
 
@@ -94,25 +94,28 @@ def _rate(base_dir, N, n_grid, f, **kw):
     """Rate driver over the n-family; ``f`` maps exponent lists to coefficients."""
     d, family = _n_family(kw, base_dir, "rate")
     f = Polynomial(d, {tuple(json.loads(key)): float(c) for key, c in f.items()})
-    return rate_experiment(family, f, N, n_grid, **kw)
+    return experiments.rate_experiment(family, f, N, n_grid, **kw)
 
 
-def _density(base_dir, N, n_grid, a, workers=None, delta_exponent=None, delta_scale=1.0, **kw):
+def _density(base_dir, N, n_grid, a, delta_exponent=None, delta_scale=1.0, **kw):
     """Density driver over the n-family; the box half-width is
     delta_scale * n^-delta_exponent, the exponent (N+1)/2 unless set."""
     _, family = _n_family(kw, base_dir, "density")
     expo = 0.5 * (N + 1) if delta_exponent is None else delta_exponent
-    return density_experiment(family, N, a, n_grid, delta_rule=lambda n: delta_scale * float(n) ** (-expo), **kw)
+    return experiments.density_experiment(
+        family, N, a, n_grid, delta_rule=lambda n: delta_scale * float(n) ** (-expo), **kw
+    )
 
 
 def _driver(name: str):
-    """Runner of ``experiments.<name>``, looked up at call time so wrappers on
-    the module see the call; the worker count does not reach it."""
+    """Runner of ``experiments.<name>``, a driver that takes no worker count:
+    the count is dropped.  The driver is looked up at call time, so wrappers
+    on the module see the call."""
     return lambda base_dir, *args, workers=None, **kw: getattr(experiments, name)(*args, **kw)
 
 
 # Fields of every subcommand: the seed goes to the driver, the worker count
-# reaches only the rate driver and is recorded in every summary.
+# reaches the rate and density drivers and is recorded in every summary.
 COMMON = {"seed": int, "workers": int, "out_stem": str}
 _COMPONENT = ComponentDistribution.from_json
 _N_FAMILY = {"component": _COMPONENT, "model": None, "model_path": None}

@@ -170,12 +170,24 @@ class CorrectorPolynomial:
 
     @staticmethod
     def from_json(doc: dict) -> "CorrectorPolynomial":
+        """Reads ``to_json``'s document; ``d``, ``n``, ``N`` (the last two
+        optional) and every index entry must be JSON integers, so nothing is
+        truncated.  This is where outside input is checked for integers:
+        ``check_multiindex`` converts library indices with ``int()``."""
+
+        def integer(value, name: str, optional: bool = False):
+            if optional and value is None:
+                return None
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"corrector field {name!r} must be an integer, got {value!r}")
+            return value
+
         return CorrectorPolynomial(
-            d=int(doc["d"]),
+            d=integer(doc["d"], "d"),
             constant=float(doc["constant"]),
-            terms={tuple(t["beta"]): float(t["coeff"]) for t in doc["terms"]},
-            n=doc.get("n"),
-            order=doc.get("N"),
+            terms={tuple(integer(b, "beta") for b in t["beta"]): float(t["coeff"]) for t in doc["terms"]},
+            n=integer(doc.get("n"), "n", optional=True),
+            order=integer(doc.get("N"), "N", optional=True),
         )
 
     def to_json_str(self) -> str:

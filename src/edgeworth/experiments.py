@@ -7,10 +7,11 @@ super-kernel's moment table.
 Every Monte Carlo driver takes a seed and draws through
 ``sampling.run_blocks``: fixed-size blocks, one counter-based stream per
 block, results combined in block order; rerunning with the same seed
-reproduces results bit for bit.  Only ``rate_experiment`` takes a worker
-count, which threads the blocks of its Monte Carlo path without common
-random numbers (``sampling.mc_expectation``) and never changes results;
-every other driver runs its blocks in the calling thread.
+reproduces results bit for bit.  ``rate_experiment`` and
+``density_experiment`` take a worker count, which threads the blocks of
+both rate Monte Carlo paths (``sampling.mc_expectation`` and the common
+random numbers) and of density's one plan over the whole n-grid, and never
+changes results; every other driver runs its blocks in the calling thread.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .moments import (
 from .sampling import (
     DoeblinCert,
     RngStream,
+    block_plan,
     doeblin_check,
     fsums,
     mc_expectation,
@@ -138,7 +140,30 @@ def gaussian_density(a) -> float:
 # convergence-rate experiment
 
 
-def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int) -> dict:
+CRN_CHUNK = 1 << 18  # uniforms per row chunk of a common-random-number block
+
+
+def _crn_block(laws: dict, n_max: int, rng: np.random.Generator, bsize: int) -> dict:
+    """Scaled sums of one common-random-number block: for each n of ``laws``
+    (n -> (component, scale)), ``bsize`` rows of scale / sqrt(n) times the
+    sum of the component's inverse CDF over the first n of ``n_max`` shared
+    uniforms.  The uniforms are drawn in row chunks of about ``CRN_CHUNK``
+    by successive calls on the one generator, which give the same numbers
+    as one draw of the whole block; each distinct law goes through its
+    (elementwise) inverse CDF once per chunk, and each n reads its prefix
+    columns."""
+    sums = {n: np.empty(bsize) for n in laws}
+    dists = {dist for dist, _ in laws.values()}
+    rows = max(1, CRN_CHUNK // n_max)
+    for start in range(0, bsize, rows):
+        u = rng.random((min(rows, bsize - start), n_max))
+        y = {dist: component_icdf(dist, u) for dist in dists}
+        for n, (dist, scale) in laws.items():
+            sums[n][start : start + len(u)] = y[dist][:, :n].sum(axis=1) * (scale / math.sqrt(n))
+    return sums
+
+
+def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int, workers: int = 1) -> dict:
     """Monte Carlo means/SEs of g(S_n) over an n-grid with common random
     numbers: one uniform block drives every n through the component's
     inverse CDF (prefix columns), so estimates across the grid are coupled."""
@@ -155,15 +180,13 @@ def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int) -> d
     n_max = max(models)
 
     def block_sums(bid, bsize):
-        u = RngStream(seed, bid).generator().random((bsize, n_max))
         out = []
-        for n, (dist, scale) in laws.items():
-            s = component_icdf(dist, u[:, :n]).sum(axis=1) * (scale / math.sqrt(n))
+        for s in _crn_block(laws, n_max, RngStream(seed, bid).generator(), bsize).values():
             vals = np.asarray(g(s[:, None]), dtype=float)
             out += [vals.sum(), (vals * vals).sum()]
         return out
 
-    totals = fsums(run_blocks(samples, max(64, (1 << 21) // n_max), block_sums))
+    totals = fsums(run_blocks(block_plan(samples, max(64, (1 << 21) // n_max)), block_sums, workers))
     estimates = {}
     for i, n in enumerate(laws):
         mean, var = mean_var(totals[2 * i], totals[2 * i + 1], samples)
@@ -202,7 +225,7 @@ def rate_experiment(
     crn_estimates = None
     if mode == "mc" and crn:
         crn_estimates = _crn_mc_estimates(
-            {int(n): model_builder(int(n)) for n in n_grid}, g, samples, seed
+            {int(n): model_builder(int(n)) for n in n_grid}, g, samples, seed, workers
         )
     rows = []
     for n in n_grid:
@@ -279,6 +302,7 @@ def density_experiment(
     delta_rule=None,
     samples: int = 1_000_000,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Monte Carlo check that the box-probability density estimate
     P(|S_n - a|_sup <= delta) / (2 delta)^d approaches the corrected
@@ -286,41 +310,47 @@ def density_experiment(
 
     ``delta_rule`` maps n to the box half-width (default n^{-(N+1)/2}).
     Rows with fewer than ``DENSITY_MIN_HITS`` hits are flagged and excluded
-    from the slope fit.
+    from the slope fit.  One block plan covers the whole n-grid, block b
+    of n drawing from stream (seed ^ (n << 20), b), so ``workers > 1``
+    threads across n as well as within it and never changes results.
     """
     if delta_rule is None:
         delta_rule = lambda n: float(n) ** (-0.5 * (N + 1))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    rows = []
+    grid = []
     for n in n_grid:
         n = int(n)
         model = model_builder(n)
         if len(a) != model.d:
             raise ValueError("point dimension != model dimension")
         phi = corrector_polynomial(model, N)
-        reference = gaussian_density(a) * phi.evaluate(a)
-        delta = float(delta_rule(n))
+        grid.append((n, model, float(delta_rule(n)), gaussian_density(a) * phi.evaluate(a)))
+
+    def block_hits(i, bid, bsize):
+        n, model, delta, _ = grid[i]
+        pts = sample_sum(model, RngStream(seed ^ (n << 20), bid).generator(), bsize)
+        return int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
+
+    plan = [(i, bid, bsize) for i in range(len(grid)) for bid, bsize in block_plan(samples, DENSITY_BLOCK)]
+    hits = [0] * len(grid)
+    for (i, _, _), h in zip(plan, run_blocks(plan, block_hits, workers)):
+        hits[i] += h
+    rows = []
+    for (n, model, delta, reference), h in zip(grid, hits):
         vol = (2.0 * delta) ** model.d
-
-        def block_hits(bid, bsize):
-            pts = sample_sum(model, RngStream(seed ^ (n << 20), bid).generator(), bsize)
-            return int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
-
-        hits = sum(run_blocks(samples, DENSITY_BLOCK, block_hits))
-        p_hat = hits / samples
+        p_hat = h / samples
         est = p_hat / vol
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples) / vol
-        flagged = hits < DENSITY_MIN_HITS
         rows.append(
             {
                 "n": n,
                 "delta": delta,
-                "hits": hits,
+                "hits": h,
                 "estimate": est,
                 "se": se,
                 "reference": reference,
                 "error": abs(est - reference),
-                "flagged": flagged,
+                "flagged": h < DENSITY_MIN_HITS,
             }
         )
 
@@ -342,6 +372,7 @@ def density_experiment(
         fitted_slope=slope,
         slope_stderr=stderr,
         seed=seed,
+        workers=workers,
     )
 
 
@@ -437,7 +468,7 @@ def occupation_time(
             y, g = _paired_draws(dist, couple, seed ^ (n << 24), bid, (bsize, n))
             return _paired_sums(_walk_band_fraction(y, eps), _walk_band_fraction(g, eps))
 
-        totals = fsums(run_blocks(samples, max(64, (1 << 21) // n), block_sums))
+        totals = fsums(run_blocks(block_plan(samples, max(64, (1 << 21) // n)), block_sums))
         rows.append(
             {"n": n, "eps": eps}
             | _paired_row(totals, samples, couple, "occupation")
@@ -551,7 +582,7 @@ def kac_rice_roots(
                 raise NumericalGuardError("root count exceeds twice the degree: counting bug")
             return _paired_sums(cy / n, cg / n), max_count
 
-        results = run_blocks(samples, max(16, (1 << 21) // (oversample * n)), block_sums)
+        results = run_blocks(block_plan(samples, max(16, (1 << 21) // (oversample * n))), block_sums)
         rows.append(
             {"n": n}
             | _paired_row(fsums(sums for sums, _ in results), samples, couple, "roots_per_n")
@@ -632,7 +663,7 @@ def small_ball(
             int(np.count_nonzero(min_norm <= delta_inf))
         ]
 
-    *hits_eta, hits_inf = (sum(col) for col in zip(*run_blocks(samples, SMALLBALL_BLOCK, block_hits)))
+    *hits_eta, hits_inf = (sum(col) for col in zip(*run_blocks(block_plan(samples, SMALLBALL_BLOCK), block_hits)))
 
     rows = []
     for eta, h in zip(eta_grid, hits_eta):
@@ -692,6 +723,32 @@ def small_ball(
 # ---------------------------------------------------------------------------
 # Nummelin splitting against direct draws
 
+KS_EXACT_MAX = 10_000  # samples up to which the KS statistic snaps to the 1/lcm lattice
+
+
+def _ks_statistic(x, y) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|, equal bit for
+    bit to ``scipy.stats.ks_2samp(x, y).statistic``: the two sorted samples
+    are merged by a stable argsort, and the empirical CDFs are read as
+    cumulative counts at the last index of each run of equal values.  Up to
+    ``KS_EXACT_MAX`` draws per sample the statistic is rounded to a
+    multiple of 1/lcm(len(x), len(y)), as scipy's exact mode does."""
+    x, y = np.sort(x), np.sort(y)
+    n1, n2 = len(x), len(y)
+    if min(n1, n2) == 0:
+        raise ValueError("the two-sample KS statistic needs two non-empty samples")
+    merged = np.concatenate([x, y])
+    order = np.argsort(merged, kind="stable")
+    values = merged[order]
+    last = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    c1 = np.cumsum(order < n1)[last]
+    diffs = c1 / n1 - (last + 1 - c1) / n2
+    d = max(float(np.clip(-diffs.min(), 0, 1)), float(diffs.max()))
+    if max(n1, n2) <= KS_EXACT_MAX:
+        lcm = n1 // math.gcd(n1, n2) * n2
+        d = round(d * lcm) / lcm
+    return d
+
 
 def nummelin_experiment(
     dist: ComponentDistribution,
@@ -707,8 +764,6 @@ def nummelin_experiment(
     the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
     without a density is a ValueError; a failed grid check of the lower
     bound aborts."""
-    from scipy.stats import ks_2samp  # scipy.stats costs most of the package's import time
-
     if not has_density(dist):
         raise ValueError(f"nummelin splitting needs a law with a density; {dist.kind} has none")
     ok, margin = doeblin_check(dist, center, radius, epsilon, grid_points)
@@ -717,7 +772,7 @@ def nummelin_experiment(
     cert = DoeblinCert(center, radius, epsilon)
     split = nummelin_sample(dist, cert, RngStream(seed, 0).generator(), samples)
     direct = sample_component(dist, RngStream(seed, 1).generator(), samples)
-    stat = float(ks_2samp(split, direct).statistic)
+    stat = _ks_statistic(split, direct)
     crit = 1.628 * np.sqrt(2.0 / samples)
     row = {
         "samples": samples,

@@ -257,17 +257,21 @@ def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.
     return out * scale
 
 
-def run_blocks(samples: int, block: int, block_fn, workers: int = 1) -> list:
-    """Runs ``block_fn(bid, bsize)`` over the fixed plan of ``samples`` draws
-    in blocks of ``block`` (the last block takes the remainder) and returns
-    the results in block order.  ``workers > 1`` runs the blocks on a thread
+def block_plan(samples: int, block: int) -> list[tuple[int, int]]:
+    """The fixed plan of ``samples`` draws in blocks of ``block``: one
+    ``(bid, bsize)`` entry per block, the last block taking the remainder."""
+    return [(bid, min(block, samples - start)) for bid, start in enumerate(range(0, samples, block))]
+
+
+def run_blocks(plan, block_fn, workers: int = 1) -> list:
+    """Runs ``block_fn(*entry)`` for every entry of ``plan`` (a
+    ``block_plan``, or one keyed by more than the block id) and returns the
+    results in plan order.  ``workers > 1`` runs the entries on a thread
     pool, which changes scheduling only."""
-    plan = [(bid, min(block, samples - start))
-            for bid, start in enumerate(range(0, samples, block))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: block_fn(*p), plan))
-    return [block_fn(bid, bsize) for bid, bsize in plan]
+            return list(pool.map(lambda entry: block_fn(*entry), plan))
+    return [block_fn(*entry) for entry in plan]
 
 
 def fsums(results) -> list[float]:
@@ -297,5 +301,5 @@ def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
         vals = np.asarray(f(sample_sum(model, RngStream(seed, bid).generator(), bsize)), dtype=float)
         return float(vals.sum()), float((vals * vals).sum())
 
-    mean, var = mean_var(*fsums(run_blocks(samples, MC_BLOCK, block_sums, workers)), samples)
+    mean, var = mean_var(*fsums(run_blocks(block_plan(samples, MC_BLOCK), block_sums, workers)), samples)
     return mean, math.sqrt(var / samples)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -237,12 +238,25 @@ def test_nummelin_law_without_density_is_config_error():
     assert "config error: nummelin splitting needs a law with a density; rademacher has none" in err
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, edgeworth.cli; print('scipy.stats' in sys.modules)"
+def test_nummelin_without_samples_is_config_error():
+    code, err = _run_config(MINIMAL["nummelin"][0] | {"samples": 0}, "nummelin")
+    assert code == 2
+    assert "config error: the two-sample KS statistic needs two non-empty samples" in err
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # a nummelin run (the two-sample KS statistic) must not import it either
+    cpath = tmp_path / "nummelin.json"
+    cpath.write_text(json.dumps(MINIMAL["nummelin"][0]))
+    code = ("import contextlib, io, sys, edgeworth.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert edgeworth.cli.main(['nummelin', '--config', {str(cpath)!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.stats' in sys.modules)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=os.environ | {"PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+    assert (tmp_path / "nummelin.csv").exists()
 
 
 def test_seed_determinism_byte_identical(tmp_path):
@@ -283,10 +297,24 @@ def test_seed_determinism_byte_identical(tmp_path):
              "samples": 600, "seed": 5},
             id="rate-mc-crn",
         ),
+        # several row chunks per block, the last one short
+        pytest.param(
+            {"experiment": "rate", "component": {"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5},
+             "N": 2, "n_grid": [7, 100], "f": {"[3]": 1.0, "[4]": 0.5}, "mode": "mc", "crn": True,
+             "samples": 50_000, "seed": 5},
+            id="rate-mc-crn-chunked",
+        ),
+        # two blocks per n, so entries of one n are summed from different threads
         pytest.param(
             {"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1,
              "a": [0.3], "n_grid": [4, 8], "samples": 70_000, "seed": 5},
             id="density",
+        ),
+        # one block per n: the plan spans the n-grid
+        pytest.param(
+            {"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1,
+             "a": [0.3], "n_grid": [4, 8], "samples": 20_000, "seed": 5},
+            id="density-one-block-per-n",
         ),
         pytest.param(
             {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5,
@@ -308,9 +336,9 @@ def test_seed_determinism_byte_identical(tmp_path):
 def test_worker_count_never_changes_csv(tmp_path, monkeypatch, cfg):
     plans, real = [], sampling.run_blocks
 
-    def counted(samples, block, block_fn, workers=1):
-        plans.append(-(-samples // block))
-        return real(samples, block, block_fn, workers)
+    def counted(plan, block_fn, workers=1):
+        plans.append(len(plan))
+        return real(plan, block_fn, workers)
 
     # the drivers import the engine by name; mc_expectation looks it up in sampling
     monkeypatch.setattr(experiments, "run_blocks", counted)
@@ -325,6 +353,31 @@ def test_worker_count_never_changes_csv(tmp_path, monkeypatch, cfg):
         csvs.append((out / f"{cfg['experiment']}.csv").read_bytes())
     assert csvs[0] == csvs[1]
     assert max(plans) >= 2
+
+
+DRIVERS = ("rate_experiment", "density_experiment", "occupation_time", "kac_rice_roots", "small_ball",
+           "nummelin_experiment", "kernel_experiment")
+
+
+@pytest.mark.parametrize("experiment", sorted(SPECS))
+def test_workers_reach_exactly_the_drivers_that_take_them(tmp_path, monkeypatch, experiment):
+    real = {name: getattr(experiments, name) for name in DRIVERS}
+    calls = []
+
+    def wrap(name):
+        def driver(*args, **kw):
+            calls.append((name, kw.get("workers")))
+            return real[name](*args, **kw)
+
+        return driver
+
+    for name in DRIVERS:
+        monkeypatch.setattr(experiments, name, wrap(name))
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(MINIMAL[experiment][0]))
+    assert main([experiment, "--config", str(cpath), "--workers", "3", "--out-dir", str(tmp_path)]) == 0
+    [(name, workers)] = calls
+    assert workers == (3 if "workers" in inspect.signature(real[name]).parameters else None)
 
 
 # one cheap, well-typed config per subcommand with the config_hash it had

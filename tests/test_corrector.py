@@ -332,6 +332,42 @@ def test_corrector_json_roundtrip_property(phi):
     assert back.to_json_str() == phi.to_json_str()
 
 
+_NOT_JSON_INTEGER = st.one_of(
+    st.booleans(), st.floats(allow_nan=False).filter(lambda x: not x.is_integer()), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(phi=_corrector_polynomials(), data=st.data())
+def test_corrector_json_rejects_non_integers(phi, data):
+    doc = json.loads(phi.to_json_str())
+    name = data.draw(st.sampled_from(["d", "n", "N", "beta"] if doc["terms"] else ["d", "n", "N"]))
+    value = data.draw(_NOT_JSON_INTEGER)
+    if name == "beta":
+        data.draw(st.sampled_from(doc["terms"]))["beta"][data.draw(st.integers(0, phi.d - 1))] = value
+    else:
+        doc[name] = value
+    with pytest.raises(ValueError, match=f"corrector field '{name}'"):
+        CorrectorPolynomial.from_json(doc)
+
+
+def test_corrector_json_loose_document_rejected():
+    doc = {"d": 1, "constant": 1.0, "terms": [{"beta": [1.7], "coeff": 2.0}], "n": "abc", "N": 2.5}
+    with pytest.raises(ValueError, match="corrector field 'beta' must be an integer, got 1.7"):
+        CorrectorPolynomial.from_json(doc)
+    doc["terms"][0]["beta"] = [1]
+    with pytest.raises(ValueError, match="corrector field 'n' must be an integer, got 'abc'"):
+        CorrectorPolynomial.from_json(doc)
+    doc["n"] = 4
+    with pytest.raises(ValueError, match="corrector field 'N' must be an integer, got 2.5"):
+        CorrectorPolynomial.from_json(doc)
+    doc["N"] = 2
+    doc["d"] = 1.7
+    with pytest.raises(ValueError, match="corrector field 'd' must be an integer, got 1.7"):
+        CorrectorPolynomial.from_json(doc)
+
+
 def test_corrector_rejects_index_of_wrong_dimension():
     doc = {"d": 2, "constant": 1.0, "terms": [{"beta": [3], "coeff": 1.0}]}
     with pytest.raises(ValueError, match="Hermite index"):

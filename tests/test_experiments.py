@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from edgeworth.experiments import (
+    CRN_CHUNK,
     _count_roots,
+    _crn_block,
+    _ks_statistic,
     density_experiment,
     fit_loglog,
     gaussian_density,
@@ -22,6 +26,7 @@ from edgeworth.experiments import (
 from edgeworth.hermite import Polynomial
 from edgeworth.moments import (
     ComponentDistribution,
+    component_icdf,
     gaussian_mixture,
     iid_model,
     rademacher,
@@ -301,10 +306,10 @@ def test_experiment_result_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "driver",
-    [density_experiment, occupation_time, kac_rice_roots, small_ball, nummelin_experiment, kernel_experiment],
+    [occupation_time, kac_rice_roots, small_ball, nummelin_experiment, kernel_experiment],
 )
 def test_single_thread_drivers_take_no_worker_count(driver):
-    # only rate_experiment hands a worker count on (to mc_expectation)
+    # only rate_experiment and density_experiment hand a worker count on
     assert "workers" not in inspect.signature(driver).parameters
 
 
@@ -322,3 +327,42 @@ def test_nummelin_experiment_streams():
 def test_kernel_experiment_records_given_window():
     assert kernel_experiment().parameters == {}
     assert kernel_experiment(moment_bound=1e-3).parameters == {"moment_bound": 1e-3}
+
+
+def _crn_block_whole(laws, n_max, rng, bsize):
+    """The common-random-number block as one draw: each n sums the law's
+    inverse CDF over its prefix of one (bsize, n_max) array of uniforms."""
+    u = rng.random((bsize, n_max))
+    return {
+        n: component_icdf(dist, u[:, :n]).sum(axis=1) * (scale / math.sqrt(n)) for n, (dist, scale) in laws.items()
+    }
+
+
+@pytest.mark.parametrize("n_grid, bsize", [([1, 7, 100], 6000), ([3, 64, 131], 2003)])
+@pytest.mark.parametrize("laws", ["two_point", "uniform", "mixed"])
+def test_crn_block_equals_whole_block_formula(n_grid, bsize, laws):
+    n_max = max(n_grid)
+    rows = CRN_CHUNK // n_max
+    assert CRN_CHUNK % n_max and bsize > rows and bsize % rows  # several chunks, the last one short
+    dists = {"two_point": [skewed_two_point(0.2)], "uniform": [uniform_centered()],
+             "mixed": [skewed_two_point(0.2), uniform_centered()]}[laws]
+    laws = {n: (dists[i % len(dists)], 1.0 + n / 1000) for i, n in enumerate(n_grid)}
+    got = _crn_block(laws, n_max, RngStream(11, 2).generator(), bsize)
+    want = _crn_block_whole(laws, n_max, RngStream(11, 2).generator(), bsize)
+    assert list(got) == list(want)
+    for n in want:
+        assert np.array_equal(got[n], want[n])
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "unequal"])
+def test_ks_statistic_equals_scipy(kind):
+    rng = np.random.default_rng(8)
+    # sizes on both sides of scipy's exact-mode limit of 10 000 draws
+    for n1, n2 in [(500, 500), (9000, 9000), (20_000, 20_000), (3001, 1700), (12_000, 10_001), (10_000, 37)]:
+        if kind != "unequal":
+            n2 = n1
+        if kind == "tied":
+            x, y = rng.integers(0, 6, n1).astype(float), rng.binomial(5, 0.5, n2).astype(float)
+        else:
+            x, y = rng.standard_normal(n1), 0.02 + 1.05 * rng.standard_normal(n2)
+        assert _ks_statistic(x, y) == ks_2samp(x, y).statistic

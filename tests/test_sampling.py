@@ -26,6 +26,7 @@ from edgeworth.multiindex import enumerate_multiindices
 from edgeworth.sampling import (
     DoeblinCert,
     RngStream,
+    block_plan,
     bump_mass,
     doeblin_check,
     mc_expectation,
@@ -240,17 +241,21 @@ def test_run_blocks_plan_and_order():
         finished.append(bid)
         return bid, bsize
 
-    out = run_blocks(1003, 100, block_fn, workers=3)
+    plan = block_plan(1003, 100)
+    out = run_blocks(plan, block_fn, workers=3)
     assert finished.index(1) < finished.index(0)
     # results come back in block order; the last block takes the remainder
     assert out == [(bid, 100) for bid in range(10)] + [(10, 3)]
     assert sum(bsize for _, bsize in out) == 1003
-    assert run_blocks(1003, 100, lambda bid, bsize: (bid, bsize)) == out
+    assert run_blocks(plan, lambda bid, bsize: (bid, bsize)) == out
 
     def draw(bid, bsize):
         return float(RngStream(9, bid).generator().standard_normal(bsize).sum())
 
-    assert run_blocks(1003, 100, draw) == run_blocks(1003, 100, draw, workers=3)
+    assert run_blocks(plan, draw) == run_blocks(plan, draw, workers=3)
+    # a plan keyed by more than the block id comes back in plan order too
+    keyed = [(key, bid, bsize) for key in (2, 7) for bid, bsize in plan]
+    assert run_blocks(keyed, lambda key, bid, bsize: (key, bid), workers=3) == [entry[:2] for entry in keyed]
 
 
 def test_mean_var():
