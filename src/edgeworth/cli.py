@@ -2,10 +2,10 @@
 one CSV of rows plus one JSON summary, print a one-screen verdict table.
 
 Each experiment subcommand is one ``SPECS`` entry: its required and
-optional config fields, each with a converter, and the runner of its
-library driver.  Required fields are passed positionally in spec order,
-optional ones by name and only when the config sets them, so every default
-is the driver's own.
+optional config fields, each with its :class:`Field` type, and the runner
+of its library driver.  Required fields are passed positionally in spec
+order, optional ones by name and only when the config sets them, so every
+default is the driver's own.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical-guard abort.
 """
@@ -16,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import experiments
 from .corrector import corrector_polynomial
@@ -27,49 +29,62 @@ from .moments import ComponentDistribution, ModelSpec, iid_model
 N_CAP = 4
 
 
+@dataclass(frozen=True)
+class Field:
+    """Type of a config field: ``ok`` holds for a well-typed value, which
+    ``read`` converts; any other value is an error that names the field and
+    ``what`` it must be."""
+
+    ok: Callable
+    what: str
+    read: Callable = lambda value: value
+
+
 def _integral(value) -> bool:
     return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
-
-
-def _order(N) -> int:
-    if not _integral(N) or not 0 <= N <= N_CAP:
-        raise ConfigError(f"field 'N' must be in 0..{N_CAP}, got {N}")
-    return int(N)
-
-
-def _n_grid(grid) -> list:
-    if not isinstance(grid, list) or not all(map(_integral, grid)):
-        raise ConfigError(f"field 'n_grid' must be a list of integers, got {grid!r}")
-    return [int(n) for n in grid]
 
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _ref_eps(eps):
-    if eps is not None and not _number(eps):
-        raise ConfigError(f"field 'ref_eps' must be a number or null, got {eps!r}")
-    return eps
+def _object(value) -> bool:
+    return isinstance(value, dict)
 
 
-def _eta_grid(grid):
-    if grid is not None and not (isinstance(grid, list) and all(map(_number, grid))):
-        raise ConfigError(f"field 'eta_grid' must be a list of numbers or null, got {grid!r}")
-    return grid
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_number, value))
 
 
-def _field(name: str, conv, value):
-    """``value`` through ``conv`` (None: as is); an integer field takes only
-    an integral number, a boolean field only true or false and a float
-    field only a number."""
-    if conv is int and not _integral(value):
-        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-    if conv is bool and not isinstance(value, bool):
-        raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
-    if conv is float and not _number(value):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
-    return value if conv is None else conv(value)
+def _index(value) -> bool:
+    """A list of non-negative integers."""
+    return isinstance(value, list) and all(_integral(b) and b >= 0 for b in value)
+
+
+def _monomial_key(key: str) -> bool:
+    """A JSON document of a nonempty list of non-negative integers."""
+    try:
+        beta = json.loads(key)
+    except json.JSONDecodeError:
+        return False
+    return _index(beta) and len(beta) > 0
+
+
+INTEGER = Field(_integral, "an integer", int)
+BOOLEAN = Field(lambda value: isinstance(value, bool), "true or false")
+NUMBER = Field(_number, "a number", float)
+STRING = Field(lambda value: isinstance(value, str), "a string")
+ORDER = Field(lambda N: _integral(N) and 0 <= N <= N_CAP, f"in 0..{N_CAP}", int)
+N_GRID = Field(lambda grid: isinstance(grid, list) and all(map(_integral, grid)), "a list of integers",
+               lambda grid: [int(n) for n in grid])
+COMPONENT = Field(_object, "a JSON object", ComponentDistribution.from_json)
+
+
+def _field(name: str, field: Field, value):
+    """``value`` read through ``field``, which it must fit."""
+    if not field.ok(value):
+        raise ConfigError(f"field {name!r} must be {field.what}, got {value!r}")
+    return field.read(value)
 
 
 def _n_family(kw: dict, base_dir: str, experiment: str):
@@ -81,7 +96,7 @@ def _n_family(kw: dict, base_dir: str, experiment: str):
         with open(os.path.join(base_dir, kw["model_path"])) as fh:
             base = ModelSpec.from_json(json.load(fh))
     else:
-        base = ModelSpec.from_json(kw["model"])
+        base = kw["model"]
     if len(base.records) != 1:
         raise ConfigError(f"{experiment} experiment over an n-grid needs an iid model or a component")
     d, rec = base.d, base.records[0][0]
@@ -91,10 +106,9 @@ def _n_family(kw: dict, base_dir: str, experiment: str):
 
 
 def _rate(base_dir, N, n_grid, f, **kw):
-    """Rate driver over the n-family; ``f`` maps exponent lists to coefficients."""
+    """Rate driver over the n-family; ``f`` maps exponent tuples to coefficients."""
     d, family = _n_family(kw, base_dir, "rate")
-    f = Polynomial(d, {tuple(json.loads(key)): float(c) for key, c in f.items()})
-    return experiments.rate_experiment(family, f, N, n_grid, **kw)
+    return experiments.rate_experiment(family, Polynomial(d, f), N, n_grid, **kw)
 
 
 def _density(base_dir, N, n_grid, a, delta_exponent=None, delta_scale=1.0, **kw):
@@ -116,28 +130,35 @@ def _driver(name: str):
 
 # Fields of every subcommand: the seed goes to the driver, the worker count
 # reaches the rate and density drivers and is recorded in every summary.
-COMMON = {"seed": int, "workers": int, "out_stem": str}
-_COMPONENT = ComponentDistribution.from_json
-_N_FAMILY = {"component": _COMPONENT, "model": None, "model_path": None}
+COMMON = {"seed": INTEGER, "workers": INTEGER, "out_stem": STRING}
+_N_FAMILY = {"component": COMPONENT, "model": Field(_object, "a JSON object", ModelSpec.from_json),
+             "model_path": STRING}
+_F = Field(lambda f: isinstance(f, dict) and all(_monomial_key(k) and _number(c) for k, c in f.items()),
+           "an object from JSON lists of non-negative integers to numbers",
+           lambda f: {tuple(json.loads(key)): float(c) for key, c in f.items()})
 
 # subcommand -> (required fields, optional fields, runner); each field maps to
-# its converter (None: as is); the runner takes (config dir, *required, **optional)
+# its Field; the runner takes (config dir, *required, **optional)
 SPECS = {
-    "rate": ({"N": _order, "n_grid": _n_grid, "f": None},
-             {**_N_FAMILY, "gamma": None, "mode": None, "samples": int, "crn": bool}, _rate),
-    "density": ({"N": _order, "n_grid": _n_grid, "a": None},
-                {**_N_FAMILY, "samples": int, "delta_exponent": float, "delta_scale": float}, _density),
-    "occupation": ({"component": _COMPONENT, "rho": float, "n_grid": _n_grid},
-                   {"samples": int, "crn": bool, "ref_grid": int, "ref_eps": _ref_eps}, _driver("occupation_time")),
-    "roots": ({"component": _COMPONENT, "n_grid": _n_grid},
-              {"samples": int, "oversample": int, "crn": bool}, _driver("kac_rice_roots")),
-    "smallball": ({"component": _COMPONENT, "n": int},
-                  {"theta": float, "a_exp": float, "u_point": float, "eta_grid": _eta_grid, "u_grid_size": int,
-                   "samples": int}, _driver("small_ball")),
-    "nummelin": ({"component": _COMPONENT, "center": float, "radius": float, "epsilon": float},
-                 {"samples": int, "grid_points": int}, _driver("nummelin_experiment")),
-    "kernel": ({}, {"plateau": float, "rolloff": float, "half_width": float, "points": int, "moment_bound": float},
-               _driver("kernel_experiment")),
+    "rate": ({"N": ORDER, "n_grid": N_GRID, "f": _F},
+             {**_N_FAMILY, "gamma": Field(lambda g: g is None or _index(g), "a list of non-negative integers or null"),
+              "mode": STRING, "samples": INTEGER, "crn": BOOLEAN}, _rate),
+    "density": ({"N": ORDER, "n_grid": N_GRID, "a": Field(_numbers, "a list of numbers")},
+                {**_N_FAMILY, "samples": INTEGER, "delta_exponent": NUMBER, "delta_scale": NUMBER}, _density),
+    "occupation": ({"component": COMPONENT, "rho": NUMBER, "n_grid": N_GRID},
+                   {"samples": INTEGER, "ref_grid": INTEGER,
+                    "ref_eps": Field(lambda eps: eps is None or _number(eps), "a number or null")},
+                   _driver("occupation_time")),
+    "roots": ({"component": COMPONENT, "n_grid": N_GRID}, {"samples": INTEGER, "oversample": INTEGER},
+              _driver("kac_rice_roots")),
+    "smallball": ({"component": COMPONENT, "n": INTEGER},
+                  {"theta": NUMBER, "a_exp": NUMBER, "u_point": NUMBER,
+                   "eta_grid": Field(lambda grid: grid is None or _numbers(grid), "a list of numbers or null"),
+                   "u_grid_size": INTEGER, "samples": INTEGER}, _driver("small_ball")),
+    "nummelin": ({"component": COMPONENT, "center": NUMBER, "radius": NUMBER, "epsilon": NUMBER},
+                 {"samples": INTEGER, "grid_points": INTEGER}, _driver("nummelin_experiment")),
+    "kernel": ({}, {"plateau": NUMBER, "rolloff": NUMBER, "half_width": NUMBER, "points": INTEGER,
+                    "moment_bound": NUMBER}, _driver("kernel_experiment")),
 }
 
 
@@ -160,7 +181,7 @@ def _print_table(result: ExperimentResult) -> None:
 def cmd_expand(args) -> int:
     with open(args.model) as fh:
         model = ModelSpec.from_json(json.load(fh))
-    print(corrector_polynomial(model, _order(args.N)).to_json_str())
+    print(corrector_polynomial(model, _field("N", ORDER, args.N)).to_json_str())
     return 0
 
 
@@ -172,8 +193,8 @@ def cmd_run(args, experiment: str) -> int:
     required, optional, run = SPECS[experiment]
     check_fields(cfg, {"experiment", *required}, optional.keys() | COMMON.keys(), f"{experiment} config")
     cfg |= {k: v for k, v in (("seed", args.seed), ("workers", args.workers)) if v is not None}
-    convs = required | optional | COMMON
-    kw = {k: _field(k, convs[k], v) for k, v in cfg.items() if k != "experiment"}
+    fields = required | optional | COMMON
+    kw = {k: _field(k, fields[k], v) for k, v in cfg.items() if k != "experiment"}
     stem = kw.pop("out_stem", experiment)
     positional = [kw.pop(k) for k in required]
     result = run(os.path.dirname(os.path.abspath(args.config)), *positional, **kw)

@@ -50,11 +50,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, check_integer
 from .hermite import Polynomial, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex
 from .moments import ModelSpec, Summand, hermite_moments
 
+QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
+QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
+MIN_EIGENVALUE = 1e-12  # smallest mean-covariance eigenvalue that normalize inverts
 
 # A graded series truncated at grade N is the list of its N + 1 grades, each
 # a constant-coefficient operator stored as a Polynomial read in the partial
@@ -176,11 +179,7 @@ class CorrectorPolynomial:
         ``check_multiindex`` converts library indices with ``int()``."""
 
         def integer(value, name: str, optional: bool = False):
-            if optional and value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"corrector field {name!r} must be an integer, got {value!r}")
-            return value
+            return None if optional and value is None else check_integer(value, f"corrector field {name!r}")
 
         return CorrectorPolynomial(
             d=integer(doc["d"], "d"),
@@ -233,51 +232,35 @@ def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
     return gap.evaluate(x)
 
 
-def edgeworth_expectation(
-    f,
-    gamma,
-    phi: CorrectorPolynomial,
-    backend: str = "exact",
-    nodes: int = 40,
-    tol: float = 1e-8,
-) -> float:
+def edgeworth_expectation(f, gamma, phi: CorrectorPolynomial) -> float:
     """Corrected Gaussian expectation E[d_gamma f(W) Phi(W)].
 
-    exact backend: f must be a :class:`Polynomial`; by Gaussian integration
-    by parts E[g H_beta] = E[d^beta g], so every term reduces to exact
-    Gaussian moments of derivatives of f.
+    A :class:`Polynomial` f is exact: by Gaussian integration by parts
+    E[g H_beta] = E[d^beta g], so every term reduces to exact Gaussian
+    moments of derivatives of f.
 
-    quadrature backend: tensorized Gauss-Hermite for the standard normal
-    weight (d <= 3); f may be any vectorized callable when gamma is empty,
-    or a Polynomial otherwise.  The rule is evaluated at ``nodes`` and
-    ``2 * nodes`` points per axis and the run aborts if the two differ by
-    more than ``tol`` (relative to scale 1 + |value|).
+    Any other f is a vectorized callable, taken with gamma empty and
+    integrated by tensorized Gauss-Hermite for the standard normal weight
+    (d <= 3): the rule is evaluated at ``QUAD_NODES`` and twice as many
+    points per axis, and the run aborts if the two differ by more than
+    ``QUAD_TOL`` (relative to scale 1 + |value|).
     """
     gamma = check_multiindex(gamma)
     d = phi.d
     if len(gamma) != d:
         raise ValueError("derivative index dimension != corrector dimension")
 
-    if backend == "exact":
-        if not isinstance(f, Polynomial):
-            raise TypeError("exact backend needs a Polynomial test function")
+    if isinstance(f, Polynomial):
         g = f.diff(gamma)
         total = phi.constant * g.gaussian_expectation()
         for beta, c in phi.terms.items():
             total += c * g.diff(beta).gaussian_expectation()
         return total
 
-    if backend != "quadrature":
-        raise ValueError(f"unknown backend {backend!r}")
     if d > 3:
-        raise ValueError("quadrature backend supports d <= 3")
-    if isinstance(f, Polynomial):
-        g = f.diff(gamma)
-        gfun = g.__call__
-    elif sum(gamma) == 0:
-        gfun = f
-    else:
-        raise TypeError("quadrature backend needs a Polynomial when gamma is nonempty")
+        raise ValueError("quadrature supports d <= 3")
+    if sum(gamma) != 0:
+        raise TypeError("a derivative index needs a Polynomial test function")
 
     def quad(npts: int) -> float:
         x1, w1 = gauss_hermite(npts)
@@ -287,25 +270,25 @@ def edgeworth_expectation(
         w = np.ones(pts.shape[0])
         for wg in wgrids:
             w *= wg.ravel()
-        vals = np.asarray(gfun(pts), dtype=float) * phi.evaluate(pts)
+        vals = np.asarray(f(pts), dtype=float) * phi.evaluate(pts)
         return float(np.sum(w * vals))
 
-    coarse = quad(nodes)
-    fine = quad(2 * nodes)
-    if abs(fine - coarse) > tol * (1.0 + abs(fine)):
+    coarse = quad(QUAD_NODES)
+    fine = quad(2 * QUAD_NODES)
+    if abs(fine - coarse) > QUAD_TOL * (1.0 + abs(fine)):
         raise NumericalGuardError(
-            f"quadrature not converged: {coarse!r} vs {fine!r} at {nodes}/{2*nodes} nodes"
+            f"quadrature not converged: {coarse!r} vs {fine!r} at {QUAD_NODES}/{2*QUAD_NODES} nodes"
         )
     return fine
 
 
-def normalize(model: ModelSpec, tol: float = 1e-12) -> ModelSpec:
+def normalize(model: ModelSpec) -> ModelSpec:
     """Rescale every mixing matrix by the inverse square root of the mean
     summand covariance so the result satisfies the unit-covariance
-    normalization."""
+    normalization; a smallest eigenvalue below ``MIN_EIGENVALUE`` aborts."""
     cov = model.covariance_mean()
     vals, vecs = np.linalg.eigh(cov)
-    if vals.min() < tol:
+    if vals.min() < MIN_EIGENVALUE:
         raise NumericalGuardError(f"mean covariance nearly singular: min eigenvalue {vals.min():.3e}")
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
     return ModelSpec(d=model.d, records=tuple(

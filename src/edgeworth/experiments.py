@@ -131,6 +131,16 @@ def fit_loglog(xs, ys) -> tuple[float, float]:
     return slope, stderr
 
 
+def _fitted_slope(rows, x: str, y: str, usable) -> tuple:
+    """Log-log slope of column y against column x with its standard error,
+    fitted through the rows for which ``usable`` holds; (None, None) with
+    fewer than two such rows."""
+    points = [(r[x], r[y]) for r in rows if usable(r)]
+    if len(points) < 2:
+        return None, None
+    return fit_loglog(*zip(*points))
+
+
 def gaussian_density(a) -> float:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     return float(np.exp(-0.5 * np.dot(a, a)) / (2.0 * math.pi) ** (len(a) / 2.0))
@@ -141,6 +151,7 @@ def gaussian_density(a) -> float:
 
 
 CRN_CHUNK = 1 << 18  # uniforms per row chunk of a common-random-number block
+DEGENERATE_RTOL = 1e-12  # exact-mode error, relative to max(1, |truth|), that counts as machine noise
 
 
 def _crn_block(laws: dict, n_max: int, rng: np.random.Generator, bsize: int) -> dict:
@@ -205,7 +216,6 @@ def rate_experiment(
     seed: int = 0,
     workers: int = 1,
     crn: bool = False,
-    degenerate_tol: float = 1e-12,
 ) -> ExperimentResult:
     """err(n) = |E[d_gamma f(S_n)] - E[d_gamma f(W) Phi_{n,N}(W)]| over an
     n-grid, with a log-log slope fitted through the usable rows.
@@ -215,10 +225,11 @@ def rate_experiment(
     one stream of uniforms across the whole n-grid (variance reduction for
     the error profile; needs a one-dimensional one-record family whose
     component has a closed inverse CDF).  Rows where the error is below
-    the resolution of the method (machine noise for exact, three standard
-    errors for mc) are flagged degenerate and excluded from the fit; if
-    every row is degenerate the corrector reproduces the test function's
-    moments identically and the slope is reported as -inf.
+    the resolution of the method (``DEGENERATE_RTOL`` relative to the exact
+    value, or three standard errors for mc) are flagged degenerate and
+    excluded from the fit; if every row is degenerate the corrector
+    reproduces the test function's moments identically, the slope is None
+    and the ``all_degenerate`` note is true.
     """
     gamma = tuple(gamma) if gamma else None
     g = f.diff(gamma) if gamma is not None else f
@@ -231,13 +242,13 @@ def rate_experiment(
     for n in n_grid:
         model = model_builder(int(n))
         phi = corrector_polynomial(model, N)
-        corrected = edgeworth_expectation(g, (0,) * model.d, phi, backend="exact")
+        corrected = edgeworth_expectation(g, (0,) * model.d, phi)
         if mode == "exact":
             mu = exact_sum_moment_table(model, g.degree())
             truth = math.fsum(c * mu[b] for b, c in g.terms.items())
             err = abs(truth - corrected)
             se = 0.0
-            degenerate = err <= degenerate_tol * max(1.0, abs(truth))
+            degenerate = err <= DEGENERATE_RTOL * max(1.0, abs(truth))
         elif mode == "mc":
             if crn_estimates is not None:
                 truth, se = crn_estimates[int(n)]
@@ -260,11 +271,7 @@ def rate_experiment(
             }
         )
 
-    usable = [(r["n"], r["error"]) for r in rows if not r["degenerate"]]
-    slope = stderr = None
-    all_degenerate = len(usable) == 0
-    if len(usable) >= 2:
-        slope, stderr = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
+    slope, stderr = _fitted_slope(rows, "n", "error", lambda r: not r["degenerate"])
     result = ExperimentResult(
         name="rate",
         parameters={
@@ -282,7 +289,7 @@ def rate_experiment(
         slope_stderr=stderr,
         seed=seed,
         workers=workers,
-        notes={"all_degenerate": all_degenerate},
+        notes={"all_degenerate": all(r["degenerate"] for r in rows)},
     )
     return result
 
@@ -354,10 +361,7 @@ def density_experiment(
             }
         )
 
-    usable = [(r["n"], r["error"]) for r in rows if not r["flagged"] and r["error"] > 0]
-    slope = stderr = None
-    if len(usable) >= 2:
-        slope, stderr = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
+    slope, stderr = _fitted_slope(rows, "n", "error", lambda r: not r["flagged"] and r["error"] > 0)
     return ExperimentResult(
         name="density",
         parameters={
@@ -438,7 +442,6 @@ def occupation_time(
     n_grid,
     samples: int = 10_000,
     seed: int = 0,
-    crn: bool = True,
     ref_grid: int = 10_000,
     ref_eps: float | None = None,
 ) -> ExperimentResult:
@@ -447,17 +450,17 @@ def occupation_time(
 
     Per n: eps_n = n^{-(1-rho)/2}; Monte Carlo estimates of the occupation
     average for the given law and for Gaussian steps (coupled through
-    common uniforms when the law has a closed inverse CDF and ``crn``),
-    plus exact closed-form Gaussian values.  The Brownian reference is the
-    exact expected occupation average of the Gaussian walk on ``ref_grid``
-    steps (so its standard errors are 0), taken both at each matched eps_n
-    and at ``ref_eps`` (a small band approximating the local time at zero;
-    default 0.02).
+    common uniforms exactly when the law has a closed inverse CDF, recorded
+    as the ``crn`` parameter), plus exact closed-form Gaussian values.  The
+    Brownian reference is the exact expected occupation average of the
+    Gaussian walk on ``ref_grid`` steps (so its standard errors are 0),
+    taken both at each matched eps_n and at ``ref_eps`` (a small band
+    approximating the local time at zero; default 0.02).
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
-    couple = crn and has_icdf(dist)
+    couple = has_icdf(dist)
 
     rows = []
     for n in n_grid:
@@ -557,17 +560,17 @@ def kac_rice_roots(
     samples: int = 2000,
     seed: int = 0,
     oversample: int = 8,
-    crn: bool = True,
 ) -> ExperimentResult:
     """Expected number of zeros on (0, pi) of random trigonometric
     polynomials with independent coefficient pairs drawn from ``dist``,
     against the Gaussian-coefficient count (coupled through common uniforms
-    when the law admits a closed inverse CDF).
+    exactly when the law admits a closed inverse CDF, recorded as the
+    ``crn`` parameter).
 
     Per-sample counts above twice the degree violate the trigonometric
     root bound and abort.
     """
-    couple = crn and has_icdf(dist)
+    couple = has_icdf(dist)
 
     rows = []
     for n in n_grid:
@@ -666,35 +669,21 @@ def small_ball(
     *hits_eta, hits_inf = (sum(col) for col in zip(*run_blocks(block_plan(samples, SMALLBALL_BLOCK), block_hits)))
 
     rows = []
-    for eta, h in zip(eta_grid, hits_eta):
+    pointwise = [("pointwise", float(eta), h) for eta, h in zip(eta_grid, hits_eta)]
+    for section, eta, h in pointwise + [("infimum", delta_inf, hits_inf)]:
         p = h / samples
-        flagged = h == 0
         rows.append(
             {
-                "section": "pointwise",
-                "eta": float(eta),
-                "hits": int(h),
+                "section": section,
+                "eta": eta,
+                "hits": h,
                 "probability": p if h else 3.0 / samples,
                 "se": math.sqrt(max(p * (1 - p), 0.0) / samples),
-                "flagged": flagged,
+                "flagged": h == 0,
             }
         )
-    usable = [(r["eta"], r["probability"]) for r in rows if not r["flagged"]]
-    slope = stderr = None
-    if len(usable) >= 2:
-        slope, stderr = fit_loglog([u[0] for u in usable], [u[1] for u in usable])
-
-    p_inf = hits_inf / samples
-    rows.append(
-        {
-            "section": "infimum",
-            "eta": delta_inf,
-            "hits": hits_inf,
-            "probability": p_inf if hits_inf else 3.0 / samples,
-            "se": math.sqrt(max(p_inf * (1 - p_inf), 0.0) / samples),
-            "flagged": hits_inf == 0,
-        }
-    )
+    slope, stderr = _fitted_slope(rows, "eta", "probability",
+                                  lambda r: r["section"] == "pointwise" and not r["flagged"])
 
     return ExperimentResult(
         name="smallball",

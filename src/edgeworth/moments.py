@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import check_fields
+from .errors import check_fields, check_integer, check_object
 from .hermite import gaussian_moment_1d
 from .multiindex import check_multiindex, enumerate_multiindices
 
@@ -51,8 +51,9 @@ class ComponentDistribution:
 
     @staticmethod
     def from_json(doc: dict) -> "ComponentDistribution":
-        """Reads :meth:`to_json` documents: ``kind`` plus exactly the
-        parameters of that kind."""
+        """Reads :meth:`to_json` documents: a JSON object of ``kind`` plus
+        exactly the parameters of that kind."""
+        check_object(doc, "component")
         kind = doc.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"unknown component kind {kind!r}")
@@ -247,12 +248,14 @@ class ModelSpec:
     @staticmethod
     def from_json(doc: dict) -> "ModelSpec":
         """Reads :meth:`to_json` documents and the legacy layout: ``iid: true``
-        is one record of count n, and a record without ``count`` counts once."""
+        is one record of count n, and a record without ``count`` counts once.
+        The document and each record must be JSON objects, and ``d`` and
+        ``n`` JSON integers."""
         check_fields(doc, {"d", "n", "summands"}, {"iid"}, "model")
         iid = doc.get("iid", False)
         if not isinstance(iid, bool):
             raise ValueError(f"model field 'iid' must be true or false, got {iid!r}")
-        n = int(doc["n"])
+        d, n = (check_integer(doc[k], f"model field {k!r}") for k in ("d", "n"))
         if iid and len(doc["summands"]) != 1:
             raise ValueError(f"expected 1 summand records, got {len(doc['summands'])}")
         records = []
@@ -260,7 +263,7 @@ class ModelSpec:
             check_fields(rec, {"C", "components"}, {"count"}, "model record")
             summand = Summand(rec["C"], [ComponentDistribution.from_json(c) for c in rec["components"]])
             records.append((summand, rec.get("count", n if iid else 1)))
-        model = ModelSpec(d=int(doc["d"]), records=tuple(records))
+        model = ModelSpec(d=d, records=tuple(records))
         if model.n != n:
             raise ValueError(f"expected {n} summand records, got {model.n}")
         return model

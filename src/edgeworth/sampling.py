@@ -21,6 +21,9 @@ from .errors import CertificateError, NumericalGuardError
 from .moments import ComponentDistribution, ModelSpec, has_density, pdf, sample_component
 
 MC_BLOCK = 1 << 14
+BUMP_RTOL = 1e-8  # relative change at which bump_mass stops doubling its grid
+BUMP_MAX_DOUBLINGS = 24
+MIN_ACCEPTANCE = 1e-3  # smallest acceptance rate a splitting branch tolerates
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,13 @@ def smoothed_ball_indicator(radius: float, t) -> np.ndarray:
     return out
 
 
-def bump_mass(radius: float, dim: int = 1, rtol: float = 1e-8, max_doublings: int = 24) -> float:
+def bump_mass(radius: float, dim: int = 1) -> float:
     """Integral over R^dim of the smoothed ball indicator of |y|^2.
 
     The integrand is radial with support radius sqrt(2*radius), so the
     integral reduces to one dimension; the trapezoid rule is refined by
-    doubling until the relative change drops below ``rtol``.
+    doubling, at most ``BUMP_MAX_DOUBLINGS`` times, until the relative
+    change drops below ``BUMP_RTOL``.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
@@ -80,10 +84,10 @@ def bump_mass(radius: float, dim: int = 1, rtol: float = 1e-8, max_doublings: in
 
     npts = 257
     prev = integral(npts)
-    for _ in range(max_doublings):
+    for _ in range(BUMP_MAX_DOUBLINGS):
         npts = 2 * npts - 1
         cur = integral(npts)
-        if abs(cur - prev) <= rtol * abs(cur):
+        if abs(cur - prev) <= BUMP_RTOL * abs(cur):
             return cur
         prev = cur
     raise NumericalGuardError("bump mass quadrature did not converge")
@@ -136,13 +140,13 @@ def doeblin_check(dist: ComponentDistribution, center: float, radius: float, eps
 
 
 def nummelin_sample(dist: ComponentDistribution, cert: DoeblinCert, rng: np.random.Generator,
-                    size: int = 1, min_acceptance: float = 1e-3, with_indicator: bool = False):
+                    size: int = 1, with_indicator: bool = False):
     """Draws from ``dist`` through the density splitting: with probability
     epsilon * mass a draw V from the normalized smoothed bump, otherwise a
     draw U from the normalized remainder (density - epsilon * bump).
 
-    Both branches use rejection sampling; acceptance rates below
-    ``min_acceptance`` or a negative remainder density abort with a
+    Both branches use rejection sampling; an acceptance rate below
+    ``MIN_ACCEPTANCE`` or a negative remainder density aborts with a
     certificate error.  With ``with_indicator`` the Bernoulli split
     variable is returned alongside the draws.
     """
@@ -150,67 +154,58 @@ def nummelin_sample(dist: ComponentDistribution, cert: DoeblinCert, rng: np.rand
         raise TypeError(f"{dist.kind} is discrete; splitting needs a Lebesgue lower bound")
     p1 = cert.split_probability
     chi = rng.random(size) < p1
-    out = np.empty(size)
+    R = cert.support_radius
 
-    n_smooth = int(chi.sum())
-    if n_smooth:
-        out[chi] = _sample_bump(cert, rng, n_smooth, min_acceptance)
-    n_rem = size - n_smooth
-    if n_rem:
-        out[~chi] = _sample_remainder(dist, cert, rng, n_rem, min_acceptance)
+    def bump(m):
+        # target density bump(|x-center|^2)/mass on [center - R, center + R]
+        # under a uniform proposal there
+        x = rng.uniform(cert.center - R, cert.center + R, m)
+        return x, smoothed_ball_indicator(cert.radius, (x - cert.center) ** 2)
+
+    def remainder(m):
+        # target density (p - eps * bump)/(1 - eps * mass) under the proposal
+        # p itself: acceptance probability 1 - eps * bump / p
+        x = sample_component(dist, rng, m)
+        px = pdf(dist, x)
+        eps_bump = cert.epsilon * smoothed_ball_indicator(cert.radius, (x - cert.center) ** 2)
+        ratio = 1.0 - np.divide(eps_bump, px, out=np.zeros_like(px), where=px > 0)
+        if np.any(ratio < -1e-12):
+            raise CertificateError(
+                "remainder density negative: certificate epsilon too large for this law"
+            )
+        return x, np.clip(ratio, 0.0, 1.0)
+
+    out = np.empty(size)
+    for branch, propose, mask in (("bump", bump, chi), ("remainder", remainder, ~chi)):
+        count = int(mask.sum())
+        if count:
+            out[mask] = _rejection_draws(branch, propose, rng, count)
     if with_indicator:
         return out, chi
     return out
 
 
-def _sample_bump(cert: DoeblinCert, rng, count, min_acceptance):
-    # target density: bump(|x-center|^2)/mass on [center - R, center + R]
-    R = cert.support_radius
+def _rejection_draws(branch: str, propose, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` accepted draws of one splitting branch: each round
+    proposes m points through ``propose(m) -> (x, acceptance probability)``,
+    then draws m uniforms and keeps the points whose uniform is at most
+    their probability.  Once 1024 points have been proposed, an acceptance
+    rate below ``MIN_ACCEPTANCE`` aborts."""
     out = np.empty(count)
     done = 0
     proposed = accepted = 0
     while done < count:
         m = max(2 * (count - done), 64)
-        x = rng.uniform(cert.center - R, cert.center + R, m)
-        u = rng.random(m)
-        keep = u <= smoothed_ball_indicator(cert.radius, (x - cert.center) ** 2)
+        x, prob = propose(m)
+        kept = x[rng.random(m) <= prob]
         proposed += m
-        accepted += int(keep.sum())
-        take = min(int(keep.sum()), count - done)
-        out[done : done + take] = x[keep][:take]
+        accepted += len(kept)
+        take = min(len(kept), count - done)
+        out[done : done + take] = kept[:take]
         done += take
-        if proposed >= 1024 and accepted < min_acceptance * proposed:
+        if proposed >= 1024 and accepted < MIN_ACCEPTANCE * proposed:
             raise CertificateError(
-                f"bump rejection acceptance {accepted/proposed:.2e} below {min_acceptance:.0e}"
-            )
-    return out
-
-
-def _sample_remainder(dist, cert, rng, count, min_acceptance):
-    # target density: (p - eps * bump)/(1 - eps * mass); proposal p itself,
-    # acceptance ratio 1 - eps * bump / p
-    out = np.empty(count)
-    done = 0
-    proposed = accepted = 0
-    while done < count:
-        m = max(2 * (count - done), 64)
-        x = sample_component(dist, rng, m)
-        px = pdf(dist, x)
-        bump = cert.epsilon * smoothed_ball_indicator(cert.radius, (x - cert.center) ** 2)
-        ratio = 1.0 - np.divide(bump, px, out=np.zeros_like(px), where=px > 0)
-        if np.any(ratio < -1e-12):
-            raise CertificateError(
-                "remainder density negative: certificate epsilon too large for this law"
-            )
-        keep = rng.random(m) <= np.clip(ratio, 0.0, 1.0)
-        proposed += m
-        accepted += int(keep.sum())
-        take = min(int(keep.sum()), count - done)
-        out[done : done + take] = x[keep][:take]
-        done += take
-        if proposed >= 1024 and accepted < min_acceptance * proposed:
-            raise CertificateError(
-                f"remainder rejection acceptance {accepted/proposed:.2e} below {min_acceptance:.0e}"
+                f"{branch} rejection acceptance {accepted/proposed:.2e} below {MIN_ACCEPTANCE:.0e}"
             )
     return out
 

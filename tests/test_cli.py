@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import string
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeworth import experiments, sampling
+from edgeworth import cli, experiments, sampling
 from edgeworth.cli import COMMON, SPECS, main
 from edgeworth.corrector import CorrectorPolynomial, corrector_polynomial
 from edgeworth.moments import iid_model, uniform_centered
@@ -151,6 +153,11 @@ def test_rate_crn_without_inverse_cdf_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+MINIMAL_OCCUPATION = {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5, "n_grid": [16],
+                      "samples": 100, "ref_grid": 100}
+MINIMAL_ROOTS = {"experiment": "roots", "component": {"kind": "standard_normal"}, "n_grid": [5], "samples": 20}
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -172,6 +179,9 @@ def test_rate_crn_without_inverse_cdf_is_config_error(tmp_path, capsys):
             "ref_paths",
             id="occupation",
         ),
+        # the law's inverse CDF picks the coupling of these two
+        pytest.param(MINIMAL_OCCUPATION | {"crn": False}, "crn", id="occupation-crn"),
+        pytest.param(MINIMAL_ROOTS | {"crn": True}, "crn", id="roots-crn"),
     ],
 )
 def test_unknown_field_rejected(tmp_path, capsys, cfg, field):
@@ -387,10 +397,8 @@ MINIMAL = {
               "f": {"[4]": 1.0}}, "9e5fa3ba82e206dd"),
     "density": ({"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1, "a": [0.3],
                  "n_grid": [4, 8], "samples": 2000}, "0705efe2d2ff6296"),
-    "occupation": ({"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5, "n_grid": [16],
-                    "samples": 100, "ref_grid": 100}, "db1a59b2d550bba0"),
-    "roots": ({"experiment": "roots", "component": {"kind": "standard_normal"}, "n_grid": [5], "samples": 20},
-              "fc8e957d29679d8d"),
+    "occupation": (MINIMAL_OCCUPATION, "db1a59b2d550bba0"),
+    "roots": (MINIMAL_ROOTS, "fc8e957d29679d8d"),
     "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
                    "u_grid_size": 8}, "3f68fcfa51d7c0fd"),
     "nummelin": ({"experiment": "nummelin", "component": {"kind": "uniform_centered"}, "center": 0.0,
@@ -412,6 +420,40 @@ def test_config_hash_pinned(tmp_path, experiment):
     assert json.loads((tmp_path / f"{experiment}.json").read_text())["config_hash"] == expected
 
 
+# sha256 of each MINIMAL config's CSV and of the README rate.json's, at the
+# config's own seed; a change that moves Monte Carlo numbers on purpose
+# updates these and records the old and new values
+CSV_DIGESTS = {
+    "density": "392ad1f13f83fd0018a0efc02564d9c4f2082e62769a5e63b0b614e970b1094e",
+    "kernel": "0c3fb490882109e1639c6d7333d58c3048614d30ae8a261b16e7e536d59da7a8",
+    "nummelin": "0cb2a7268fa202c86dd26dd2669323892822cf09ec1c43d5a0a79e511d9ef0a7",
+    "occupation": "1d0db6d7cfeee39f6627c85b526eaef7535cfed385833abd72a3ab9e1a55e9c2",
+    "rate": "3b4e3273921957ef6c61692735c414cf94d793025f98f812ca9b0687d9e8c709",
+    "readme_rate": "3fc79e6e3b1fbc59001a3fe3046512c9f4fdd14b808187449bfd800c8253fb24",
+    "roots": "047dcda893471375ff07e504ce61af23440f846a9f32480ad32673bfa94fd084",
+    "smallball": "18d556336faafff52cbba82ad664dfa1b54860315730420d50175cd278a3fc4e",
+}
+
+
+def _readme_rate_config() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"Example config \(`rate.json`\):\s*```json\n(.*?)```", readme, re.S).group(1)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_DIGESTS))
+def test_csv_bytes_pinned(tmp_path, case):
+    text = _readme_rate_config() if case == "readme_rate" else json.dumps(MINIMAL[case][0])
+    experiment = json.loads(text)["experiment"]
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(text)
+    assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest() == CSV_DIGESTS[case]
+
+
+def test_csv_digests_cover_every_minimal_config():
+    assert CSV_DIGESTS.keys() == MINIMAL.keys() | {"readme_rate"}
+
+
 def _run_config(cfg: dict, experiment: str) -> tuple[int, str]:
     """Exit code and standard error of one run, in a fresh directory."""
     err = io.StringIO()
@@ -428,15 +470,54 @@ def _fields(experiment: str) -> dict:
     return required | optional | COMMON
 
 
+# maps rather than filters: the ill-typed test draws one value per field in every example
 _NOT_INTEGER = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not x.is_integer()),
+    st.floats(allow_nan=True, allow_infinity=True).map(
+        lambda x: x + 0.5 if x.is_integer() and abs(x) < 2**51 else math.inf if x.is_integer() else x),
     st.booleans(), st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
 )
 _NOT_BOOLEAN = st.one_of(st.integers(), st.floats(), st.text(max_size=5), st.none())
-_NOT_NUMBER = st.one_of(
-    st.booleans(), st.text(max_size=5), st.none(), st.lists(st.floats(), max_size=2),
+_NOT_NUMBER_OR_NULL = st.one_of(
+    st.booleans(), st.text(max_size=5), st.lists(st.floats(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+_NOT_NUMBER = st.one_of(st.none(), _NOT_NUMBER_OR_NULL)
+_NOT_STRING = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.text(max_size=3), max_size=2),
+                        st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2))
+_NOT_OBJECT = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=5),
+                        st.lists(st.integers(), max_size=2))
+_NOT_LIST = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=5),
+                      st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_NOT_NUMBER_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
+
+
+def _list_with(bad):
+    """A list with at least one entry drawn from ``bad``."""
+    return st.tuples(st.lists(st.integers(0, 5), max_size=2), bad).map(lambda t: t[0] + [t[1]])
+
+
+# every Field of cli.SPECS and COMMON, and the values it must reject
+_ILL_TYPED = {
+    cli.INTEGER: _NOT_INTEGER,
+    cli.BOOLEAN: _NOT_BOOLEAN,
+    cli.NUMBER: _NOT_NUMBER,
+    cli.STRING: _NOT_STRING,
+    cli.ORDER: st.one_of(_NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=cli.N_CAP + 1)),
+    cli.N_GRID: st.one_of(st.none(), _NOT_LIST, _list_with(_NOT_INTEGER)),
+    cli.COMPONENT: _NOT_OBJECT,
+}
+_ILL_TYPED_BY_NAME = {
+    "model": _NOT_OBJECT,
+    "f": st.one_of(_NOT_OBJECT,
+                   st.dictionaries(st.sampled_from(["3", "[]", "[true]", "[1.5]", "[-1]", "x", "{}"]), st.floats(),
+                                   min_size=1, max_size=2),
+                   st.dictionaries(st.just("[4]"), _NOT_NUMBER_ENTRY, min_size=1)),
+    "a": st.one_of(st.none(), _NOT_LIST, _list_with(_NOT_NUMBER_ENTRY)),
+    "gamma": st.one_of(_NOT_LIST, _list_with(st.one_of(_NOT_INTEGER, st.integers(max_value=-1)))),
+    "ref_eps": _NOT_NUMBER_OR_NULL,
+    "eta_grid": st.one_of(_NOT_LIST, _list_with(_NOT_NUMBER_ENTRY)),
+}
+_ALL_FIELDS = [(experiment, name) for experiment in sorted(SPECS) for name in _fields(experiment)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,15 +540,21 @@ def test_spec_rejects_missing_required_field(experiment, data):
     assert code == 2 and f"'{name}'" in err
 
 
-@settings(max_examples=80, deadline=None)
-@given(experiment=st.sampled_from(sorted(SPECS)), data=st.data())
-def test_spec_rejects_ill_typed_field(experiment, data):
-    strategies = {int: _NOT_INTEGER, bool: _NOT_BOOLEAN, float: _NOT_NUMBER}
-    typed = {k: strategies[conv] for k, conv in _fields(experiment).items() if conv in strategies}
-    name = data.draw(st.sampled_from(sorted(typed)))
-    value = data.draw(typed[name])
-    code, err = _run_config(MINIMAL[experiment][0] | {name: value}, experiment)
-    assert code == 2 and f"field '{name}'" in err
+def test_every_field_has_ill_typed_values():
+    missing = [(e, name) for e, name in _ALL_FIELDS
+               if name not in _ILL_TYPED_BY_NAME and _fields(e)[name] not in _ILL_TYPED]
+    assert not missing
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_spec_rejects_ill_typed_field(data):
+    # each example puts one ill-typed value in every field of every subcommand
+    for experiment, name in _ALL_FIELDS:
+        strategy = _ILL_TYPED_BY_NAME[name] if name in _ILL_TYPED_BY_NAME else _ILL_TYPED[_fields(experiment)[name]]
+        value = data.draw(strategy, label=f"{experiment}.{name}")
+        code, err = _run_config(MINIMAL[experiment][0] | {name: value}, experiment)
+        assert code == 2 and f"field '{name}'" in err, (experiment, name, value)
 
 
 @pytest.mark.parametrize(
@@ -480,6 +567,19 @@ def test_spec_rejects_ill_typed_field(experiment, data):
         ("smallball", "theta", None),  # used to end in a TypeError traceback
         ("smallball", "eta_grid", 0.2),
         ("occupation", "ref_eps", "0.01"),
+        # each of these used to end in a traceback
+        ("roots", "component", "rademacher"),
+        ("rate", "model", []),
+        ("rate", "model_path", 3),
+        ("rate", "f", []),
+        ("rate", "f", {"3": 1.0}),
+        ("rate", "gamma", 1.5),
+        # each of these used to run
+        ("density", "a", None),  # at a NaN point
+        ("density", "a", "0.5"),
+        ("rate", "gamma", [True]),  # as gamma = [1]
+        ("rate", "out_stem", 3),
+        ("rate", "mode", None),  # exit 2 without naming the field
     ],
 )
 def test_ill_typed_field_names_it(experiment, field, value):
@@ -514,10 +614,8 @@ def test_misspelt_component_field_rejected(component, field):
 
 
 def test_readme_rate_config_runs(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"Example config \(`rate.json`\):\s*```json\n(.*?)```", readme, re.S).group(1)
     cpath = tmp_path / "rate.json"
-    cpath.write_text(block)
+    cpath.write_text(_readme_rate_config())
     assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "rate.csv").read_text().startswith("n,estimate,se,corrected,error,degenerate\n")
 

@@ -28,6 +28,7 @@ from edgeworth.moments import (
     ComponentDistribution,
     component_icdf,
     gaussian_mixture,
+    has_icdf,
     iid_model,
     rademacher,
     skewed_two_point,
@@ -35,6 +36,8 @@ from edgeworth.moments import (
     uniform_centered,
 )
 from edgeworth.sampling import DoeblinCert, RngStream, nummelin_sample, sample_component
+
+from conftest import CATALOG_KINDS
 
 
 def test_fit_loglog_recovers_slope():
@@ -197,10 +200,7 @@ def test_kac_rice_gaussian_small_n():
     assert row["max_count"] <= 40
 
 
-UNCOUPLED = [
-    pytest.param(gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8), True, id="no-inverse-cdf"),
-    pytest.param(uniform_centered(), False, id="crn-off"),
-]
+UNCOUPLED = [pytest.param(gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8), id="no-inverse-cdf")]
 
 
 def _check_uncoupled(row, name):
@@ -208,24 +208,32 @@ def _check_uncoupled(row, name):
     assert row["gap_se"] == pytest.approx(math.hypot(row["se"], row["se_gaussian"]), rel=1e-12)
 
 
-@pytest.mark.parametrize("dist, crn", UNCOUPLED)
-def test_occupation_time_uncoupled(dist, crn):
-    res = occupation_time(dist, rho=0.5, n_grid=[100, 400], samples=2000, seed=4, crn=crn)
+@pytest.mark.parametrize("dist", UNCOUPLED)
+def test_occupation_time_uncoupled(dist):
+    res = occupation_time(dist, rho=0.5, n_grid=[100, 400], samples=2000, seed=4)
     assert res.parameters["crn"] is False
     for row in res.rows:
         _check_uncoupled(row, "occupation")
         assert abs(row["occupation_gaussian"] - row["gaussian_exact"]) <= 5 * row["se_gaussian"]
 
 
-@pytest.mark.parametrize("dist, crn", UNCOUPLED)
-def test_kac_rice_uncoupled(dist, crn):
-    res = kac_rice_roots(dist, [10, 20], samples=300, seed=6, crn=crn)
+@pytest.mark.parametrize("dist", UNCOUPLED)
+def test_kac_rice_uncoupled(dist):
+    res = kac_rice_roots(dist, [10, 20], samples=300, seed=6)
     assert res.parameters["crn"] is False
     for row in res.rows:
         _check_uncoupled(row, "roots_per_n")
         n = row["n"]
         exact = math.sqrt((n + 1) * (2 * n + 1) / 6.0) / n
         assert abs(row["roots_per_n_gaussian"] - exact) <= 5 * row["se_gaussian"]
+
+
+@pytest.mark.parametrize("dist", CATALOG_KINDS, ids=lambda dist: dist.kind)
+def test_law_pair_coupled_exactly_with_inverse_cdf(dist):
+    # the law picks the path: common uniforms exactly when it has a closed inverse CDF
+    occupation = occupation_time(dist, rho=0.5, n_grid=[16], samples=100, seed=1, ref_grid=100)
+    roots = kac_rice_roots(dist, [5], samples=20, seed=1)
+    assert occupation.parameters["crn"] is roots.parameters["crn"] is has_icdf(dist)
 
 
 def test_count_roots_tangency_guard():

@@ -316,6 +316,19 @@ BAD_MODEL_DOCS = [
                  "two_point component: field 'p' must be a number, got None", id="null-component-field"),
     pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": "0.2", "a": 2.0, "b": 0.5}]}]},
                  "two_point component: field 'p' must be a number, got '0.2'", id="string-component-field"),
+    # d and n used to go through int(): 1.7 loaded as d = 1, 2.9 as n = 2
+    pytest.param({"d": 1.7, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model field 'd' must be an integer, got 1.7", id="float-d"),
+    pytest.param({"d": 1, "n": 2.9, "iid": True, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model field 'n' must be an integer, got 2.9", id="float-n"),
+    pytest.param({"d": True, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model field 'd' must be an integer, got True", id="bool-d"),
+    pytest.param({"d": 1, "n": "2", "iid": True, "summands": [{"C": [[1.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model field 'n' must be an integer, got '2'", id="string-n"),
+    pytest.param([], "model must be a JSON object, got []", id="list-model"),
+    pytest.param({"d": 1, "n": 1, "summands": [3]}, "model record must be a JSON object, got 3", id="number-record"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": ["rademacher"]}]},
+                 "component must be a JSON object, got 'rademacher'", id="string-component"),
 ]
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import threading
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import make_random_model
+from edgeworth import sampling
 from edgeworth.errors import CertificateError
 from edgeworth.moments import (
     ModelSpec,
@@ -124,6 +127,36 @@ def test_nummelin_sampler_statistics():
     assert abs(chi.mean() - p1) <= 3 * se
     # smooth-branch draws stay inside the bump support
     assert np.max(np.abs(draws[chi] - cert.center)) <= cert.support_radius + 1e-12
+
+
+# sha256 over seeds 0-9 of 5000 draws and their split indicators: the two
+# branches draw proposals, then uniforms, bump branch first
+NUMMELIN_DIGESTS = [
+    (uniform_centered(), (0.0, 0.25, 0.2), "f60b98ebc7a637d3233d7cf1544c97d0f5295a608170c02d0f41453755da0212"),
+    (standard_normal(), (0.0, 0.5, 0.2), "e7d2f95603887514940bc6d5f6663a858b84dc6578b43e5de262665ac6b75685"),
+    (uniform_centered(), (0.0, 0.5, 0.25), "1ac1ed6de2dcebeb46089616aa8c6bcf503a475bf54273dffae957e464717179"),
+]
+
+
+@pytest.mark.parametrize("dist, cert, digest", NUMMELIN_DIGESTS)
+def test_nummelin_draws_pinned(dist, cert, digest):
+    h = hashlib.sha256()
+    for seed in range(10):
+        draws, chi = nummelin_sample(dist, DoeblinCert(*cert), RngStream(seed, 0).generator(), 5000,
+                                     with_indicator=True)
+        h.update(draws.tobytes())
+        h.update(chi.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("threshold, message", [
+    (0.99, "bump rejection acceptance 9.02e-01 below 1e+00"),
+    (0.8, "remainder rejection acceptance 7.53e-01 below 8e-01"),
+])
+def test_nummelin_low_acceptance_aborts(monkeypatch, threshold, message):
+    monkeypatch.setattr(sampling, "MIN_ACCEPTANCE", threshold)
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+        nummelin_sample(uniform_centered(), DoeblinCert(0.0, 0.25, 0.2), RngStream(3, 0).generator(), 5000)
 
 
 def test_nummelin_rejects_bad_certificate():
