@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical-guard abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from . import experiments
 from .corrector import corrector_polynomial
-from .errors import ConfigError, NumericalGuardError, check_fields
+from .errors import ConfigError, NumericalGuardError, check_fields, check_object
 from .experiments import ExperimentResult
 from .hermite import Polynomial
 from .moments import ComponentDistribution, ModelSpec, iid_model
@@ -188,6 +189,7 @@ def cmd_expand(args) -> int:
 def cmd_run(args, experiment: str) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    check_object(cfg, f"{experiment} config")
     if cfg.get("experiment") != experiment:
         raise ConfigError(f"config field 'experiment' is {cfg.get('experiment')!r}, expected {experiment!r}")
     required, optional, run = SPECS[experiment]
@@ -208,7 +210,10 @@ def cmd_run(args, experiment: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse returns a
+    fresh namespace, so ``main`` can run any number of times."""
     parser = argparse.ArgumentParser(prog="edgeworth", description="corrector polynomials and rate experiments "
                                      "for sums of independent non-identically distributed random vectors")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,8 +228,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=None, help="override the config worker count")
         p.add_argument("--out-dir", default=".", help="directory for the CSV/JSON outputs")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "expand":
             return cmd_expand(args)

@@ -11,6 +11,12 @@ def check_object(doc, where: str) -> None:
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
 
 
+def check_list(doc, where: str) -> None:
+    """Rejects a document that is not a JSON list."""
+    if not isinstance(doc, list):
+        raise ConfigError(f"{where} must be a JSON list, got {doc!r}")
+
+
 def check_fields(doc: dict, required: set, optional: set, where: str) -> None:
     """Rejects a document that is not a JSON object, lacks a required field
     or has one outside ``required | optional``."""

@@ -522,15 +522,20 @@ def _trig_eval(t, a_coef, b_coef):
     )
 
 
-def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, oversample: int) -> np.ndarray:
-    """Roots of each row's trigonometric polynomial on (0, pi): sign changes
-    on an oversampled grid; near-tangency intervals get a derivative-sign
-    check so double roots are not silently dropped."""
-    n = a_coef.shape[1]
+def _root_grid(n: int, oversample: int) -> tuple:
+    """The grid of ``oversample * n`` intervals on [0, pi] that
+    ``_count_roots`` reads, with its tables cos(k t) and sin(k t),
+    k = 1..n, one row per grid point."""
     grid = np.linspace(0.0, math.pi, oversample * n + 1)
-    k = np.arange(1, n + 1)
-    cosg = np.cos(np.outer(grid, k))
-    sing = np.sin(np.outer(grid, k))
+    phase = np.outer(grid, np.arange(1, n + 1))
+    return grid, np.cos(phase), np.sin(phase)
+
+
+def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, grid, cosg, sing) -> np.ndarray:
+    """Roots of each row's trigonometric polynomial on (0, pi): sign changes
+    on the grid of ``_root_grid``, whose tables ``cosg`` and ``sing`` the
+    caller builds once per degree; near-tangency intervals get a
+    derivative-sign check so double roots are not silently dropped."""
     q = a_coef @ cosg.T + b_coef @ sing.T
     signs = np.where(q >= 0.0, 1.0, -1.0)
     flips = signs[:, 1:] * signs[:, :-1] < 0
@@ -541,6 +546,7 @@ def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, oversample: int) -> np.
     scale = np.max(np.abs(q), axis=1, keepdims=True)
     small = (np.abs(q[:, 1:]) < 1e-9 * scale) & (np.abs(q[:, :-1]) < 1e-9 * scale) & ~flips
     if np.any(small):
+        k = np.arange(1, a_coef.shape[1] + 1)
         qp = b_coef @ (cosg * k[None, :]).T - a_coef @ (sing * k[None, :]).T
         dsign = np.where(qp >= 0.0, 1.0, -1.0)
         dflip = dsign[:, 1:] * dsign[:, :-1] < 0
@@ -575,11 +581,12 @@ def kac_rice_roots(
     rows = []
     for n in n_grid:
         n = int(n)
+        tables = _root_grid(n, oversample)
 
         def block_sums(bid, bsize):
             y, g = _paired_draws(dist, couple, seed ^ (n << 16), bid, (bsize, 2 * n))
-            cy = _count_roots(y[:, :n], y[:, n:], oversample)
-            cg = _count_roots(g[:, :n], g[:, n:], oversample)
+            cy = _count_roots(y[:, :n], y[:, n:], *tables)
+            cg = _count_roots(g[:, :n], g[:, n:], *tables)
             max_count = int(max(cy.max(initial=0), cg.max(initial=0)))
             if max_count > 2 * n:
                 raise NumericalGuardError("root count exceeds twice the degree: counting bug")
@@ -615,19 +622,25 @@ def kac_rice_roots(
 SMALLBALL_BLOCK = 1 << 13
 
 
+def _trig_sum_weights(n: int, u_values: np.ndarray) -> np.ndarray:
+    """W of shape (2n, 2G) with y @ W = S_n at the G points ``u_values``,
+    P_n and P_n' interleaved: column 2g holds cos(k u_g / n) over the a_k
+    rows and sin(k u_g / n) over the b_k rows, column 2g + 1 the
+    derivative's -(k/n) sin and (k/n) cos, all scaled by 1 / sqrt(n)."""
+    k = np.arange(1, n + 1)
+    phase = np.outer(u_values, k) / n
+    cosm, sinm = np.cos(phase).T, np.sin(phase).T
+    kn = (k / n)[:, None]
+    p, dp = np.vstack([cosm, sinm]), np.vstack([-kn * sinm, kn * cosm])
+    return (np.stack([p, dp], axis=-1) * (1.0 / math.sqrt(n))).reshape(2 * n, -1)
+
+
 def trig_parametrized_sum(y: np.ndarray, u_values: np.ndarray) -> np.ndarray:
     """S_n(u) = (P_n(u), P_n'(u)) for the renormalized random trigonometric
-    polynomial; ``y`` has shape (samples, 2n), returns (samples, G, 2)."""
+    polynomial; ``y`` has shape (samples, 2n), returns (samples, G, 2) as
+    a view of one matrix product."""
     samples, two_n = y.shape
-    n = two_n // 2
-    k = np.arange(1, n + 1)
-    a, b = y[:, :n], y[:, n:]
-    phase = np.outer(u_values, k) / n
-    cosm, sinm = np.cos(phase), np.sin(phase)
-    scale = 1.0 / math.sqrt(n)
-    p = (a @ cosm.T + b @ sinm.T) * scale
-    dp = ((b * (k / n)) @ cosm.T - (a * (k / n)) @ sinm.T) * scale
-    return np.stack([p, dp], axis=-1)
+    return (y @ _trig_sum_weights(two_n // 2, u_values)).reshape(samples, len(u_values), 2)
 
 
 def small_ball(
@@ -649,19 +662,24 @@ def small_ball(
     d = 2).  Infimum section: P(min over the u-grid of |S_n(u)| <= n^{-theta}),
     reported with the upper-bound exponent theta*(d - ell) - a_exp*ell = theta - a_exp.
     Zero-hit rows report the one-sided 95% bound 3/samples and are flagged.
+
+    Each block evaluates S_n at u_point and on the u-grid in one matrix
+    product with the weights of ``_trig_sum_weights``, built once per call:
+    column 0 gives the pointwise norms, the others the infimum.
     """
     if eta_grid is None:
         eta_grid = np.geomspace(0.05, 0.4, 6)
     eta_grid = np.asarray(sorted(float(e) for e in eta_grid))
     u_values = np.linspace(0.0, math.pi, u_grid_size)
     delta_inf = float(n) ** (-theta)
+    weights = _trig_sum_weights(n, np.concatenate([[u_point], u_values]))
 
     def block_hits(bid, bsize):
         y = sample_component(dist, RngStream(seed ^ (n << 8), bid).generator(), (bsize, 2 * n))
-        s_point = trig_parametrized_sum(y, np.array([u_point]))[:, 0, :]
-        norms = np.hypot(s_point[:, 0], s_point[:, 1])
-        s_grid = trig_parametrized_sum(y, u_values)
-        min_norm = np.min(np.hypot(s_grid[..., 0], s_grid[..., 1]), axis=1)
+        s = (y @ weights).reshape(bsize, -1, 2)
+        s_norms = np.hypot(s[..., 0], s[..., 1])
+        norms = s_norms[:, 0]
+        min_norm = np.min(s_norms[:, 1:], axis=1)
         return [int(np.count_nonzero(norms <= eta)) for eta in eta_grid] + [
             int(np.count_nonzero(min_norm <= delta_inf))
         ]

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import check_fields, check_integer, check_object
+from .errors import check_fields, check_integer, check_list, check_object
 from .hermite import gaussian_moment_1d
 from .multiindex import check_multiindex, enumerate_multiindices
 
@@ -249,9 +249,11 @@ class ModelSpec:
     def from_json(doc: dict) -> "ModelSpec":
         """Reads :meth:`to_json` documents and the legacy layout: ``iid: true``
         is one record of count n, and a record without ``count`` counts once.
-        The document and each record must be JSON objects, and ``d`` and
-        ``n`` JSON integers."""
+        The document and each record must be JSON objects, ``summands`` and
+        each record's ``components`` JSON lists, and ``d`` and ``n`` JSON
+        integers."""
         check_fields(doc, {"d", "n", "summands"}, {"iid"}, "model")
+        check_list(doc["summands"], "model field 'summands'")
         iid = doc.get("iid", False)
         if not isinstance(iid, bool):
             raise ValueError(f"model field 'iid' must be true or false, got {iid!r}")
@@ -261,6 +263,7 @@ class ModelSpec:
         records = []
         for rec in doc["summands"]:
             check_fields(rec, {"C", "components"}, {"count"}, "model record")
+            check_list(rec["components"], "model record field 'components'")
             summand = Summand(rec["C"], [ComponentDistribution.from_json(c) for c in rec["components"]])
             records.append((summand, rec.get("count", n if iid else 1)))
         model = ModelSpec(d=d, records=tuple(records))

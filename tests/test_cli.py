@@ -93,6 +93,26 @@ def test_n_grid_needs_one_record(tmp_path, capsys, experiment, fields):
     assert f"{experiment} experiment over an n-grid needs an iid model or a component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, field", [
+    ({"d": 1, "n": 1, "summands": 3}, "summands"),
+    ({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": 3}]}, "components"),
+])
+def test_rate_rejects_model_without_lists(tmp_path, capsys, model, field):
+    cfg = {"experiment": "rate", "model": model, "N": 1, "n_grid": [8], "f": {"[4]": 1.0}}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
+    assert f"'{field}' must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", ["[]", "3", '"rate"', "null"])
+def test_config_must_be_an_object(tmp_path, capsys, doc):
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(doc)
+    assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
+    assert f"rate config must be a JSON object, got {json.loads(doc)!r}" in capsys.readouterr().err
+
+
 def test_expand_rejects_large_order(model_path, capsys):
     assert main(["expand", "--model", model_path, "--N", "9"]) == 2
     assert "N" in capsys.readouterr().err
@@ -448,6 +468,31 @@ def test_csv_bytes_pinned(tmp_path, case):
     cpath.write_text(text)
     assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest() == CSV_DIGESTS[case]
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # two subcommands and a bad argument in one process: each CSV equals a
+    # fresh interpreter's, and argparse still exits 2 on the bad argument
+    def args(experiment, out):
+        cpath = tmp_path / f"{experiment}.json"
+        cpath.write_text(json.dumps(MINIMAL[experiment][0]))
+        return [experiment, "--config", str(cpath), "--out-dir", str(tmp_path / out)]
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for experiment in ("roots", "smallball"):
+            assert main(args(experiment, "here")) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--config"])
+        assert exc.value.code == 2
+        assert main(args("roots", "after")) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for experiment in ("roots", "smallball"):
+        subprocess.run([sys.executable, "-m", "edgeworth.cli", *args(experiment, "fresh")], capture_output=True,
+                       check=True, env=os.environ | {"PYTHONPATH": src})
+        fresh = (tmp_path / "fresh" / f"{experiment}.csv").read_bytes()
+        assert (tmp_path / "here" / f"{experiment}.csv").read_bytes() == fresh
+    assert (tmp_path / "after" / "roots.csv").read_bytes() == (tmp_path / "fresh" / "roots.csv").read_bytes()
+    assert cli._parser.cache_info().currsize == 1
 
 
 def test_csv_digests_cover_every_minimal_config():

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from edgeworth import experiments
 from edgeworth.experiments import (
     CRN_CHUNK,
+    SMALLBALL_BLOCK,
     _count_roots,
     _crn_block,
     _ks_statistic,
+    _root_grid,
     density_experiment,
     fit_loglog,
     gaussian_density,
@@ -35,7 +38,7 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
-from edgeworth.sampling import DoeblinCert, RngStream, nummelin_sample, sample_component
+from edgeworth.sampling import DoeblinCert, RngStream, block_plan, nummelin_sample, sample_component
 
 from conftest import CATALOG_KINDS
 
@@ -66,6 +69,18 @@ def test_rate_uniform_order2_degenerate():
     res = rate_experiment(lambda n: iid_model(uniform_centered(), n), f, 2, [16, 64, 256])
     assert all(row["degenerate"] for row in res.rows)
     assert res.notes["all_degenerate"] and res.fitted_slope is None
+
+
+def test_rate_all_degenerate_note_needs_every_row():
+    # a grid that mixes degenerate and usable rows (test_rate_uniform_order2_degenerate
+    # holds the all-degenerate case): Gaussian sums have E S^4 = 3 exactly,
+    # Rademacher sums 3 - 2/n
+    f = Polynomial(1, {(4,): 1.0})
+    mixed = rate_experiment(lambda n: iid_model(standard_normal() if n == 8 else rademacher(), n), f, 0,
+                            [8, 16, 32])
+    assert [row["degenerate"] for row in mixed.rows] == [True, False, False]
+    assert mixed.notes["all_degenerate"] is False
+    assert mixed.fitted_slope == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_rate_slopes_monotone_in_order():
@@ -138,6 +153,27 @@ def test_density_flags_starved_rows():
         delta_rule=lambda n: 0.05, samples=2000, seed=1,
     )
     assert res.rows[0]["flagged"]  # far tail: essentially no hits
+
+
+def test_density_fit_skips_zero_error_and_flagged_rows(monkeypatch):
+    # stand-in sums: the first hits[n] rows sit on the point a = 0, the rest far off
+    samples, reference = 4096, gaussian_density([0.0])  # N = 0: the reference is the Gaussian density
+    hits = {8: 1024, 16: 2048, 32: 1536, 64: 50}
+    # half-width at which n = 8's estimate (1024 / samples) / (2 delta) is exactly the reference
+    delta0 = 0.125 / reference
+    assert (hits[8] / samples) / (2.0 * delta0) == reference
+    monkeypatch.setattr(
+        experiments, "sample_sum",
+        lambda model, rng, size: np.where(np.arange(size)[:, None] < hits[model.n], 0.0, 10.0),
+    )
+    res = density_experiment(lambda n: iid_model(standard_normal(), n), 0, [0.0], list(hits),
+                             delta_rule=lambda n: delta0 if n == 8 else 0.25, samples=samples, seed=1)
+    assert [row["hits"] for row in res.rows] == list(hits.values())
+    assert [row["error"] == 0.0 for row in res.rows] == [True, False, False, False]
+    assert [row["flagged"] for row in res.rows] == [False, False, False, True]
+    # only the n = 16 and n = 32 rows enter the fit
+    slope, _ = fit_loglog([16, 32], [res.rows[1]["error"], res.rows[2]["error"]])
+    assert res.fitted_slope == slope and math.isnan(res.slope_stderr)
 
 
 def test_occupation_time_gaussian_row():
@@ -246,8 +282,34 @@ def test_count_roots_tangency_guard():
     k = np.arange(1, n + 1)
     target = np.sin(t) * (np.cos(t) - math.cos(t0)) ** 8
     b = np.linalg.lstsq(np.sin(np.outer(t, k)), target, rcond=None)[0]
-    counts = _count_roots(np.zeros((1, n)), b[None, :], oversample)
+    counts = _count_roots(np.zeros((1, n)), b[None, :], *_root_grid(n, oversample))
     assert counts.tolist() == [2]
+
+
+def _root_tables_per_call(n, oversample):
+    """The grid and tables as each root count built them before the driver
+    shared them across blocks."""
+    grid = np.linspace(0.0, math.pi, oversample * n + 1)
+    k = np.arange(1, n + 1)
+    return grid, np.cos(np.outer(grid, k)), np.sin(np.outer(grid, k))
+
+
+@pytest.mark.parametrize("dist", [standard_normal(), gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)],
+                         ids=lambda dist: dist.kind)
+def test_kac_rice_shared_tables_keep_rows(monkeypatch, dist):
+    # a coarse grid, so that the counts depend on it, and two blocks at n = 16
+    n_grid, samples, oversample = [8, 16], 50_000, 3
+    shared = kac_rice_roots(dist, n_grid, samples=samples, seed=4, oversample=oversample)
+    calls = []
+
+    def per_call(a, b, *tables):
+        calls.append(a.shape[0])
+        return _count_roots(a, b, *_root_tables_per_call(a.shape[1], oversample))
+
+    monkeypatch.setattr(experiments, "_count_roots", per_call)
+    again = kac_rice_roots(dist, n_grid, samples=samples, seed=4, oversample=oversample)
+    assert len(calls) > 2 * len(n_grid)
+    assert shared.rows == again.rows
 
 
 def test_trig_parametrized_sum_shapes_and_values():
@@ -258,6 +320,57 @@ def test_trig_parametrized_sum_shapes_and_values():
     assert out[0, 0, 0] == pytest.approx(1 / math.sqrt(3))
     assert out[0, 1, 0] == pytest.approx(math.cos(1 / 3) / math.sqrt(3))
     assert out[0, 1, 1] == pytest.approx(-math.sin(1 / 3) / (3 * math.sqrt(3)))
+
+
+def _trig_parametrized_sum_four_products(y, u_values):
+    """S_n on the u-values by the four products a @ cos, b @ sin,
+    (b k/n) @ cos and (a k/n) @ sin, stacked."""
+    n = y.shape[1] // 2
+    k = np.arange(1, n + 1)
+    a, b = y[:, :n], y[:, n:]
+    phase = np.outer(u_values, k) / n
+    cosm, sinm = np.cos(phase), np.sin(phase)
+    scale = 1.0 / math.sqrt(n)
+    p = (a @ cosm.T + b @ sinm.T) * scale
+    dp = ((b * (k / n)) @ cosm.T - (a * (k / n)) @ sinm.T) * scale
+    return np.stack([p, dp], axis=-1)
+
+
+def _small_ball_hits_two_evaluations(dist, n, u_point, eta_grid, u_grid_size, samples, seed, theta=1.0):
+    """Small-ball hits with S_n evaluated twice per block, at u_point and
+    over the u-grid, by the four-product formula."""
+    u_values = np.linspace(0.0, math.pi, u_grid_size)
+    hits = np.zeros(len(eta_grid) + 1, dtype=int)
+    for bid, bsize in block_plan(samples, SMALLBALL_BLOCK):
+        y = sample_component(dist, RngStream(seed ^ (n << 8), bid).generator(), (bsize, 2 * n))
+        s_point = _trig_parametrized_sum_four_products(y, np.array([u_point]))[:, 0, :]
+        norms = np.hypot(s_point[:, 0], s_point[:, 1])
+        s_grid = _trig_parametrized_sum_four_products(y, u_values)
+        min_norm = np.min(np.hypot(s_grid[..., 0], s_grid[..., 1]), axis=1)
+        hits += [np.count_nonzero(norms <= eta) for eta in eta_grid] + [np.count_nonzero(min_norm <= n**-theta)]
+    return hits.tolist()
+
+
+@pytest.mark.parametrize("u_grid_size", [8, 64])
+@pytest.mark.parametrize("n", [10, 25, 100])
+@pytest.mark.parametrize("dist", [standard_normal(), uniform_centered()], ids=lambda dist: dist.kind)
+def test_small_ball_hits_equal_two_evaluations(dist, n, u_grid_size):
+    samples = 2 * SMALLBALL_BLOCK + 300  # three blocks, the last one short
+    eta_grid = [0.05, 0.1, 0.2, 0.4, 1.0]
+    res = small_ball(dist, n, theta=0.5, u_point=1.3, eta_grid=eta_grid, u_grid_size=u_grid_size,
+                     samples=samples, seed=31)
+    want = _small_ball_hits_two_evaluations(dist, n, 1.3, eta_grid, u_grid_size, samples, 31, theta=0.5)
+    assert [row["hits"] for row in res.rows] == want
+    assert 0 < want[-1] < samples  # the infimum row is neither empty nor full
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_trig_parametrized_sum_equals_four_products(n):
+    y = np.random.default_rng(n).standard_normal((50, 2 * n))
+    u = np.concatenate([[1.0], np.linspace(0.0, math.pi, 33)])
+    got, want = trig_parametrized_sum(y, u), _trig_parametrized_sum_four_products(y, u)
+    assert got.shape == want.shape == (50, 34, 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_small_ball_sections():

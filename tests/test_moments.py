@@ -329,6 +329,12 @@ BAD_MODEL_DOCS = [
     pytest.param({"d": 1, "n": 1, "summands": [3]}, "model record must be a JSON object, got 3", id="number-record"),
     pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": ["rademacher"]}]},
                  "component must be a JSON object, got 'rademacher'", id="string-component"),
+    pytest.param({"d": 1, "n": 1, "summands": 3}, "model field 'summands' must be a JSON list, got 3",
+                 id="number-summands"),
+    pytest.param({"d": 1, "n": 1, "iid": True, "summands": "r"},
+                 "model field 'summands' must be a JSON list, got 'r'", id="string-summands"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": 3}]},
+                 "model record field 'components' must be a JSON list, got 3", id="number-components"),
 ]
 
 
