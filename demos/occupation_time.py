@@ -18,8 +18,7 @@ from edgeworth.experiments import (
 
 print("=== walk occupation vs Brownian reference (moderate scale) ===\n")
 res = occupation_time(
-    rademacher(), rho=0.5, n_grid=[500, 2000, 8000], samples=4000, seed=17,
-    ref_grid=4000, ref_eps=0.02,
+    rademacher(), rho=0.5, n_grid=[500, 2000, 8000], samples=4000, seed=17, ref_eps=0.02,
 )
 print(f"{'n':>6} {'band':>8} {'walk':>9} {'gauss MC':>9} {'gauss exact':>12} {'brownian':>9} {'gap':>9}")
 for r in res.rows:

@@ -14,7 +14,6 @@ from .corrector import (
 from .errors import CertificateError, KernelMomentError, NumericalGuardError
 from .hermite import (
     Polynomial,
-    duality_check,
     gauss_hermite,
     gaussian_moment,
     hermite1d,

@@ -130,7 +130,8 @@ def _driver(name: str):
 
 
 # Fields of every subcommand: the seed goes to the driver, the worker count
-# reaches the rate and density drivers and is recorded in every summary.
+# reaches the rate and density drivers, which record it in their summaries;
+# every other summary records the one thread its driver ran in.
 COMMON = {"seed": INTEGER, "workers": INTEGER, "out_stem": STRING}
 _N_FAMILY = {"component": COMPONENT, "model": Field(_object, "a JSON object", ModelSpec.from_json),
              "model_path": STRING}
@@ -147,8 +148,7 @@ SPECS = {
     "density": ({"N": ORDER, "n_grid": N_GRID, "a": Field(_numbers, "a list of numbers")},
                 {**_N_FAMILY, "samples": INTEGER, "delta_exponent": NUMBER, "delta_scale": NUMBER}, _density),
     "occupation": ({"component": COMPONENT, "rho": NUMBER, "n_grid": N_GRID},
-                   {"samples": INTEGER, "ref_grid": INTEGER,
-                    "ref_eps": Field(lambda eps: eps is None or _number(eps), "a number or null")},
+                   {"samples": INTEGER, "ref_eps": Field(lambda eps: eps is None or _number(eps), "a number or null")},
                    _driver("occupation_time")),
     "roots": ({"component": COMPONENT, "n_grid": N_GRID}, {"samples": INTEGER, "oversample": INTEGER},
               _driver("kac_rice_roots")),
@@ -200,7 +200,6 @@ def cmd_run(args, experiment: str) -> int:
     stem = kw.pop("out_stem", experiment)
     positional = [kw.pop(k) for k in required]
     result = run(os.path.dirname(os.path.abspath(args.config)), *positional, **kw)
-    result.workers = kw.get("workers", result.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path, json_path = (os.path.join(args.out_dir, stem + ext) for ext in (".csv", ".json"))
     result.write_csv(csv_path)

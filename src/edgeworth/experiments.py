@@ -49,7 +49,7 @@ from .sampling import (
     sample_sum,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(v) -> str:
@@ -429,6 +429,15 @@ def occupation_closed_form_gaussian(n: int, eps: float) -> float:
     return float(np.mean(2.0 * ndtr(eps * np.sqrt(n / k)) - 1.0)) / (2.0 * eps)
 
 
+def _brownian_band_occupation(eps: float) -> float:
+    """Exact (1/2 eps) int_0^1 P(|B_t| <= eps) dt for Brownian motion B,
+    in closed form through ``math`` alone; it tends to sqrt(2/pi) as eps
+    shrinks."""
+    x = eps / math.sqrt(2.0)
+    phi = math.exp(-0.5 * eps * eps) / math.sqrt(2.0 * math.pi)
+    return (math.erf(x) + 2.0 * eps * phi - eps * eps * math.erfc(x)) / (2.0 * eps)
+
+
 def _walk_band_fraction(steps: np.ndarray, eps: float) -> np.ndarray:
     """Per-row average of 1(|cumsum/sqrt(n)| <= eps), scaled to the band."""
     n = steps.shape[1]
@@ -442,20 +451,19 @@ def occupation_time(
     n_grid,
     samples: int = 10_000,
     seed: int = 0,
-    ref_grid: int = 10_000,
     ref_eps: float | None = None,
 ) -> ExperimentResult:
     """Banded occupation average of the scaled random walk against its
-    Gaussian twin and a fine-grid Brownian reference.
+    Gaussian twin and Brownian motion.
 
     Per n: eps_n = n^{-(1-rho)/2}; Monte Carlo estimates of the occupation
     average for the given law and for Gaussian steps (coupled through
     common uniforms exactly when the law has a closed inverse CDF, recorded
     as the ``crn`` parameter), plus exact closed-form Gaussian values.  The
-    Brownian reference is the exact expected occupation average of the
-    Gaussian walk on ``ref_grid`` steps (so its standard errors are 0),
-    taken both at each matched eps_n and at ``ref_eps`` (a small band
-    approximating the local time at zero; default 0.02).
+    Brownian reference is the closed-form expected occupation average of
+    Brownian motion on [0, 1] (``_brownian_band_occupation``), taken both
+    at each matched eps_n and at ``ref_eps`` (a small band approximating
+    the local time at zero; default 0.02).
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
@@ -477,9 +485,7 @@ def occupation_time(
             | _paired_row(totals, samples, couple, "occupation")
             | {
                 "gaussian_exact": occupation_closed_form_gaussian(n, eps),
-                # Brownian reference: the Gaussian walk on ref_grid steps, exactly
-                "brownian_ref": occupation_closed_form_gaussian(ref_grid, eps),
-                "brownian_ref_se": 0.0,
+                "brownian_ref": _brownian_band_occupation(eps),
             }
         )
 
@@ -491,18 +497,16 @@ def occupation_time(
             "n_grid": [int(n) for n in n_grid],
             "samples": samples,
             "crn": couple,
-            "ref_grid": ref_grid,
             "ref_eps": ref_eps,
         },
         columns=[
             "n", "eps", "occupation", "se", "occupation_gaussian", "se_gaussian",
-            "gap", "gap_se", "gaussian_exact", "brownian_ref", "brownian_ref_se",
+            "gap", "gap_se", "gaussian_exact", "brownian_ref",
         ],
         rows=rows,
         seed=seed,
         notes={
-            "local_time_ref": occupation_closed_form_gaussian(ref_grid, ref_eps),
-            "local_time_ref_se": 0.0,
+            "local_time_ref": _brownian_band_occupation(ref_eps),
             "local_time_exact_limit": math.sqrt(2.0 / math.pi),
         },
     )
@@ -574,7 +578,8 @@ def kac_rice_roots(
     ``crn`` parameter).
 
     Per-sample counts above twice the degree violate the trigonometric
-    root bound and abort.
+    root bound and abort.  The ``limit`` note is Kac's 1/sqrt(3), the
+    large-n count per degree.
     """
     couple = has_icdf(dist)
 
@@ -596,7 +601,7 @@ def kac_rice_roots(
         rows.append(
             {"n": n}
             | _paired_row(fsums(sums for sums, _ in results), samples, couple, "roots_per_n")
-            | {"max_count": max(m for _, m in results), "limit": 1.0 / math.sqrt(3.0)}
+            | {"max_count": max(m for _, m in results)}
         )
     return ExperimentResult(
         name="roots",
@@ -609,10 +614,11 @@ def kac_rice_roots(
         },
         columns=[
             "n", "roots_per_n", "se", "roots_per_n_gaussian", "se_gaussian",
-            "gap", "gap_se", "max_count", "limit",
+            "gap", "gap_se", "max_count",
         ],
         rows=rows,
         seed=seed,
+        notes={"limit": 1.0 / math.sqrt(3.0)},
     )
 
 
@@ -633,14 +639,6 @@ def _trig_sum_weights(n: int, u_values: np.ndarray) -> np.ndarray:
     kn = (k / n)[:, None]
     p, dp = np.vstack([cosm, sinm]), np.vstack([-kn * sinm, kn * cosm])
     return (np.stack([p, dp], axis=-1) * (1.0 / math.sqrt(n))).reshape(2 * n, -1)
-
-
-def trig_parametrized_sum(y: np.ndarray, u_values: np.ndarray) -> np.ndarray:
-    """S_n(u) = (P_n(u), P_n'(u)) for the renormalized random trigonometric
-    polynomial; ``y`` has shape (samples, 2n), returns (samples, G, 2) as
-    a view of one matrix product."""
-    samples, two_n = y.shape
-    return (y @ _trig_sum_weights(two_n // 2, u_values)).reshape(samples, len(u_values), 2)
 
 
 def small_ball(

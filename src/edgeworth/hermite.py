@@ -179,32 +179,3 @@ class Polynomial:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polynomial(d={self.d}, {len(self.terms)} terms, degree {self.degree()})"
-
-
-def expect_poly_times_hermite(f: Polynomial, beta) -> float:
-    """E[f(W) H_beta(W)] computed exactly through monomial moments."""
-    beta = check_multiindex(beta)
-    if len(beta) != f.d:
-        raise ValueError("dimension mismatch")
-    total = 0.0
-    hcoeffs = [hermite1d(b) for b in beta]
-    for mono, c in f.terms.items():
-        fac = c
-        for i, (m, h) in enumerate(zip(mono, hcoeffs)):
-            fac_i = sum(h[k] * gaussian_moment_1d(m + k) for k in range(len(h)) if h[k] != 0.0)
-            fac *= fac_i
-            if fac == 0.0:
-                break
-        total += fac
-    return total
-
-
-def duality_check(beta, f: Polynomial) -> tuple[float, float]:
-    """Both sides of the Gaussian integration-by-parts identity
-    ``E[d_beta f(W)] = E[f(W) H_beta(W)]``, each computed exactly.
-
-    Returns the pair; the caller asserts equality.
-    """
-    lhs = f.diff(beta).gaussian_expectation()
-    rhs = expect_poly_times_hermite(f, beta)
-    return lhs, rhs

@@ -45,6 +45,32 @@ def hermite_inner(beta1, beta2) -> float:
     return out
 
 
+def expect_poly_times_hermite(f: Polynomial, beta) -> float:
+    """E[f(W) H_beta(W)] computed exactly through monomial moments."""
+    beta = check_multiindex(beta)
+    if len(beta) != f.d:
+        raise ValueError("dimension mismatch")
+    total = 0.0
+    hcoeffs = [hermite1d(b) for b in beta]
+    for mono, c in f.terms.items():
+        fac = c
+        for m, h in zip(mono, hcoeffs):
+            fac *= sum(h[k] * gaussian_moment_1d(m + k) for k in range(len(h)) if h[k] != 0.0)
+            if fac == 0.0:
+                break
+        total += fac
+    return total
+
+
+def duality_check(beta, f: Polynomial) -> tuple[float, float]:
+    """Both sides of the Gaussian integration-by-parts identity
+    ``E[d_beta f(W)] = E[f(W) H_beta(W)]``, each computed exactly.
+
+    Returns the pair; the caller asserts equality.
+    """
+    return f.diff(beta).gaussian_expectation(), expect_poly_times_hermite(f, beta)
+
+
 def univariate_polynomial(coeffs) -> Polynomial:
     """One-variable Polynomial from a coefficient vector (position k holds
     the coefficient of x**k)."""

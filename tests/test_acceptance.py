@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import bdtr
 from scipy.stats import binom, ks_2samp, norm
 
 from conftest import make_random_model
@@ -32,7 +33,7 @@ from edgeworth.experiments import (
     occupation_time,
     rate_experiment,
 )
-from edgeworth.hermite import Polynomial, duality_check
+from edgeworth.hermite import Polynomial
 from edgeworth.kernels import build_super_kernel, mollify
 from edgeworth.moments import (
     exact_sum_moment,
@@ -45,7 +46,7 @@ from edgeworth.moments import (
 )
 from edgeworth.multiindex import enumerate_multiindices
 from edgeworth.sampling import DoeblinCert, RngStream, nummelin_sample
-from hermite_helpers import hermite_inner, random_polynomial
+from hermite_helpers import duality_check, hermite_inner, random_polynomial
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -201,14 +202,28 @@ def test_criterion_07_approximate_density():
 
 
 def _exact_rademacher_band_occupation(n: int, eps: float) -> float:
+    # after k steps the walk sits at 2j - k for j ~ Binomial(k, 1/2); the band
+    # holds j in [lo, hi], with both edges clipped into bdtr's 0..k domain
+    lim = eps * math.sqrt(n)
+    k = np.arange(1, n + 1)
+    lo = np.ceil((k - lim) / 2.0).astype(int)
+    hi = np.floor((k + lim) / 2.0).astype(int)
+    below = np.where(lo >= 1, bdtr(np.maximum(lo - 1, 0), k, 0.5), 0.0)
+    p = np.where(hi >= lo, bdtr(np.minimum(hi, k), k, 0.5) - below, 0.0)
+    return float(p.sum()) / (n * 2.0 * eps)
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+@pytest.mark.parametrize("eps", [0.003, 0.1, 0.5, 3.0])
+def test_band_occupation_oracle_matches_binomial_loop(n, eps):
+    # criterion 8's vectorised oracle against the step-by-step binomial CDF
+    # sum, over bands that are empty, partial and wider than the walk
     lim = eps * math.sqrt(n)
     total = 0.0
     for k in range(1, n + 1):
-        lo = math.ceil((k - lim) / 2.0)
-        hi = math.floor((k + lim) / 2.0)
-        p = 0.0 if hi < lo else float(binom.cdf(hi, k, 0.5) - binom.cdf(lo - 1, k, 0.5))
-        total += p
-    return total / (n * 2.0 * eps)
+        lo, hi = math.ceil((k - lim) / 2.0), math.floor((k + lim) / 2.0)
+        total += 0.0 if hi < lo else float(binom.cdf(hi, k, 0.5) - binom.cdf(lo - 1, k, 0.5))
+    assert _exact_rademacher_band_occupation(n, eps) == pytest.approx(total / (n * 2.0 * eps), rel=1e-12)
 
 
 def _exact_gaussian_band_occupation(n: int, eps: float) -> float:
@@ -219,8 +234,7 @@ def _exact_gaussian_band_occupation(n: int, eps: float) -> float:
 def test_criterion_08_occupation_time():
     t0 = time.time()
     res = occupation_time(
-        rademacher(), rho=0.5, n_grid=[1000, 10_000], samples=10_000, seed=808,
-        ref_grid=10_000, ref_eps=0.015,
+        rademacher(), rho=0.5, n_grid=[1000, 10_000], samples=10_000, seed=808, ref_eps=0.015,
     )
     by_n = {r["n"]: r for r in res.rows}
     row4 = by_n[10_000]
@@ -304,7 +318,6 @@ def test_criterion_10_determinism(tmp_path):
         "rho": 0.5,
         "n_grid": [64],
         "samples": 2000,
-        "ref_grid": 500,
         "seed": 11,
     }
     cpath2 = tmp_path / "occ.json"

@@ -174,7 +174,7 @@ def test_rate_crn_without_inverse_cdf_is_config_error(tmp_path, capsys):
 
 
 MINIMAL_OCCUPATION = {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5, "n_grid": [16],
-                      "samples": 100, "ref_grid": 100}
+                      "samples": 100}
 MINIMAL_ROOTS = {"experiment": "roots", "component": {"kind": "standard_normal"}, "n_grid": [5], "samples": 20}
 
 
@@ -195,10 +195,12 @@ MINIMAL_ROOTS = {"experiment": "roots", "component": {"kind": "standard_normal"}
         ),
         pytest.param(
             {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5,
-             "n_grid": [16], "samples": 100, "ref_grid": 100, "ref_paths": 1000},
+             "n_grid": [16], "samples": 100, "ref_paths": 1000},
             "ref_paths",
             id="occupation",
         ),
+        # the Brownian reference is a closed form, with no grid to set
+        pytest.param(MINIMAL_OCCUPATION | {"ref_grid": 100}, "ref_grid", id="occupation-ref_grid"),
         # the law's inverse CDF picks the coupling of these two
         pytest.param(MINIMAL_OCCUPATION | {"crn": False}, "crn", id="occupation-crn"),
         pytest.param(MINIMAL_ROOTS | {"crn": True}, "crn", id="roots-crn"),
@@ -348,7 +350,7 @@ def test_seed_determinism_byte_identical(tmp_path):
         ),
         pytest.param(
             {"experiment": "occupation", "component": {"kind": "rademacher"}, "rho": 0.5,
-             "n_grid": [4096], "samples": 600, "ref_grid": 1000, "seed": 5},
+             "n_grid": [4096], "samples": 600, "seed": 5},
             id="occupation",
         ),
         pytest.param(
@@ -407,17 +409,21 @@ def test_workers_reach_exactly_the_drivers_that_take_them(tmp_path, monkeypatch,
     cpath.write_text(json.dumps(MINIMAL[experiment][0]))
     assert main([experiment, "--config", str(cpath), "--workers", "3", "--out-dir", str(tmp_path)]) == 0
     [(name, workers)] = calls
-    assert workers == (3 if "workers" in inspect.signature(real[name]).parameters else None)
+    takes_workers = "workers" in inspect.signature(real[name]).parameters
+    assert workers == (3 if takes_workers else None)
+    # the summary records the count the driver ran with
+    assert json.loads((tmp_path / f"{experiment}.json").read_text())["workers"] == (3 if takes_workers else 1)
 
 
 # one cheap, well-typed config per subcommand with the config_hash it had
-# before the subcommands were field specs
+# before the subcommands were field specs (occupation's since its config
+# lost the Brownian grid size)
 MINIMAL = {
     "rate": ({"experiment": "rate", "component": {"kind": "rademacher"}, "N": 1, "n_grid": [8, 16],
               "f": {"[4]": 1.0}}, "9e5fa3ba82e206dd"),
     "density": ({"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1, "a": [0.3],
                  "n_grid": [4, 8], "samples": 2000}, "0705efe2d2ff6296"),
-    "occupation": (MINIMAL_OCCUPATION, "db1a59b2d550bba0"),
+    "occupation": (MINIMAL_OCCUPATION, "dd6de41754f781ed"),
     "roots": (MINIMAL_ROOTS, "fc8e957d29679d8d"),
     "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
                    "u_grid_size": 8}, "3f68fcfa51d7c0fd"),
@@ -447,10 +453,10 @@ CSV_DIGESTS = {
     "density": "392ad1f13f83fd0018a0efc02564d9c4f2082e62769a5e63b0b614e970b1094e",
     "kernel": "0c3fb490882109e1639c6d7333d58c3048614d30ae8a261b16e7e536d59da7a8",
     "nummelin": "0cb2a7268fa202c86dd26dd2669323892822cf09ec1c43d5a0a79e511d9ef0a7",
-    "occupation": "1d0db6d7cfeee39f6627c85b526eaef7535cfed385833abd72a3ab9e1a55e9c2",
+    "occupation": "0d936f81d94bde165d464db4dc473264f18f79d069d9664661c8ffc77c25e62e",
     "rate": "3b4e3273921957ef6c61692735c414cf94d793025f98f812ca9b0687d9e8c709",
     "readme_rate": "3fc79e6e3b1fbc59001a3fe3046512c9f4fdd14b808187449bfd800c8253fb24",
-    "roots": "047dcda893471375ff07e504ce61af23440f846a9f32480ad32673bfa94fd084",
+    "roots": "cb0ba4a8eb09e93c1b5b2f2b54205bc161119ebf6bf3380f94e057a119abbbac",
     "smallball": "18d556336faafff52cbba82ad664dfa1b54860315730420d50175cd278a3fc4e",
 }
 

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from edgeworth import experiments
 from edgeworth.experiments import (
     CRN_CHUNK,
     SMALLBALL_BLOCK,
+    _brownian_band_occupation,
     _count_roots,
     _crn_block,
     _ks_statistic,
     _root_grid,
+    _trig_sum_weights,
     density_experiment,
     fit_loglog,
     gaussian_density,
@@ -24,7 +28,6 @@ from edgeworth.experiments import (
     occupation_time,
     rate_experiment,
     small_ball,
-    trig_parametrized_sum,
 )
 from edgeworth.hermite import Polynomial
 from edgeworth.moments import (
@@ -177,22 +180,35 @@ def test_density_fit_skips_zero_error_and_flagged_rows(monkeypatch):
 
 
 def test_occupation_time_gaussian_row():
-    res = occupation_time(
-        standard_normal(), rho=0.5, n_grid=[400], samples=4000, seed=9,
-        ref_grid=2000, ref_eps=0.05,
-    )
+    res = occupation_time(standard_normal(), rho=0.5, n_grid=[400], samples=4000, seed=9, ref_eps=0.05)
     row = res.rows[0]
     exact = occupation_closed_form_gaussian(400, 400 ** -0.25)
     assert abs(row["occupation_gaussian"] - exact) <= 4 * row["se_gaussian"]
     # same-law coupling makes the two walks identical
     assert row["gap"] == pytest.approx(0.0, abs=1e-12)
     assert row["gaussian_exact"] == pytest.approx(exact)
-    # the Brownian reference is the exact Gaussian-walk value on ref_grid steps
-    assert row["brownian_ref"] == occupation_closed_form_gaussian(2000, row["eps"])
-    assert res.notes["local_time_ref"] == occupation_closed_form_gaussian(2000, 0.05)
-    assert row["brownian_ref_se"] == 0.0
-    assert res.notes["local_time_ref_se"] == 0.0
+    # the Brownian reference is the closed form, with no standard error beside it
+    assert row["brownian_ref"] == _brownian_band_occupation(row["eps"])
+    assert res.notes["local_time_ref"] == _brownian_band_occupation(0.05)
+    assert "brownian_ref_se" not in res.columns and "local_time_ref_se" not in res.notes
     assert res.notes["local_time_exact_limit"] == pytest.approx(math.sqrt(2 / math.pi))
+
+
+@pytest.mark.parametrize("eps", [0.015, 0.02, 0.1, 0.56])
+def test_brownian_band_occupation_matches_quadrature(eps):
+    # (1/2 eps) int_0^1 P(|B_t| <= eps) dt, with P(|B_t| <= eps) = 2 Phi(eps / sqrt(t)) - 1
+    integral, _ = quad(lambda t: 2.0 * ndtr(eps / math.sqrt(t)) - 1.0, 0.0, 1.0,
+                       points=[eps * eps], epsabs=0.0, epsrel=1e-13, limit=200)
+    assert _brownian_band_occupation(eps) == pytest.approx(integral / (2.0 * eps), rel=1e-12, abs=0.0)
+
+
+def test_brownian_band_occupation_tends_to_local_time():
+    # E(eps) = sqrt(2/pi) - eps/2 + O(eps^2)
+    lim = math.sqrt(2.0 / math.pi)
+    gaps = [abs(_brownian_band_occupation(eps) - lim) for eps in (1e-1, 1e-2, 1e-3, 1e-5)]
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 1e-5
+    for eps in (1e-2, 1e-3, 1e-5):
+        assert abs(_brownian_band_occupation(eps) - (lim - eps / 2.0)) <= eps * eps
 
 
 def test_occupation_brownian_reference_convergence():
@@ -226,6 +242,8 @@ def test_kac_rice_single_harmonic():
     row = res.rows[0]
     assert row["roots_per_n"] == 1.0
     assert row["max_count"] <= 2
+    # Kac's limit is one note, not a constant column
+    assert res.notes["limit"] == 1.0 / math.sqrt(3.0) and "limit" not in res.columns
 
 
 def test_kac_rice_gaussian_small_n():
@@ -251,6 +269,8 @@ def test_occupation_time_uncoupled(dist):
     for row in res.rows:
         _check_uncoupled(row, "occupation")
         assert abs(row["occupation_gaussian"] - row["gaussian_exact"]) <= 5 * row["se_gaussian"]
+        assert row["brownian_ref"] == _brownian_band_occupation(row["eps"])
+    assert res.notes["local_time_ref"] == _brownian_band_occupation(0.02)
 
 
 @pytest.mark.parametrize("dist", UNCOUPLED)
@@ -267,7 +287,7 @@ def test_kac_rice_uncoupled(dist):
 @pytest.mark.parametrize("dist", CATALOG_KINDS, ids=lambda dist: dist.kind)
 def test_law_pair_coupled_exactly_with_inverse_cdf(dist):
     # the law picks the path: common uniforms exactly when it has a closed inverse CDF
-    occupation = occupation_time(dist, rho=0.5, n_grid=[16], samples=100, seed=1, ref_grid=100)
+    occupation = occupation_time(dist, rho=0.5, n_grid=[16], samples=100, seed=1)
     roots = kac_rice_roots(dist, [5], samples=20, seed=1)
     assert occupation.parameters["crn"] is roots.parameters["crn"] is has_icdf(dist)
 
@@ -315,7 +335,7 @@ def test_kac_rice_shared_tables_keep_rows(monkeypatch, dist):
 def test_trig_parametrized_sum_shapes_and_values():
     y = np.zeros((2, 6))
     y[0, 0] = 1.0  # a_1 = 1: P(u) = cos(u/3)/sqrt(3), P'(u) = -sin(u/3)/(3 sqrt 3)
-    out = trig_parametrized_sum(y, np.array([0.0, 1.0]))
+    out = (y @ _trig_sum_weights(3, np.array([0.0, 1.0]))).reshape(2, 2, 2)
     assert out.shape == (2, 2, 2)
     assert out[0, 0, 0] == pytest.approx(1 / math.sqrt(3))
     assert out[0, 1, 0] == pytest.approx(math.cos(1 / 3) / math.sqrt(3))
@@ -368,7 +388,7 @@ def test_small_ball_hits_equal_two_evaluations(dist, n, u_grid_size):
 def test_trig_parametrized_sum_equals_four_products(n):
     y = np.random.default_rng(n).standard_normal((50, 2 * n))
     u = np.concatenate([[1.0], np.linspace(0.0, math.pi, 33)])
-    got, want = trig_parametrized_sum(y, u), _trig_parametrized_sum_four_products(y, u)
+    got, want = (y @ _trig_sum_weights(n, u)).reshape(50, len(u), 2), _trig_parametrized_sum_four_products(y, u)
     assert got.shape == want.shape == (50, 34, 2)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from edgeworth.hermite import (
     Polynomial,
-    duality_check,
-    expect_poly_times_hermite,
     gauss_hermite,
     gaussian_moment,
     gaussian_moment_1d,
@@ -16,7 +14,13 @@ from edgeworth.hermite import (
 )
 from edgeworth.corrector import CorrectorPolynomial
 from edgeworth.multiindex import enumerate_multiindices
-from hermite_helpers import hermite_inner, random_polynomial, rodrigues_coeffs
+from hermite_helpers import (
+    duality_check,
+    expect_poly_times_hermite,
+    hermite_inner,
+    random_polynomial,
+    rodrigues_coeffs,
+)
 
 
 def test_low_order_coefficients():
