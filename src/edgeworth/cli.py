@@ -122,16 +122,19 @@ def _density(base_dir, N, n_grid, a, delta_exponent=None, delta_scale=1.0, **kw)
     )
 
 
-def _driver(name: str):
-    """Runner of ``experiments.<name>``, a driver that takes no worker count:
-    the count is dropped.  The driver is looked up at call time, so wrappers
-    on the module see the call."""
+def _driver(name: str, blocks: bool = True):
+    """Runner of ``experiments.<name>``; a driver without blocks
+    (``blocks=False``) takes no worker count, which is then dropped.  The
+    driver is looked up at call time, so wrappers on the module see the
+    call."""
+    if blocks:
+        return lambda base_dir, *args, **kw: getattr(experiments, name)(*args, **kw)
     return lambda base_dir, *args, workers=None, **kw: getattr(experiments, name)(*args, **kw)
 
 
 # Fields of every subcommand: the seed goes to the driver, the worker count
-# reaches the rate and density drivers, which record it in their summaries;
-# every other summary records the one thread its driver ran in.
+# reaches every driver that runs blocks, which records it in its summary;
+# the nummelin and kernel summaries record the one thread they ran in.
 COMMON = {"seed": INTEGER, "workers": INTEGER, "out_stem": STRING}
 _N_FAMILY = {"component": COMPONENT, "model": Field(_object, "a JSON object", ModelSpec.from_json),
              "model_path": STRING}
@@ -157,9 +160,9 @@ SPECS = {
                    "eta_grid": Field(lambda grid: grid is None or _numbers(grid), "a list of numbers or null"),
                    "u_grid_size": INTEGER, "samples": INTEGER}, _driver("small_ball")),
     "nummelin": ({"component": COMPONENT, "center": NUMBER, "radius": NUMBER, "epsilon": NUMBER},
-                 {"samples": INTEGER, "grid_points": INTEGER}, _driver("nummelin_experiment")),
+                 {"samples": INTEGER, "grid_points": INTEGER}, _driver("nummelin_experiment", blocks=False)),
     "kernel": ({}, {"plateau": NUMBER, "rolloff": NUMBER, "half_width": NUMBER, "points": INTEGER,
-                    "moment_bound": NUMBER}, _driver("kernel_experiment")),
+                    "moment_bound": NUMBER}, _driver("kernel_experiment", blocks=False)),
 }
 
 

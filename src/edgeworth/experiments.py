@@ -4,14 +4,15 @@ expected root counts of random trigonometric polynomials, small-ball
 probabilities for parametrized sums, the Nummelin splitting check and the
 super-kernel's moment table.
 
-Every Monte Carlo driver takes a seed and draws through
-``sampling.run_blocks``: fixed-size blocks, one counter-based stream per
-block, results combined in block order; rerunning with the same seed
-reproduces results bit for bit.  ``rate_experiment`` and
-``density_experiment`` take a worker count, which threads the blocks of
-both rate Monte Carlo paths (``sampling.mc_expectation`` and the common
-random numbers) and of density's one plan over the whole n-grid, and never
-changes results; every other driver runs its blocks in the calling thread.
+Every Monte Carlo driver takes a seed and draws from the streams of one
+key rule, (seed, driver tag, n, block) (``sampling.driver_stream``), so
+rerunning with the same seed reproduces results bit for bit.  The block
+drivers (rate, density, occupation, roots, small ball) also take a worker
+count and run through ``sampling.run_grid``: one plan of fixed-size blocks
+over the whole n-grid, results combined in block order, so the worker
+count, which threads the plan, never changes results.  The Nummelin
+splitting draws blocks 0 and 1 of its tag; the super-kernel table draws
+nothing.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from .moments import (
 )
 from .sampling import (
     DoeblinCert,
-    RngStream,
-    block_plan,
     doeblin_check,
+    driver_stream,
     fsums,
     mc_expectation,
     mean_var,
     nummelin_sample,
-    run_blocks,
+    run_grid,
     sample_sum,
 )
 
@@ -142,8 +142,10 @@ def _fitted_slope(rows, x: str, y: str, usable) -> tuple:
 
 
 def gaussian_density(a) -> float:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return float(np.exp(-0.5 * np.dot(a, a)) / (2.0 * math.pi) ** (len(a) / 2.0))
+    """Standard normal density at the point ``a``, through ``math`` so that
+    the value does not depend on numpy's SIMD loops."""
+    a = [float(x) for x in np.atleast_1d(a)]
+    return math.exp(-0.5 * math.fsum(x * x for x in a)) / (2.0 * math.pi) ** (len(a) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +190,17 @@ def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int, work
                 f"common random numbers need a closed-form inverse CDF; {rec.components[0].kind} has none"
             )
         laws[n] = (rec.components[0], float(rec.C[0, 0]))
-    n_max = max(models)
 
-    def block_sums(bid, bsize):
+    def block_sums(n_max, rng, bsize):
         out = []
-        for s in _crn_block(laws, n_max, RngStream(seed, bid).generator(), bsize).values():
+        for s in _crn_block(laws, n_max, rng, bsize).values():
             vals = np.asarray(g(s[:, None]), dtype=float)
             out += [vals.sum(), (vals * vals).sum()]
         return out
 
-    totals = fsums(run_blocks(block_plan(samples, max(64, (1 << 21) // n_max)), block_sums, workers))
+    [blocks] = run_grid(seed, "rate_crn", [max(models)], samples, lambda n: max(64, (1 << 21) // n), block_sums,
+                        workers)
+    totals = fsums(blocks)
     estimates = {}
     for i, n in enumerate(laws):
         mean, var = mean_var(totals[2 * i], totals[2 * i + 1], samples)
@@ -253,9 +256,7 @@ def rate_experiment(
             if crn_estimates is not None:
                 truth, se = crn_estimates[int(n)]
             else:
-                truth, se = mc_expectation(
-                    g, model, samples, seed=seed ^ (int(n) << 20), workers=workers
-                )
+                truth, se = mc_expectation(g, model, samples, seed=seed, workers=workers)
             err = abs(truth - corrected)
             degenerate = err <= 3.0 * se
         else:
@@ -317,33 +318,29 @@ def density_experiment(
 
     ``delta_rule`` maps n to the box half-width (default n^{-(N+1)/2}).
     Rows with fewer than ``DENSITY_MIN_HITS`` hits are flagged and excluded
-    from the slope fit.  One block plan covers the whole n-grid, block b
-    of n drawing from stream (seed ^ (n << 20), b), so ``workers > 1``
-    threads across n as well as within it and never changes results.
+    from the slope fit.  The blocks run through ``sampling.run_grid``.
     """
     if delta_rule is None:
         delta_rule = lambda n: float(n) ** (-0.5 * (N + 1))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    grid = []
-    for n in n_grid:
-        n = int(n)
+    ns = [int(n) for n in n_grid]
+    grid = {}
+    for n in ns:
         model = model_builder(n)
         if len(a) != model.d:
             raise ValueError("point dimension != model dimension")
         phi = corrector_polynomial(model, N)
-        grid.append((n, model, float(delta_rule(n)), gaussian_density(a) * phi.evaluate(a)))
+        grid[n] = (model, float(delta_rule(n)), gaussian_density(a) * phi.evaluate(a))
 
-    def block_hits(i, bid, bsize):
-        n, model, delta, _ = grid[i]
-        pts = sample_sum(model, RngStream(seed ^ (n << 20), bid).generator(), bsize)
+    def block_hits(n, rng, bsize):
+        model, delta, _ = grid[n]
+        pts = sample_sum(model, rng, bsize)
         return int(np.sum(np.max(np.abs(pts - a[None, :]), axis=1) <= delta))
 
-    plan = [(i, bid, bsize) for i in range(len(grid)) for bid, bsize in block_plan(samples, DENSITY_BLOCK)]
-    hits = [0] * len(grid)
-    for (i, _, _), h in zip(plan, run_blocks(plan, block_hits, workers)):
-        hits[i] += h
     rows = []
-    for (n, model, delta, reference), h in zip(grid, hits):
+    for n, blocks in zip(ns, run_grid(seed, "density", ns, samples, lambda n: DENSITY_BLOCK, block_hits, workers)):
+        model, delta, reference = grid[n]
+        h = sum(blocks)
         vol = (2.0 * delta) ** model.d
         p_hat = h / samples
         est = p_hat / vol
@@ -384,16 +381,15 @@ def density_experiment(
 # a law against its Gaussian twin, block by block
 
 
-def _paired_draws(dist, couple: bool, key: int, bid: int, shape):
+def _paired_draws(dist, couple: bool, rng: np.random.Generator, shape):
     """One block of draws from ``dist`` and from standard normals: the same
     uniforms through both inverse CDFs when ``couple``, otherwise the law's
-    own stream and an independent normal stream."""
-    rng = RngStream(key, bid).generator()
+    draws, then independent normals, from the one generator."""
     if couple:
         u = rng.random(shape)
         return component_icdf(dist, u), ndtri(u)
-    g = RngStream(key ^ (1 << 40), bid).generator().standard_normal(shape)
-    return sample_component(dist, rng, shape), g
+    y = sample_component(dist, rng, shape)
+    return y, rng.standard_normal(shape)
 
 
 def _paired_sums(y: np.ndarray, g: np.ndarray) -> tuple:
@@ -452,6 +448,7 @@ def occupation_time(
     samples: int = 10_000,
     seed: int = 0,
     ref_eps: float | None = None,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Banded occupation average of the scaled random walk against its
     Gaussian twin and Brownian motion.
@@ -470,16 +467,19 @@ def occupation_time(
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
     couple = has_icdf(dist)
 
+    ns = [int(n) for n in n_grid]
+
+    def band(n: int) -> float:
+        return float(n) ** (-0.5 * (1.0 - rho))
+
+    def block_sums(n, rng, bsize):
+        y, g = _paired_draws(dist, couple, rng, (bsize, n))
+        return _paired_sums(_walk_band_fraction(y, band(n)), _walk_band_fraction(g, band(n)))
+
     rows = []
-    for n in n_grid:
-        eps = float(n) ** (-0.5 * (1.0 - rho))
-        n = int(n)
-
-        def block_sums(bid, bsize):
-            y, g = _paired_draws(dist, couple, seed ^ (n << 24), bid, (bsize, n))
-            return _paired_sums(_walk_band_fraction(y, eps), _walk_band_fraction(g, eps))
-
-        totals = fsums(run_blocks(block_plan(samples, max(64, (1 << 21) // n)), block_sums))
+    for n, blocks in zip(ns, run_grid(seed, "occupation", ns, samples, lambda n: max(64, (1 << 21) // n),
+                                      block_sums, workers)):
+        eps, totals = band(n), fsums(blocks)
         rows.append(
             {"n": n, "eps": eps}
             | _paired_row(totals, samples, couple, "occupation")
@@ -505,6 +505,7 @@ def occupation_time(
         ],
         rows=rows,
         seed=seed,
+        workers=workers,
         notes={
             "local_time_ref": _brownian_band_occupation(ref_eps),
             "local_time_exact_limit": math.sqrt(2.0 / math.pi),
@@ -570,6 +571,7 @@ def kac_rice_roots(
     samples: int = 2000,
     seed: int = 0,
     oversample: int = 8,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Expected number of zeros on (0, pi) of random trigonometric
     polynomials with independent coefficient pairs drawn from ``dist``,
@@ -583,21 +585,21 @@ def kac_rice_roots(
     """
     couple = has_icdf(dist)
 
+    ns = [int(n) for n in n_grid]
+    tables = {n: _root_grid(n, oversample) for n in ns}
+
+    def block_sums(n, rng, bsize):
+        y, g = _paired_draws(dist, couple, rng, (bsize, 2 * n))
+        cy = _count_roots(y[:, :n], y[:, n:], *tables[n])
+        cg = _count_roots(g[:, :n], g[:, n:], *tables[n])
+        max_count = int(max(cy.max(initial=0), cg.max(initial=0)))
+        if max_count > 2 * n:
+            raise NumericalGuardError("root count exceeds twice the degree: counting bug")
+        return _paired_sums(cy / n, cg / n), max_count
+
     rows = []
-    for n in n_grid:
-        n = int(n)
-        tables = _root_grid(n, oversample)
-
-        def block_sums(bid, bsize):
-            y, g = _paired_draws(dist, couple, seed ^ (n << 16), bid, (bsize, 2 * n))
-            cy = _count_roots(y[:, :n], y[:, n:], *tables)
-            cg = _count_roots(g[:, :n], g[:, n:], *tables)
-            max_count = int(max(cy.max(initial=0), cg.max(initial=0)))
-            if max_count > 2 * n:
-                raise NumericalGuardError("root count exceeds twice the degree: counting bug")
-            return _paired_sums(cy / n, cg / n), max_count
-
-        results = run_blocks(block_plan(samples, max(16, (1 << 21) // (oversample * n))), block_sums)
+    for n, results in zip(ns, run_grid(seed, "roots", ns, samples, lambda n: max(16, (1 << 21) // (oversample * n)),
+                                       block_sums, workers)):
         rows.append(
             {"n": n}
             | _paired_row(fsums(sums for sums, _ in results), samples, couple, "roots_per_n")
@@ -618,6 +620,7 @@ def kac_rice_roots(
         ],
         rows=rows,
         seed=seed,
+        workers=workers,
         notes={"limit": 1.0 / math.sqrt(3.0)},
     )
 
@@ -651,6 +654,7 @@ def small_ball(
     u_grid_size: int = 64,
     samples: int = 100_000,
     seed: int = 0,
+    workers: int = 1,
 ) -> ExperimentResult:
     """Small-ball probabilities for the two-dimensional parametrized sum
     built from random trigonometric polynomials (d = 2, one parameter).
@@ -672,17 +676,19 @@ def small_ball(
     delta_inf = float(n) ** (-theta)
     weights = _trig_sum_weights(n, np.concatenate([[u_point], u_values]))
 
-    def block_hits(bid, bsize):
-        y = sample_component(dist, RngStream(seed ^ (n << 8), bid).generator(), (bsize, 2 * n))
+    def block_hits(n, rng, bsize):
+        y = sample_component(dist, rng, (bsize, 2 * n))
         s = (y @ weights).reshape(bsize, -1, 2)
-        s_norms = np.hypot(s[..., 0], s[..., 1])
+        p, dp = s[..., 0], s[..., 1]
+        s_norms = np.sqrt(p * p + dp * dp)
         norms = s_norms[:, 0]
         min_norm = np.min(s_norms[:, 1:], axis=1)
         return [int(np.count_nonzero(norms <= eta)) for eta in eta_grid] + [
             int(np.count_nonzero(min_norm <= delta_inf))
         ]
 
-    *hits_eta, hits_inf = (sum(col) for col in zip(*run_blocks(block_plan(samples, SMALLBALL_BLOCK), block_hits)))
+    [blocks] = run_grid(seed, "smallball", [n], samples, lambda n: SMALLBALL_BLOCK, block_hits, workers)
+    *hits_eta, hits_inf = (sum(col) for col in zip(*blocks))
 
     rows = []
     pointwise = [("pointwise", float(eta), h) for eta, h in zip(eta_grid, hits_eta)]
@@ -718,6 +724,7 @@ def small_ball(
         fitted_slope=slope,
         slope_stderr=stderr,
         seed=seed,
+        workers=workers,
         notes={
             "eta_exponent_reference": 2.0,
             "infimum_bound_exponent": theta * 1.0 - a_exp * 1.0,
@@ -765,8 +772,8 @@ def nummelin_experiment(
     seed: int = 0,
 ) -> ExperimentResult:
     """Draws through the density splitting of ``dist`` on the certified ball
-    (stream (seed, 0)) against direct draws (stream (seed, 1)), compared by
-    the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
+    (stream block 0 of the driver) against direct draws (block 1), compared
+    by the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
     without a density is a ValueError; a failed grid check of the lower
     bound aborts."""
     if not has_density(dist):
@@ -775,8 +782,8 @@ def nummelin_experiment(
     if not ok:
         raise NumericalGuardError(f"lower-bound check failed: margin {margin:.3e}")
     cert = DoeblinCert(center, radius, epsilon)
-    split = nummelin_sample(dist, cert, RngStream(seed, 0).generator(), samples)
-    direct = sample_component(dist, RngStream(seed, 1).generator(), samples)
+    split = nummelin_sample(dist, cert, driver_stream(seed, "nummelin", 0, 0), samples)
+    direct = sample_component(dist, driver_stream(seed, "nummelin", 0, 1), samples)
     stat = _ks_statistic(split, direct)
     crit = 1.628 * np.sqrt(2.0 / samples)
     row = {

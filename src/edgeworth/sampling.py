@@ -1,12 +1,16 @@
-"""Seeded random generation: counter-based deterministic streams, samplers
-for the model sum, Monte Carlo expectations with error bars, and the
-density-splitting sampler backed by a Doeblin lower-bound certificate.
+"""Seeded random generation: keyed deterministic streams, samplers for the
+model sum, the block runner of every Monte Carlo driver, Monte Carlo
+expectations with error bars, and the density-splitting sampler backed by a
+Doeblin lower-bound certificate.
 
-Determinism contract: every stochastic routine takes a 64-bit seed and
-derives independent Philox streams keyed by (seed, stream_id).  Monte Carlo
-loops draw in fixed-size blocks, one stream per block, and combine block
-results in block order with compensated summation, so estimates are
-bit-identical for a fixed seed regardless of the worker count.
+Determinism contract: every stochastic routine takes a 64-bit seed.  A
+driver's stream is keyed by (seed, tag, n, block), ``tag`` the driver's
+entry in ``STREAM_TAGS``, and seeds numpy's default bit generator (PCG64)
+through ``SeedSequence``, so no two drivers, sizes or blocks share a
+stream.  ``run_grid`` draws each n of a grid in fixed-size blocks, one
+stream per block, and returns the block results in block order; drivers
+combine them with compensated summation, so estimates are bit-identical
+for a fixed seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -26,17 +30,29 @@ BUMP_MAX_DOUBLINGS = 24
 MIN_ACCEPTANCE = 1e-3  # smallest acceptance rate a splitting branch tolerates
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based stream: identical (seed, stream_id) reproduce the same
-    sequence; distinct stream ids are statistically independent."""
+# one stream tag per Monte Carlo driver, the first word of its stream keys
+STREAM_TAGS = {name: tag for tag, name in enumerate(
+    ("mc_expectation", "rate_crn", "density", "occupation", "roots", "smallball", "nummelin"))}
 
-    seed: int
-    stream_id: int = 0
+
+class RngStream:
+    """The stream keyed by ``(seed, *key)``: PCG64 seeded through
+    ``SeedSequence(seed mod 2^64, spawn_key=key)``.  Identical keys
+    reproduce the same sequence; distinct keys of one length, each word
+    below 2^32, give independent ones."""
+
+    def __init__(self, seed: int, *key: int):
+        self.seed, self.key = seed, key
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.default_rng(np.random.SeedSequence(self.seed % (1 << 64), spawn_key=self.key))
+
+
+def driver_stream(seed: int, driver: str, n: int, block: int) -> np.random.Generator:
+    """The generator of block ``block`` at size ``n`` of ``driver``, keyed
+    by (seed, STREAM_TAGS[driver], n, block): the one key rule of every
+    Monte Carlo driver."""
+    return RngStream(seed, STREAM_TAGS[driver], n, block).generator()
 
 
 def taper_exponent(radius: float, t) -> np.ndarray:
@@ -269,6 +285,24 @@ def run_blocks(plan, block_fn, workers: int = 1) -> list:
     return [block_fn(*entry) for entry in plan]
 
 
+def run_grid(seed: int, driver: str, grid, samples: int, rows, block_fn, workers: int = 1) -> list[list]:
+    """``samples`` draws at each n of ``grid``, in blocks of ``rows(n)``
+    rows, run as one plan over the whole grid: block b of n calls
+    ``block_fn(n, rng, bsize)`` with ``rng = driver_stream(seed, driver, n,
+    b)``.  Returns, per grid entry, its block results in block order.
+    ``workers > 1`` threads the plan across n as well as within it, which
+    changes scheduling only."""
+    plan = [(i, bid, bsize) for i, n in enumerate(grid) for bid, bsize in block_plan(samples, rows(n))]
+
+    def run(i, bid, bsize):
+        return block_fn(grid[i], driver_stream(seed, driver, grid[i], bid), bsize)
+
+    results = [[] for _ in grid]
+    for (i, _, _), result in zip(plan, run_blocks(plan, run, workers)):
+        results[i].append(result)
+    return results
+
+
 def fsums(results) -> list[float]:
     """Compensated sum of each position across the per-block results."""
     return [math.fsum(col) for col in zip(*results)]
@@ -284,17 +318,18 @@ def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
                    workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of E[f(S_n)] with its standard error.
 
-    ``f`` maps an (m, d) array to m values.  Sampling runs in fixed blocks,
-    one Philox stream per block, so the estimate depends only on
-    (seed, samples) and not on the worker count; workers only add
+    ``f`` maps an (m, d) array to m values.  Sampling runs through
+    ``run_grid`` on the grid ``[model.n]``, so the estimate depends only on
+    (seed, n, samples) and not on the worker count; workers only add
     thread parallelism.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
 
-    def block_sums(bid, bsize):
-        vals = np.asarray(f(sample_sum(model, RngStream(seed, bid).generator(), bsize)), dtype=float)
+    def block_sums(n, rng, bsize):
+        vals = np.asarray(f(sample_sum(model, rng, bsize)), dtype=float)
         return float(vals.sum()), float((vals * vals).sum())
 
-    mean, var = mean_var(*fsums(run_blocks(block_plan(samples, MC_BLOCK), block_sums, workers)), samples)
+    [blocks] = run_grid(seed, "mc_expectation", [model.n], samples, lambda n: MC_BLOCK, block_sums, workers)
+    mean, var = mean_var(*fsums(blocks), samples)
     return mean, math.sqrt(var / samples)

@@ -54,5 +54,16 @@ def test_rate_convergence_demo_runs(tmp_path):
 def test_nummelin_splitting_demo_runs(tmp_path):
     out = run_demo("nummelin_splitting.py", tmp_path).stdout
     assert out.splitlines()[-1] == (
-        "moment check: split mean +0.0005, direct mean -0.0011; split var 1.0051, direct var 0.9987"
+        "moment check: split mean +0.0006, direct mean +0.0027; split var 1.0050, direct var 1.0029"
     )
+
+
+def test_occupation_time_demo_runs(tmp_path):
+    # the last line is the exact lattice gap at n = 12000, off the resonance
+    out = run_demo("occupation_time.py", tmp_path).stdout
+    assert out.splitlines()[-1] == " 12000   10.4664                    0.00217"
+
+
+def test_approximate_density_demo_runs(tmp_path):
+    out = run_demo("approximate_density.py", tmp_path).stdout
+    assert out.splitlines()[-1] == "fitted error slope: -0.376"

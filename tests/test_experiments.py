@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
-from edgeworth import experiments
+from edgeworth import experiments, sampling
 from edgeworth.experiments import (
     CRN_CHUNK,
     SMALLBALL_BLOCK,
@@ -41,7 +41,7 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
-from edgeworth.sampling import DoeblinCert, RngStream, block_plan, nummelin_sample, sample_component
+from edgeworth.sampling import DoeblinCert, RngStream, block_plan, driver_stream, nummelin_sample, sample_component
 
 from conftest import CATALOG_KINDS
 
@@ -362,7 +362,7 @@ def _small_ball_hits_two_evaluations(dist, n, u_point, eta_grid, u_grid_size, sa
     u_values = np.linspace(0.0, math.pi, u_grid_size)
     hits = np.zeros(len(eta_grid) + 1, dtype=int)
     for bid, bsize in block_plan(samples, SMALLBALL_BLOCK):
-        y = sample_component(dist, RngStream(seed ^ (n << 8), bid).generator(), (bsize, 2 * n))
+        y = sample_component(dist, driver_stream(seed, "smallball", n, bid), (bsize, 2 * n))
         s_point = _trig_parametrized_sum_four_products(y, np.array([u_point]))[:, 0, :]
         norms = np.hypot(s_point[:, 0], s_point[:, 1])
         s_grid = _trig_parametrized_sum_four_products(y, u_values)
@@ -445,20 +445,22 @@ def test_experiment_result_csv_roundtrip(tmp_path):
     assert type(doc["notes"]["all_degenerate"]) is bool
 
 
-@pytest.mark.parametrize(
-    "driver",
-    [occupation_time, kac_rice_roots, small_ball, nummelin_experiment, kernel_experiment],
-)
+@pytest.mark.parametrize("driver", [nummelin_experiment, kernel_experiment])
 def test_single_thread_drivers_take_no_worker_count(driver):
-    # only rate_experiment and density_experiment hand a worker count on
+    # the Nummelin splitting and the super-kernel table run no blocks
     assert "workers" not in inspect.signature(driver).parameters
+
+
+@pytest.mark.parametrize("driver", [rate_experiment, density_experiment, occupation_time, kac_rice_roots, small_ball])
+def test_block_drivers_take_a_worker_count(driver):
+    assert inspect.signature(driver).parameters["workers"].default == 1
 
 
 def test_nummelin_experiment_streams():
     dist = uniform_centered()
     res = nummelin_experiment(dist, 0.0, 0.25, 0.2, samples=5000, seed=3)
-    split = nummelin_sample(dist, DoeblinCert(0.0, 0.25, 0.2), RngStream(3, 0).generator(), 5000)
-    direct = sample_component(dist, RngStream(3, 1).generator(), 5000)
+    split = nummelin_sample(dist, DoeblinCert(0.0, 0.25, 0.2), driver_stream(3, "nummelin", 0, 0), 5000)
+    direct = sample_component(dist, driver_stream(3, "nummelin", 0, 1), 5000)
     row = res.rows[0]
     assert row["mean_split"] == float(split.mean()) and row["mean_direct"] == float(direct.mean())
     assert res.notes["ks_pass"]
@@ -507,3 +509,49 @@ def test_ks_statistic_equals_scipy(kind):
         else:
             x, y = rng.standard_normal(n1), 0.02 + 1.05 * rng.standard_normal(n2)
         assert _ks_statistic(x, y) == ks_2samp(x, y).statistic
+
+
+def _stream_keys(monkeypatch, run) -> set:
+    """Keys (seed, tag, n, block) of every stream that ``run()`` draws from."""
+    keys = []
+
+    class Recording(sampling.RngStream):
+        def generator(self):
+            keys.append((self.seed, *self.key))
+            return super().generator()
+
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "RngStream", Recording)
+        run()
+    assert len(keys) == len(set(keys))  # one stream per block
+    return set(keys)
+
+
+def _assert_streams_differ(keys_a: set, keys_b: set) -> None:
+    assert keys_a and keys_b and not keys_a & keys_b
+    heads = [RngStream(*key).generator().random(4).tobytes() for key in keys_a | keys_b]
+    assert len(set(heads)) == len(heads)
+
+
+def test_driver_stream_keys_never_collide(monkeypatch):
+    # the three pairs that shared a stream under XOR-shifted seeds:
+    # density and the rate Monte Carlo path at one n
+    family = lambda n: iid_model(uniform_centered(), n)
+    density = _stream_keys(monkeypatch, lambda: density_experiment(family, 1, [0.3], [8], samples=2000, seed=5))
+    rate = _stream_keys(monkeypatch, lambda: rate_experiment(
+        family, Polynomial(1, {(4,): 1.0}), 1, [8], mode="mc", samples=2000, seed=5))
+    _assert_streams_differ(density, rate)
+    # an uncoupled occupation run draws the law and its Gaussian twin from
+    # one stream per block, so no twin key can equal another n's key
+    mix = gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)
+    occupation = _stream_keys(monkeypatch, lambda: occupation_time(mix, 0.5, [1, 3], samples=200, seed=5))
+    tag = sampling.STREAM_TAGS["occupation"]
+    assert occupation == {(5, tag, 1, 0), (5, tag, 3, 0)}
+    _assert_streams_differ({(5, tag, 1, 0)}, {(5, tag, 1 ^ (1 << 16), 0)})
+    # roots at n = 1 and small balls at n = 256
+    roots = _stream_keys(monkeypatch, lambda: kac_rice_roots(uniform_centered(), [1], samples=200, seed=5))
+    balls = _stream_keys(monkeypatch, lambda: small_ball(uniform_centered(), 256, u_grid_size=8, samples=200, seed=5))
+    _assert_streams_differ(roots, balls)
+    # every key carries its driver's tag
+    for keys, driver in ((density, "density"), (rate, "mc_expectation"), (roots, "roots"), (balls, "smallball")):
+        assert {key[1] for key in keys} == {sampling.STREAM_TAGS[driver]}
