@@ -670,7 +670,10 @@ def small_ball(
     column 0 gives the pointwise norms, the others the infimum.
     """
     if eta_grid is None:
-        eta_grid = np.geomspace(0.05, 0.4, 6)
+        # geometric from 0.05 to 0.4 in Python floats: no numpy SIMD loop
+        # touches the grid, so its digits and config_hash are the same on
+        # every x86 target
+        eta_grid = [0.05 * 8.0 ** (k / 5) for k in range(6)]
     eta_grid = np.asarray(sorted(float(e) for e in eta_grid))
     u_values = np.linspace(0.0, math.pi, u_grid_size)
     delta_inf = float(n) ** (-theta)

@@ -4,7 +4,11 @@ corrector operators are Polynomials read in the partial derivatives.
 
 Everything here is exact in double precision for the orders the library
 supports (degree <= 12): coefficients and Gaussian moments are integers,
-so sums of products round only at the final accumulation.
+so sums of products round only at the final accumulation.  Point values
+go through products only: a Polynomial reads its monomials from a table of
+powers built by repeated multiplication (``power_table``), as the corrector
+reads its Hermite terms from ``hermite_value_table``, so no libm ``pow``
+enters a value and a power x**k carries at most k - 1 roundings.
 """
 
 from __future__ import annotations
@@ -54,6 +58,18 @@ def hermite_value_table(max_order: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
+def power_table(max_order: int, x: np.ndarray) -> np.ndarray:
+    """Table ``T[k, ...] = x**k`` for k = 0..max_order, by ``T[k] = T[k-1] * x``."""
+    x = np.asarray(x, dtype=float)
+    table = np.empty((max_order + 1,) + x.shape)
+    table[0] = 1.0
+    if max_order >= 1:
+        table[1] = x
+    for k in range(1, max_order):
+        table[k + 1] = table[k] * x
+    return table
+
+
 def gaussian_moment_1d(k: int) -> float:
     """E[Z^k] for Z standard normal: (k-1)!! for even k, 0 for odd k."""
     if k < 0:
@@ -89,7 +105,9 @@ class Polynomial:
 
     Read in the partial derivatives instead of x, the same map is a
     constant-coefficient differential operator, and ``*`` composes two of
-    them."""
+    them.  Called on one point (shape (d,)) or a batch (shape (m, d)), it
+    evaluates through products: each term is its coefficient times rows of
+    one ``power_table`` of the points."""
 
     __slots__ = ("d", "terms")
 
@@ -165,13 +183,16 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise ValueError("point dimension mismatch")
         out = np.zeros(pts.shape[0])
+        table = power_table(max((max(b) for b in self.terms), default=0), pts)
         for beta, c in self.terms.items():
-            mono = np.ones(pts.shape[0]) * c
+            term = np.full(pts.shape[0], c)
             for i, b in enumerate(beta):
                 if b:
-                    mono *= pts[:, i] ** b
-            out += mono
+                    term *= table[b, :, i]
+            out += term
         return float(out[0]) if single else out
 
     def gaussian_expectation(self) -> float:

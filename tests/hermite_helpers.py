@@ -87,3 +87,18 @@ def random_polynomial(rng, d: int, degree: int, coeff_range: int = 3) -> Polynom
             if c:
                 terms[beta] = float(c)
     return Polynomial(d, terms)
+
+
+def pow_evaluate(f: Polynomial, x) -> np.ndarray:
+    """f at the rows of the (m, d) array x, one ``**`` per factor of each
+    term: the per-term route that ``Polynomial.__call__`` replaced, kept as
+    its oracle."""
+    pts = np.asarray(x, dtype=float)
+    out = np.zeros(pts.shape[0])
+    for beta, c in f.terms.items():
+        mono = np.ones(pts.shape[0]) * c
+        for i, b in enumerate(beta):
+            if b:
+                mono *= pts[:, i] ** b
+        out += mono
+    return out

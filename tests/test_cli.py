@@ -418,7 +418,8 @@ def test_workers_reach_exactly_the_drivers_that_take_them(tmp_path, monkeypatch,
 
 # one cheap, well-typed config per subcommand with the config_hash it had
 # before the subcommands were field specs (occupation's since its config
-# lost the Brownian grid size)
+# lost the Brownian grid size, smallball's since its default eta grid is
+# built in Python floats)
 MINIMAL = {
     "rate": ({"experiment": "rate", "component": {"kind": "rademacher"}, "N": 1, "n_grid": [8, 16],
               "f": {"[4]": 1.0}}, "9e5fa3ba82e206dd"),
@@ -427,7 +428,7 @@ MINIMAL = {
     "occupation": (MINIMAL_OCCUPATION, "dd6de41754f781ed"),
     "roots": (MINIMAL_ROOTS, "fc8e957d29679d8d"),
     "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
-                   "u_grid_size": 8}, "3f68fcfa51d7c0fd"),
+                   "u_grid_size": 8}, "087496407a4e76f7"),
     "nummelin": ({"experiment": "nummelin", "component": {"kind": "uniform_centered"}, "center": 0.0,
                   "radius": 0.25, "epsilon": 0.2, "samples": 2000}, "95d34cbf19aaf72f"),
     "kernel": ({"experiment": "kernel"}, "44136fa355b3678a"),
@@ -447,18 +448,27 @@ def test_config_hash_pinned(tmp_path, experiment):
     assert json.loads((tmp_path / f"{experiment}.json").read_text())["config_hash"] == expected
 
 
-# sha256 of each MINIMAL config's CSV and of the README rate.json's, at the
-# config's own seed; a change that moves Monte Carlo numbers on purpose
-# updates these and records the old and new values
+# the rate Monte Carlo path, which evaluates the test function on sampled
+# rows, without and with common random numbers; a continuous law, so the
+# values of x**3 and x**4 are not a handful of lattice points
+RATE_MC = MINIMAL["rate"][0] | {"component": {"kind": "uniform_centered"}, "f": {"[3]": 1.0, "[4]": 1.0},
+                                "mode": "mc"}
+RATE_MC_CASES = {"rate_mc": RATE_MC | {"crn": False}, "rate_mc_crn": RATE_MC | {"crn": True}}
+
+# sha256 of each MINIMAL config's CSV, of the README rate.json's and of the
+# RATE_MC_CASES', at the config's own seed; a change that moves Monte Carlo
+# numbers on purpose updates these and records the old and new values
 CSV_DIGESTS = {
     "density": "9edb1ea62c37423d3a5b2f891becf20537a913cc9334f105bad25728adc38e07",
     "kernel": "0c3fb490882109e1639c6d7333d58c3048614d30ae8a261b16e7e536d59da7a8",
     "nummelin": "7f6839a42bec45782029dbe6d5b787eb4324be2d6558aa91528433b96d5db6f9",
     "occupation": "e07773e1b66a89305d207ac45397f76bc3c23cae151f27cc98588e2d671845f8",
     "rate": "3b4e3273921957ef6c61692735c414cf94d793025f98f812ca9b0687d9e8c709",
+    "rate_mc": "e276e2da644a88592655177f2c657905126167efe41b4ef0bce07615d5b5565e",
+    "rate_mc_crn": "7500e2cbffe8d28a1dfb77ffecd98b1583806a0670edab3fae65312c5387ef8f",
     "readme_rate": "3fc79e6e3b1fbc59001a3fe3046512c9f4fdd14b808187449bfd800c8253fb24",
     "roots": "c4df964911bfc1f938dc1b69d736f32ed10d43a6bfa280d1d8d9a907eef6e05a",
-    "smallball": "6503f161847559014cd76f714579b86c42dea0199e7d4e6e01f3554e480d7edb",
+    "smallball": "0b171e27cec31a54b878a97a5dce6a8f73cbff9943895150e450038b5e748dbf",
 }
 
 
@@ -468,7 +478,9 @@ def _readme_rate_config() -> str:
 
 
 def _case_config(case: str) -> str:
-    return _readme_rate_config() if case == "readme_rate" else json.dumps(MINIMAL[case][0])
+    if case == "readme_rate":
+        return _readme_rate_config()
+    return json.dumps(RATE_MC_CASES[case] if case in RATE_MC_CASES else MINIMAL[case][0])
 
 
 @pytest.mark.parametrize("case", sorted(CSV_DIGESTS))
@@ -484,10 +496,10 @@ def test_csv_bytes_pinned(tmp_path, case):
 # numpy's loops as an x86 machine without AVX-512 dispatches them; on such a
 # machine both runs below take the same loops
 BELOW_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-# kernel and smallball are left out: the kernel table's np.exp round-off and
-# smallball's np.geomspace eta grid (which config_hash also sees) still
-# differ in the last digits between the two targets
-PORTABLE_CASES = ("density", "nummelin", "occupation", "rate", "readme_rate", "roots")
+# kernel is left out: its table's np.exp round-off still differs in the last
+# digits between the two targets
+PORTABLE_CASES = ("density", "nummelin", "occupation", "rate", "rate_mc", "rate_mc_crn", "readme_rate", "roots",
+                  "smallball")
 
 
 def test_csv_bytes_portable_below_avx512(tmp_path):
@@ -535,7 +547,7 @@ def test_one_parser_serves_every_call(tmp_path):
 
 
 def test_csv_digests_cover_every_minimal_config():
-    assert CSV_DIGESTS.keys() == MINIMAL.keys() | {"readme_rate"}
+    assert CSV_DIGESTS.keys() == MINIMAL.keys() | {"readme_rate"} | RATE_MC_CASES.keys()
 
 
 def _run_config(cfg: dict, experiment: str) -> tuple[int, str]:

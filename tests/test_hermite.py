@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeworth.hermite import (
+    MAX_DEGREE,
     Polynomial,
     gauss_hermite,
     gaussian_moment,
     gaussian_moment_1d,
     hermite1d,
+    power_table,
 )
 from edgeworth.corrector import CorrectorPolynomial
 from edgeworth.multiindex import enumerate_multiindices
@@ -18,6 +20,7 @@ from hermite_helpers import (
     duality_check,
     expect_poly_times_hermite,
     hermite_inner,
+    pow_evaluate,
     random_polynomial,
     rodrigues_coeffs,
 )
@@ -134,6 +137,49 @@ def test_polynomial_algebra_pointwise(data):
     assert abs(p.scale(a)(x) - a * p(x)) <= 1e-12 * abs(a) * sp
     assert (p * q).terms == (q * p).terms
     assert not (p + p.scale(-1.0)).terms
+
+
+def test_power_table_layout():
+    x = np.array([[0.5, -3.0], [2.0, 1.5]])
+    table = power_table(4, x)
+    assert table.shape == (5, 2, 2)
+    assert np.array_equal(table[0], np.ones_like(x)) and np.array_equal(table[1], x)
+    assert np.array_equal(table[4], x * x * x * x)
+    assert np.array_equal(power_table(0, x), np.ones((1, 2, 2)))
+
+
+# |x| in [1e-3, 2] or 0: no power of degree <= 12 reaches the subnormal range,
+# where a relative rounding bound no longer holds
+_POINT = st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3) | st.just(0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_evaluation_through_products_matches_pow_oracle(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    degree = data.draw(st.integers(0, MAX_DEGREE), label="degree")
+    index = st.sampled_from([b for l in range(degree + 1) for b in enumerate_multiindices(d, l)])
+    f = Polynomial(d, data.draw(st.dictionaries(index, _COEFF, max_size=6), label="terms"))
+    m = data.draw(st.integers(1, 8), label="m")
+    x = np.array(data.draw(st.lists(st.lists(_POINT, min_size=d, max_size=d), min_size=m, max_size=m), label="x"))
+    values, oracle = f(x), pow_evaluate(f, x)
+    if f.degree() <= 2:
+        # numpy's x**2 is x*x, so the two routes take the same products
+        assert np.array_equal(values, oracle)
+    else:
+        # the table's x**k carries up to k - 1 roundings where one pow carries one
+        bound = (f.degree() - 1) * 2.0**-52 * _abs_value(f, x)
+        assert np.all(np.abs(values - oracle) <= bound)
+    for i, row in enumerate(x):
+        assert f(row) == values[i]
+    assert np.array_equal(Polynomial(d)(x), np.zeros(m)) and Polynomial(d)(x[0]) == 0.0
+
+
+def test_point_dimension_is_checked():
+    one, two = Polynomial(1, {(3,): 1.0}), Polynomial(2, {(1, 2): 1.0})
+    for poly, x in [(one, np.ones((4, 2))), (two, np.ones((4, 1))), (one, 2.0), (two, 2.0)]:
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            poly(x)
 
 
 def test_public_constructor_checks():
