@@ -142,7 +142,7 @@ class CorrectorPolynomial:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        if pts.shape[1] != self.d:
+        if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError("point dimension mismatch")
         out = np.full(pts.shape[0], self.constant)
         if self.terms:

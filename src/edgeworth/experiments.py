@@ -236,14 +236,13 @@ def rate_experiment(
     """
     gamma = tuple(gamma) if gamma else None
     g = f.diff(gamma) if gamma is not None else f
+    models = {int(n): model_builder(int(n)) for n in n_grid}
     crn_estimates = None
     if mode == "mc" and crn:
-        crn_estimates = _crn_mc_estimates(
-            {int(n): model_builder(int(n)) for n in n_grid}, g, samples, seed, workers
-        )
+        crn_estimates = _crn_mc_estimates(models, g, samples, seed, workers)
     rows = []
     for n in n_grid:
-        model = model_builder(int(n))
+        model = models[int(n)]
         phi = corrector_polynomial(model, N)
         corrected = edgeworth_expectation(g, (0,) * model.d, phi)
         if mode == "exact":
@@ -280,6 +279,7 @@ def rate_experiment(
             "gamma": list(gamma) if gamma else None,
             "mode": mode,
             "crn": bool(crn and mode == "mc"),
+            "model": models[int(n_grid[0])].to_json() if models else None,
             "n_grid": [int(n) for n in n_grid],
             "samples": samples if mode == "mc" else None,
             "f_terms": {str(list(b)): c for b, c in f.terms.items()},
@@ -364,6 +364,7 @@ def density_experiment(
         parameters={
             "N": N,
             "a": a.tolist(),
+            "model": grid[ns[0]][0].to_json() if ns else None,
             "n_grid": [int(n) for n in n_grid],
             "samples": samples,
             "delta": {str(int(n)): float(delta_rule(int(n))) for n in n_grid},

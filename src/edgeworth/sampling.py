@@ -72,8 +72,7 @@ def smoothed_ball_indicator(radius: float, t) -> np.ndarray:
     if radius <= 0:
         raise ValueError("radius must be positive")
     t = np.abs(np.asarray(t, dtype=float))
-    out = np.zeros(t.shape)
-    out[t <= radius] = 1.0
+    out = (t <= radius).astype(float)
     mid = (t > radius) & (t < 2.0 * radius)
     if np.any(mid):
         out[mid] = np.exp(taper_exponent(radius, t[mid]))
@@ -264,7 +263,8 @@ def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.
             y = np.empty((size, len(rec.components)))
             for j, comp in enumerate(rec.components):
                 y[:, j] = sample_component(comp, rng, size) if per_summand else _component_sum(comp, count, rng, size)
-            out += y @ rec.C.T
+            # a 1x1 matrix multiplies: the same product, without matmul's generic loop
+            out += y * rec.C[0, 0] if rec.C.shape == (1, 1) else y @ rec.C.T
     return out * scale
 
 
@@ -290,9 +290,13 @@ def run_grid(seed: int, driver: str, grid, samples: int, rows, block_fn, workers
     rows, run as one plan over the whole grid: block b of n calls
     ``block_fn(n, rng, bsize)`` with ``rng = driver_stream(seed, driver, n,
     b)``.  Returns, per grid entry, its block results in block order.
-    ``workers > 1`` threads the plan across n as well as within it, which
-    changes scheduling only."""
-    plan = [(i, bid, bsize) for i, n in enumerate(grid) for bid, bsize in block_plan(samples, rows(n))]
+    The plan starts the most costly blocks, by n * bsize, first, and
+    ``workers > 1`` threads it across n as well as within it; both change
+    scheduling only."""
+    # a stable sort keeps each n's blocks in block order: all share one
+    # size but the last, which is no larger
+    plan = sorted(((i, bid, bsize) for i, n in enumerate(grid) for bid, bsize in block_plan(samples, rows(n))),
+                  key=lambda entry: -grid[entry[0]] * entry[2])
 
     def run(i, bid, bsize):
         return block_fn(grid[i], driver_stream(seed, driver, grid[i], bid), bsize)

@@ -6,6 +6,9 @@ every split contributes a multinomial count, powers of the matrix entries
 and the grouped raw moments of the independent components.  The
 summand-by-summand oracles read a model through :func:`summand_list`,
 and :func:`sample_sum_reference` draws the scaled sum summand by summand.
+:func:`sample_sum_matmul_reference` and the ``*_where_reference`` forms are
+the matrix products and ``np.where`` selections that the package's sampler
+replaced by same-bits shortcuts.
 """
 
 import math
@@ -14,6 +17,7 @@ import numpy as np
 
 from edgeworth.moments import raw_moment, sample_component
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
+from edgeworth.sampling import _component_sum
 
 
 def summand_list(model) -> list:
@@ -33,6 +37,38 @@ def sample_sum_reference(model, rng: np.random.Generator, size: int = 1) -> np.n
             y[:, j] = sample_component(comp, rng, size)
         out += y @ rec.C.T
     return out * scale
+
+
+def sample_sum_matmul_reference(model, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+    """``sampling.sample_sum``'s draws, each record's matrix applied as
+    ``y @ C.T`` whatever its shape: a closed-form sum per component for a
+    record of count c > 1 without a uniform component, else summand by
+    summand, component by component."""
+    out = np.zeros((size, model.d))
+    scale = 1.0 / math.sqrt(model.n)
+    for rec, count in model.records:
+        per_summand = count == 1 or any(c.kind == "uniform_centered" for c in rec.components)
+        for _ in range(count if per_summand else 1):
+            y = np.empty((size, len(rec.components)))
+            for j, comp in enumerate(rec.components):
+                y[:, j] = sample_component(comp, rng, size) if per_summand else _component_sum(comp, count, rng, size)
+            out += y @ rec.C.T
+    return out * scale
+
+
+def icdf_where_reference(dist, u) -> np.ndarray:
+    """The inverse CDF of a two-valued law as an ``np.where`` selection."""
+    u = np.asarray(u, dtype=float)
+    if dist.kind == "rademacher":
+        return np.where(u < 0.5, -1.0, 1.0)
+    p, a, b = dist.params
+    return np.where(u < 1.0 - p, -b, a)
+
+
+def two_point_where_reference(dist, rng: np.random.Generator, size) -> np.ndarray:
+    """Draws of a two-point law as an ``np.where`` selection on uniforms."""
+    p, a, b = dist.params
+    return np.where(rng.random(size=size) < p, a, -b)
 
 
 def pushforward_moment(C: np.ndarray, comps, beta) -> float:

@@ -419,12 +419,13 @@ def test_workers_reach_exactly_the_drivers_that_take_them(tmp_path, monkeypatch,
 # one cheap, well-typed config per subcommand with the config_hash it had
 # before the subcommands were field specs (occupation's since its config
 # lost the Brownian grid size, smallball's since its default eta grid is
-# built in Python floats)
+# built in Python floats, rate's and density's since their parameters hold
+# the model)
 MINIMAL = {
     "rate": ({"experiment": "rate", "component": {"kind": "rademacher"}, "N": 1, "n_grid": [8, 16],
-              "f": {"[4]": 1.0}}, "9e5fa3ba82e206dd"),
+              "f": {"[4]": 1.0}}, "f4c5c19b8aa3d94a"),
     "density": ({"experiment": "density", "component": {"kind": "uniform_centered"}, "N": 1, "a": [0.3],
-                 "n_grid": [4, 8], "samples": 2000}, "0705efe2d2ff6296"),
+                 "n_grid": [4, 8], "samples": 2000}, "c5360855e0c71e1b"),
     "occupation": (MINIMAL_OCCUPATION, "dd6de41754f781ed"),
     "roots": (MINIMAL_ROOTS, "fc8e957d29679d8d"),
     "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
@@ -433,6 +434,21 @@ MINIMAL = {
                   "radius": 0.25, "epsilon": 0.2, "samples": 2000}, "95d34cbf19aaf72f"),
     "kernel": ({"experiment": "kernel"}, "44136fa355b3678a"),
 }
+
+
+@pytest.mark.parametrize("experiment", ["rate", "density"])
+def test_config_hash_tells_laws_apart(tmp_path, experiment):
+    # the n-grid drivers' parameters hold the model, so two configs that
+    # differ only in the component law differ in config_hash
+    hashes = []
+    for kind in ("rademacher", "uniform_centered"):
+        cfg = MINIMAL[experiment][0] | {"component": {"kind": kind}}
+        out = tmp_path / kind
+        cpath = tmp_path / f"{kind}.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main([experiment, "--config", str(cpath), "--out-dir", str(out)]) == 0
+        hashes.append(json.loads((out / f"{experiment}.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
 
 
 def test_minimal_configs_cover_every_subcommand():
@@ -450,10 +466,13 @@ def test_config_hash_pinned(tmp_path, experiment):
 
 # the rate Monte Carlo path, which evaluates the test function on sampled
 # rows, without and with common random numbers; a continuous law, so the
-# values of x**3 and x**4 are not a handful of lattice points
+# values of x**3 and x**4 are not a handful of lattice points; and the
+# common-random-number path through a skewed two-point law's inverse CDF
 RATE_MC = MINIMAL["rate"][0] | {"component": {"kind": "uniform_centered"}, "f": {"[3]": 1.0, "[4]": 1.0},
                                 "mode": "mc"}
-RATE_MC_CASES = {"rate_mc": RATE_MC | {"crn": False}, "rate_mc_crn": RATE_MC | {"crn": True}}
+RATE_MC_CASES = {"rate_mc": RATE_MC | {"crn": False}, "rate_mc_crn": RATE_MC | {"crn": True},
+                 "rate_mc_crn_two_point": RATE_MC | {"crn": True,
+                                                     "component": {"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5}}}
 
 # sha256 of each MINIMAL config's CSV, of the README rate.json's and of the
 # RATE_MC_CASES', at the config's own seed; a change that moves Monte Carlo
@@ -466,6 +485,7 @@ CSV_DIGESTS = {
     "rate": "3b4e3273921957ef6c61692735c414cf94d793025f98f812ca9b0687d9e8c709",
     "rate_mc": "e276e2da644a88592655177f2c657905126167efe41b4ef0bce07615d5b5565e",
     "rate_mc_crn": "7500e2cbffe8d28a1dfb77ffecd98b1583806a0670edab3fae65312c5387ef8f",
+    "rate_mc_crn_two_point": "463868cc81be9e78b8798fa4a9da9267d3380fe4e8b4a8436175dfd269c72901",
     "readme_rate": "3fc79e6e3b1fbc59001a3fe3046512c9f4fdd14b808187449bfd800c8253fb24",
     "roots": "c4df964911bfc1f938dc1b69d736f32ed10d43a6bfa280d1d8d9a907eef6e05a",
     "smallball": "0b171e27cec31a54b878a97a5dce6a8f73cbff9943895150e450038b5e748dbf",
@@ -498,8 +518,8 @@ def test_csv_bytes_pinned(tmp_path, case):
 BELOW_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # kernel is left out: its table's np.exp round-off still differs in the last
 # digits between the two targets
-PORTABLE_CASES = ("density", "nummelin", "occupation", "rate", "rate_mc", "rate_mc_crn", "readme_rate", "roots",
-                  "smallball")
+PORTABLE_CASES = ("density", "nummelin", "occupation", "rate", "rate_mc", "rate_mc_crn", "rate_mc_crn_two_point",
+                  "readme_rate", "roots", "smallball")
 
 
 def test_csv_bytes_portable_below_avx512(tmp_path):

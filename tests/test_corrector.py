@@ -258,6 +258,16 @@ def test_exact_vs_quadrature_backends():
         edgeworth_expectation(lambda x: x[:, 0], (1, 0), phi)
 
 
+def test_evaluate_checks_point_dimension():
+    one, two = CorrectorPolynomial(1, 1.0, {(2,): 0.5}), CorrectorPolynomial(2, 1.0, {(1, 1): 0.5})
+    # 1 + 0.5 He_2(x), He_2(x) = x^2 - 1
+    assert one.evaluate([2.0]) == 2.5 and np.array_equal(one.evaluate([[2.0], [0.0]]), [2.5, 0.5])
+    for phi, x in [(one, 2.0), (two, 2.0), (one, np.ones((4, 2))), (two, np.ones((4, 1))),
+                   (one, np.ones((2, 3, 1)))]:
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            phi.evaluate(x)
+
+
 def test_quadrature_guard_trips_for_rough_function():
     phi = CorrectorPolynomial(d=1, constant=1.0, terms={})
 

@@ -22,6 +22,7 @@ from edgeworth.moments import (
     moments_from_cumulants,
     rademacher,
     raw_moment,
+    sample_component,
     skewed_two_point,
     standard_normal,
     two_point,
@@ -30,7 +31,7 @@ from edgeworth.moments import (
 from edgeworth.corrector import corrector_polynomial
 from edgeworth.sampling import RngStream, sample_sum
 from corrector_reference import gap_table
-from moment_reference import pushforward_moment, summand_list
+from moment_reference import icdf_where_reference, pushforward_moment, summand_list, two_point_where_reference
 
 CATALOG = [
     rademacher(),
@@ -125,6 +126,25 @@ def test_has_icdf_matches_component_icdf(dist):
     else:
         works = True
     assert has_icdf(dist) is works
+
+
+TWO_VALUED = [rademacher(), skewed_two_point(0.2), two_point(0.2, 2.0, 0.5), skewed_two_point(0.5)]
+
+
+@pytest.mark.parametrize("dist", TWO_VALUED, ids=lambda dist: "-".join([dist.kind, *map(str, dist.params)]))
+def test_two_valued_tables_match_where(dist):
+    # the table lookups give np.where's bits, at the switch point 1 - p
+    # (0.5 for Rademacher) and on either side of it too
+    p = dist.params[0] if dist.params else 0.5
+    edge = [0.0, 0.5, 1.0 - p, np.nextafter(1.0 - p, 0.0), np.nextafter(1.0 - p, 1.0), np.nextafter(1.0, 0.0)]
+    u = np.concatenate([edge, RngStream(3, 1).generator().random(4096)])
+    for x in (u, u.reshape(-1, 2)[:, :1], u[0], 0.5, 1.0 - p):
+        new = component_icdf(dist, x)
+        assert np.shape(new) == np.shape(x) and new.tobytes() == icdf_where_reference(dist, x).tobytes()
+    if dist.kind == "two_point":
+        for size in (5000, (40, 30)):
+            draws = sample_component(dist, RngStream(4, 1).generator(), size)
+            assert draws.tobytes() == two_point_where_reference(dist, RngStream(4, 1).generator(), size).tobytes()
 
 
 def test_catalog_covers_every_kind():

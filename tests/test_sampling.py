@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from conftest import make_random_model
@@ -32,15 +34,17 @@ from edgeworth.sampling import (
     block_plan,
     bump_mass,
     doeblin_check,
+    driver_stream,
     mc_expectation,
     mean_var,
     nummelin_sample,
     run_blocks,
+    run_grid,
     sample_sum,
     smoothed_ball_indicator,
     taper_exponent,
 )
-from moment_reference import sample_sum_reference
+from moment_reference import sample_sum_matmul_reference, sample_sum_reference
 
 # the laws whose sum of c iid copies sample_sum draws in one go
 CLOSED_FORM = [
@@ -207,6 +211,26 @@ def test_sample_sum_per_summand_records_match_reference(d):
                               sample_sum_reference(model, RngStream(seed, 3).generator(), 500))
 
 
+# one-dimensional records: any catalog law, a random scalar matrix, counts
+# of 1 (summand by summand) and above (closed-form sums, uniform summands)
+ONE_DIM_RECORDS = st.tuples(
+    st.sampled_from(CLOSED_FORM + [uniform_centered()]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(ONE_DIM_RECORDS, min_size=1, max_size=4), size=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_sum_scalar_matrices_match_matmul(records, size, seed):
+    # a 1x1 matrix multiplies instead of running matmul: the same bits, on
+    # one-record (iid) and several-record (non-iid) models
+    model = ModelSpec(d=1, records=tuple((Summand([[c]], (dist,)), count) for dist, c, count in records))
+    new = sample_sum(model, RngStream(seed, 4).generator(), size)
+    assert new.tobytes() == sample_sum_matmul_reference(model, RngStream(seed, 4).generator(), size).tobytes()
+
+
 @pytest.mark.parametrize("count", [1, 2, 7, 1000])
 @pytest.mark.parametrize("dist", CLOSED_FORM, ids=lambda dist: "-".join([dist.kind, *map(str, dist.params)]))
 def test_closed_form_sums_match_exact_moments(dist, count):
@@ -294,6 +318,27 @@ def test_run_blocks_plan_and_order():
     # a plan keyed by more than the block id comes back in plan order too
     keyed = [(key, bid, bsize) for key in (2, 7) for bid, bsize in plan]
     assert run_blocks(keyed, lambda key, bid, bsize: (key, bid), workers=3) == [entry[:2] for entry in keyed]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_starts_largest_blocks_first(monkeypatch, workers):
+    plans, real = [], sampling.run_blocks
+
+    def recording(plan, block_fn, workers=1):
+        plans.append(list(plan))
+        return real(plan, block_fn, workers)
+
+    monkeypatch.setattr(sampling, "run_blocks", recording)
+    grid, samples, rows = [16, 128, 64], 250, lambda n: 100
+    out = run_grid(7, "density", grid, samples, rows, lambda n, rng, bsize: (n, bsize, rng.random()), workers)
+    # per n, its blocks in block order, each from its own keyed stream
+    assert out == [[(n, bsize, driver_stream(7, "density", n, bid).random()) for bid, bsize in block_plan(samples, 100)]
+                   for n in grid]
+    # the pool receives every block once, in decreasing n * bsize
+    [plan] = plans
+    assert sorted(plan) == [(i, bid, bsize) for i in range(3) for bid, bsize in block_plan(samples, 100)]
+    costs = [grid[i] * bsize for i, _, bsize in plan]
+    assert costs == sorted(costs, reverse=True) and costs[0] == 128 * 100
 
 
 def test_mean_var():
