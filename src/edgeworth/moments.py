@@ -161,7 +161,7 @@ def sample_component(dist: ComponentDistribution, rng: np.random.Generator, size
         return rng.standard_normal(size=size)
     if kind == "two_point":
         p, a, b = dist.params
-        return np.array([-b, a]).take((rng.random(size=size) < p).view(np.uint8))
+        return np.where(rng.random(size=size) < p, a, -b)
     if kind == "gaussian_mixture":
         w, mu1, s1, mu2, s2 = dist.params
         pick = rng.random(size=size) < w

@@ -72,7 +72,7 @@ def smoothed_ball_indicator(radius: float, t) -> np.ndarray:
     if radius <= 0:
         raise ValueError("radius must be positive")
     t = np.abs(np.asarray(t, dtype=float))
-    out = (t <= radius).astype(float)
+    out = np.array(t <= radius, dtype=float)
     mid = (t > radius) & (t < 2.0 * radius)
     if np.any(mid):
         out[mid] = np.exp(taper_exponent(radius, t[mid]))

@@ -6,9 +6,9 @@ every split contributes a multinomial count, powers of the matrix entries
 and the grouped raw moments of the independent components.  The
 summand-by-summand oracles read a model through :func:`summand_list`,
 and :func:`sample_sum_reference` draws the scaled sum summand by summand.
-:func:`sample_sum_matmul_reference` and the ``*_where_reference`` forms are
-the matrix products and ``np.where`` selections that the package's sampler
-replaced by same-bits shortcuts.
+:func:`sample_sum_matmul_reference` and :func:`icdf_where_reference` are
+the matrix products and ``np.where`` selections that the package replaced by
+same-bits shortcuts.
 """
 
 import math
@@ -63,12 +63,6 @@ def icdf_where_reference(dist, u) -> np.ndarray:
         return np.where(u < 0.5, -1.0, 1.0)
     p, a, b = dist.params
     return np.where(u < 1.0 - p, -b, a)
-
-
-def two_point_where_reference(dist, rng: np.random.Generator, size) -> np.ndarray:
-    """Draws of a two-point law as an ``np.where`` selection on uniforms."""
-    p, a, b = dist.params
-    return np.where(rng.random(size=size) < p, a, -b)
 
 
 def pushforward_moment(C: np.ndarray, comps, beta) -> float:

@@ -22,7 +22,6 @@ from edgeworth.moments import (
     moments_from_cumulants,
     rademacher,
     raw_moment,
-    sample_component,
     skewed_two_point,
     standard_normal,
     two_point,
@@ -31,7 +30,7 @@ from edgeworth.moments import (
 from edgeworth.corrector import corrector_polynomial
 from edgeworth.sampling import RngStream, sample_sum
 from corrector_reference import gap_table
-from moment_reference import icdf_where_reference, pushforward_moment, summand_list, two_point_where_reference
+from moment_reference import icdf_where_reference, pushforward_moment, summand_list
 
 CATALOG = [
     rademacher(),
@@ -141,10 +140,6 @@ def test_two_valued_tables_match_where(dist):
     for x in (u, u.reshape(-1, 2)[:, :1], u[0], 0.5, 1.0 - p):
         new = component_icdf(dist, x)
         assert np.shape(new) == np.shape(x) and new.tobytes() == icdf_where_reference(dist, x).tobytes()
-    if dist.kind == "two_point":
-        for size in (5000, (40, 30)):
-            draws = sample_component(dist, RngStream(4, 1).generator(), size)
-            assert draws.tobytes() == two_point_where_reference(dist, RngStream(4, 1).generator(), size).tobytes()
 
 
 def test_catalog_covers_every_kind():

@@ -72,6 +72,9 @@ def test_smoothed_indicator_shape():
     assert 0.0 < v[3] < 1.0
     assert v[4] == 0.0 and v[5] == 0.0
     assert abs(taper_exponent(r, r)) < 1e-14
+    # a scalar in the taper band gives a 0-d array with the array's value
+    scalar = smoothed_ball_indicator(r, 1.5 * r)
+    assert np.shape(scalar) == () and scalar == v[3]
     fine = np.linspace(0, 2.5 * r, 10001)
     vals = smoothed_ball_indicator(r, fine)
     assert np.all(np.diff(vals) <= 1e-12)  # monotone taper
