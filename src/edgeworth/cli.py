@@ -156,11 +156,11 @@ SPECS = {
     "roots": ({"component": COMPONENT, "n_grid": N_GRID}, {"samples": INTEGER, "oversample": INTEGER},
               _driver("kac_rice_roots")),
     "smallball": ({"component": COMPONENT, "n": INTEGER},
-                  {"theta": NUMBER, "a_exp": NUMBER, "u_point": NUMBER,
+                  {"theta": NUMBER, "u_point": NUMBER,
                    "eta_grid": Field(lambda grid: grid is None or _numbers(grid), "a list of numbers or null"),
                    "u_grid_size": INTEGER, "samples": INTEGER}, _driver("small_ball")),
     "nummelin": ({"component": COMPONENT, "center": NUMBER, "radius": NUMBER, "epsilon": NUMBER},
-                 {"samples": INTEGER, "grid_points": INTEGER}, _driver("nummelin_experiment", blocks=False)),
+                 {"samples": INTEGER}, _driver("nummelin_experiment", blocks=False)),
     "kernel": ({}, {"plateau": NUMBER, "rolloff": NUMBER, "half_width": NUMBER, "points": INTEGER,
                     "moment_bound": NUMBER}, _driver("kernel_experiment", blocks=False)),
 }

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalGuardError, check_integer
-from .hermite import Polynomial, gauss_hermite, hermite_value_table
+from .hermite import Polynomial, _evaluate, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex
 from .moments import ModelSpec, Summand, hermite_moments
 
@@ -139,31 +139,13 @@ class CorrectorPolynomial:
         object.__setattr__(self, "terms", ordered)
 
     def evaluate(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError("point dimension mismatch")
-        out = np.full(pts.shape[0], self.constant)
-        if self.terms:
-            max_order = max(max(b) for b in self.terms)
-            table = hermite_value_table(max_order, pts)
-            for beta, c in self.terms.items():
-                term = np.full(pts.shape[0], c)
-                for i, b in enumerate(beta):
-                    if b:
-                        term *= table[b, :, i]
-                out += term
-        return float(out[0]) if single else out
+        return _evaluate(self.d, self.terms, hermite_value_table, self.constant, x)
 
     def to_json(self) -> dict:
         doc = {
             "d": self.d,
             "constant": self.constant,
-            "terms": [
-                {"beta": list(b), "coeff": c}
-                for b, c in sorted(self.terms.items(), reverse=True)
-            ],
+            "terms": [{"beta": list(b), "coeff": c} for b, c in self.terms.items()],
         }
         if self.n is not None:
             doc["n"] = self.n

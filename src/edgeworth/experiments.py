@@ -38,6 +38,7 @@ from .moments import (
     sample_component,
 )
 from .sampling import (
+    MC_MIN_SAMPLES,
     DoeblinCert,
     doeblin_check,
     driver_stream,
@@ -71,17 +72,21 @@ def _json_scalar(v):
 
 @dataclass
 class ExperimentResult:
-    """Tabular record of one experiment run."""
+    """Tabular record of one experiment run: ``rows`` is a nonempty list
+    of dicts with one key order, which is the CSV header."""
 
     name: str
     parameters: dict
-    columns: list
-    rows: list = field(default_factory=list)
+    rows: list
     fitted_slope: float | None = None
     slope_stderr: float | None = None
     seed: int | None = None
     workers: int = 1
     notes: dict = field(default_factory=dict)
+
+    @property
+    def columns(self) -> list:
+        return list(self.rows[0])
 
     def config_hash(self) -> str:
         blob = json.dumps(self.parameters, sort_keys=True, default=str).encode()
@@ -91,7 +96,7 @@ class ExperimentResult:
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
-                fh.write(",".join(_fmt(row.get(c)) for c in self.columns) + "\n")
+                fh.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
 
     def summary(self) -> dict:
         return {
@@ -139,6 +144,17 @@ def _fitted_slope(rows, x: str, y: str, usable) -> tuple:
     if len(points) < 2:
         return None, None
     return fit_loglog(*zip(*points))
+
+
+def _sizes(n_grid, name: str = "n_grid") -> list[int]:
+    """The sizes of ``n_grid`` as ints: a nonempty list, each entry at
+    least 1, so a driver has one row per entry and at least one row."""
+    ns = [int(n) for n in n_grid]
+    if not ns:
+        raise ValueError(f"{name!r} must not be empty")
+    if min(ns) < 1:
+        raise ValueError(f"sizes in {name!r} must be at least 1, got {min(ns)}")
+    return ns
 
 
 def gaussian_density(a) -> float:
@@ -234,15 +250,18 @@ def rate_experiment(
     reproduces the test function's moments identically, the slope is None
     and the ``all_degenerate`` note is true.
     """
+    ns = _sizes(n_grid)
+    if mode == "mc" and samples < MC_MIN_SAMPLES:
+        raise ValueError(f"'samples' must be at least {MC_MIN_SAMPLES} in mc mode, got {samples}")
     gamma = tuple(gamma) if gamma else None
     g = f.diff(gamma) if gamma is not None else f
-    models = {int(n): model_builder(int(n)) for n in n_grid}
+    models = {n: model_builder(n) for n in ns}
     crn_estimates = None
     if mode == "mc" and crn:
         crn_estimates = _crn_mc_estimates(models, g, samples, seed, workers)
     rows = []
-    for n in n_grid:
-        model = models[int(n)]
+    for n in ns:
+        model = models[n]
         phi = corrector_polynomial(model, N)
         corrected = edgeworth_expectation(g, (0,) * model.d, phi)
         if mode == "exact":
@@ -253,7 +272,7 @@ def rate_experiment(
             degenerate = err <= DEGENERATE_RTOL * max(1.0, abs(truth))
         elif mode == "mc":
             if crn_estimates is not None:
-                truth, se = crn_estimates[int(n)]
+                truth, se = crn_estimates[n]
             else:
                 truth, se = mc_expectation(g, model, samples, seed=seed, workers=workers)
             err = abs(truth - corrected)
@@ -262,7 +281,7 @@ def rate_experiment(
             raise ValueError(f"unknown mode {mode!r}")
         rows.append(
             {
-                "n": int(n),
+                "n": n,
                 "estimate": truth,
                 "se": se,
                 "corrected": corrected,
@@ -279,12 +298,11 @@ def rate_experiment(
             "gamma": list(gamma) if gamma else None,
             "mode": mode,
             "crn": bool(crn and mode == "mc"),
-            "model": models[int(n_grid[0])].to_json() if models else None,
-            "n_grid": [int(n) for n in n_grid],
+            "model": models[ns[0]].to_json(),
+            "n_grid": ns,
             "samples": samples if mode == "mc" else None,
             "f_terms": {str(list(b)): c for b, c in f.terms.items()},
         },
-        columns=["n", "estimate", "se", "corrected", "error", "degenerate"],
         rows=rows,
         fitted_slope=slope,
         slope_stderr=stderr,
@@ -323,7 +341,7 @@ def density_experiment(
     if delta_rule is None:
         delta_rule = lambda n: float(n) ** (-0.5 * (N + 1))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    ns = [int(n) for n in n_grid]
+    ns = _sizes(n_grid)
     grid = {}
     for n in ns:
         model = model_builder(n)
@@ -364,12 +382,11 @@ def density_experiment(
         parameters={
             "N": N,
             "a": a.tolist(),
-            "model": grid[ns[0]][0].to_json() if ns else None,
-            "n_grid": [int(n) for n in n_grid],
+            "model": grid[ns[0]][0].to_json(),
+            "n_grid": ns,
             "samples": samples,
-            "delta": {str(int(n)): float(delta_rule(int(n))) for n in n_grid},
+            "delta": {str(n): grid[n][1] for n in ns},
         },
-        columns=["n", "delta", "hits", "estimate", "se", "reference", "error", "flagged"],
         rows=rows,
         fitted_slope=slope,
         slope_stderr=stderr,
@@ -467,8 +484,7 @@ def occupation_time(
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
     couple = has_icdf(dist)
-
-    ns = [int(n) for n in n_grid]
+    ns = _sizes(n_grid)
 
     def band(n: int) -> float:
         return float(n) ** (-0.5 * (1.0 - rho))
@@ -495,15 +511,11 @@ def occupation_time(
         parameters={
             "kind": dist.kind,
             "rho": rho,
-            "n_grid": [int(n) for n in n_grid],
+            "n_grid": ns,
             "samples": samples,
             "crn": couple,
             "ref_eps": ref_eps,
         },
-        columns=[
-            "n", "eps", "occupation", "se", "occupation_gaussian", "se_gaussian",
-            "gap", "gap_se", "gaussian_exact", "brownian_ref",
-        ],
         rows=rows,
         seed=seed,
         workers=workers,
@@ -584,9 +596,10 @@ def kac_rice_roots(
     root bound and abort.  The ``limit`` note is Kac's 1/sqrt(3), the
     large-n count per degree.
     """
+    if oversample < 1:
+        raise ValueError(f"'oversample' must be at least 1, got {oversample}")
     couple = has_icdf(dist)
-
-    ns = [int(n) for n in n_grid]
+    ns = _sizes(n_grid)
     tables = {n: _root_grid(n, oversample) for n in ns}
 
     def block_sums(n, rng, bsize):
@@ -610,15 +623,11 @@ def kac_rice_roots(
         name="roots",
         parameters={
             "kind": dist.kind,
-            "n_grid": [int(n) for n in n_grid],
+            "n_grid": ns,
             "samples": samples,
             "oversample": oversample,
             "crn": couple,
         },
-        columns=[
-            "n", "roots_per_n", "se", "roots_per_n_gaussian", "se_gaussian",
-            "gap", "gap_se", "max_count",
-        ],
         rows=rows,
         seed=seed,
         workers=workers,
@@ -649,7 +658,6 @@ def small_ball(
     dist: ComponentDistribution,
     n: int,
     theta: float = 1.0,
-    a_exp: float = 0.0,
     u_point: float = 1.0,
     eta_grid=None,
     u_grid_size: int = 64,
@@ -663,13 +671,16 @@ def small_ball(
     Pointwise section: P(|S_n(u_point)| <= eta) over an eta-grid with the
     fitted log-log exponent (compare with the nondegenerate-Gaussian value
     d = 2).  Infimum section: P(min over the u-grid of |S_n(u)| <= n^{-theta}),
-    reported with the upper-bound exponent theta*(d - ell) - a_exp*ell = theta - a_exp.
+    reported with the upper-bound exponent theta*(d - ell) = theta (ell = 1).
     Zero-hit rows report the one-sided 95% bound 3/samples and are flagged.
 
     Each block evaluates S_n at u_point and on the u-grid in one matrix
     product with the weights of ``_trig_sum_weights``, built once per call:
     column 0 gives the pointwise norms, the others the infimum.
     """
+    [n] = _sizes([n], "n")
+    if u_grid_size < 1:
+        raise ValueError(f"'u_grid_size' must be at least 1, got {u_grid_size}")
     if eta_grid is None:
         # geometric from 0.05 to 0.4 in Python floats: no numpy SIMD loop
         # touches the grid, so its digits and config_hash are the same on
@@ -717,13 +728,11 @@ def small_ball(
             "kind": dist.kind,
             "n": n,
             "theta": theta,
-            "a_exp": a_exp,
             "u_point": u_point,
             "u_grid_size": u_grid_size,
             "eta_grid": [float(e) for e in eta_grid],
             "samples": samples,
         },
-        columns=["section", "eta", "hits", "probability", "se", "flagged"],
         rows=rows,
         fitted_slope=slope,
         slope_stderr=stderr,
@@ -731,7 +740,7 @@ def small_ball(
         workers=workers,
         notes={
             "eta_exponent_reference": 2.0,
-            "infimum_bound_exponent": theta * 1.0 - a_exp * 1.0,
+            "infimum_bound_exponent": float(theta),
         },
     )
 
@@ -772,7 +781,6 @@ def nummelin_experiment(
     radius: float,
     epsilon: float,
     samples: int = 100_000,
-    grid_points: int = 256,
     seed: int = 0,
 ) -> ExperimentResult:
     """Draws through the density splitting of ``dist`` on the certified ball
@@ -782,7 +790,7 @@ def nummelin_experiment(
     bound aborts."""
     if not has_density(dist):
         raise ValueError(f"nummelin splitting needs a law with a density; {dist.kind} has none")
-    ok, margin = doeblin_check(dist, center, radius, epsilon, grid_points)
+    ok, margin = doeblin_check(dist, center, radius, epsilon)
     if not ok:
         raise NumericalGuardError(f"lower-bound check failed: margin {margin:.3e}")
     cert = DoeblinCert(center, radius, epsilon)
@@ -805,7 +813,6 @@ def nummelin_experiment(
         name="nummelin",
         parameters={"component": dist.to_json(), "center": center, "radius": radius, "epsilon": epsilon,
                     "samples": samples},
-        columns=list(row),
         rows=[row],
         seed=seed,
         notes={"ks_pass": stat < crit},
@@ -829,4 +836,4 @@ def kernel_experiment(seed: int = 0, **window) -> ExperimentResult:
     smoothed = mollify(lambda y: probe(y.reshape(-1, 1)).reshape(y.shape), kernel, 0.5, xs)
     err = float(np.max(np.abs(smoothed - probe(xs.reshape(-1, 1)))))
     rows.append({"quantity": "degree4_reproduction_error", "value": err})
-    return ExperimentResult(name="kernel", parameters=dict(window), columns=["quantity", "value"], rows=rows, seed=seed)
+    return ExperimentResult(name="kernel", parameters=dict(window), rows=rows, seed=seed)

@@ -5,10 +5,11 @@ corrector operators are Polynomials read in the partial derivatives.
 Everything here is exact in double precision for the orders the library
 supports (degree <= 12): coefficients and Gaussian moments are integers,
 so sums of products round only at the final accumulation.  Point values
-go through products only: a Polynomial reads its monomials from a table of
-powers built by repeated multiplication (``power_table``), as the corrector
-reads its Hermite terms from ``hermite_value_table``, so no libm ``pow``
-enters a value and a power x**k carries at most k - 1 roundings.
+go through products only: one evaluator serves both bases, reading a
+Polynomial's monomials from a table of powers built by repeated
+multiplication (``power_table``) and the corrector's Hermite terms from
+``hermite_value_table``, so no libm ``pow`` enters a value and a power
+x**k carries at most k - 1 roundings.
 """
 
 from __future__ import annotations
@@ -100,6 +101,29 @@ def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
+def _evaluate(d: int, terms: dict, table_of, start: float, x) -> np.ndarray | float:
+    """``start + sum c * prod_i T[beta_i, :, i]`` over the ``terms`` map
+    beta -> c, with ``T = table_of(max order, points)``: ``power_table``
+    reads the terms as monomials, ``hermite_value_table`` as Hermite
+    polynomials.  ``x`` is one point (shape (d,), a float comes back) or a
+    batch (shape (m, d)); an empty map builds no table."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError("point dimension mismatch")
+    out = np.full(pts.shape[0], start)
+    if terms:
+        table = table_of(max(max(b) for b in terms), pts)
+        for beta, c in terms.items():
+            term = np.full(pts.shape[0], c)
+            for i, b in enumerate(beta):
+                if b:
+                    term *= table[b, :, i]
+            out += term
+    return float(out[0]) if single else out
+
+
 class Polynomial:
     """Multivariate polynomial as a map monomial multi-index -> coefficient.
 
@@ -180,20 +204,7 @@ class Polynomial:
         return Polynomial._of(self.d, terms)
 
     def __call__(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError("point dimension mismatch")
-        out = np.zeros(pts.shape[0])
-        table = power_table(max((max(b) for b in self.terms), default=0), pts)
-        for beta, c in self.terms.items():
-            term = np.full(pts.shape[0], c)
-            for i, b in enumerate(beta):
-                if b:
-                    term *= table[b, :, i]
-            out += term
-        return float(out[0]) if single else out
+        return _evaluate(self.d, self.terms, power_table, 0.0, x)
 
     def gaussian_expectation(self) -> float:
         return sum(c * gaussian_moment(b) for b, c in self.terms.items())

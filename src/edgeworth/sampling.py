@@ -25,9 +25,11 @@ from .errors import CertificateError, NumericalGuardError
 from .moments import ComponentDistribution, ModelSpec, has_density, pdf, sample_component
 
 MC_BLOCK = 1 << 14
+MC_MIN_SAMPLES = 100  # fewest draws a Monte Carlo expectation takes
 BUMP_RTOL = 1e-8  # relative change at which bump_mass stops doubling its grid
 BUMP_MAX_DOUBLINGS = 24
 MIN_ACCEPTANCE = 1e-3  # smallest acceptance rate a splitting branch tolerates
+DOEBLIN_GRID = 256  # points of doeblin_check's grid on the ball
 
 
 # one stream tag per Monte Carlo driver, the first word of its stream keys
@@ -79,23 +81,19 @@ def smoothed_ball_indicator(radius: float, t) -> np.ndarray:
     return out
 
 
-def bump_mass(radius: float, dim: int = 1) -> float:
-    """Integral over R^dim of the smoothed ball indicator of |y|^2.
+def bump_mass(radius: float) -> float:
+    """Integral over R of the smoothed ball indicator of y^2.
 
-    The integrand is radial with support radius sqrt(2*radius), so the
-    integral reduces to one dimension; the trapezoid rule is refined by
-    doubling, at most ``BUMP_MAX_DOUBLINGS`` times, until the relative
-    change drops below ``BUMP_RTOL``.
+    The integrand is even with support radius sqrt(2*radius), so the
+    integral is twice the one over [0, sqrt(2*radius)]; the trapezoid rule
+    is refined by doubling, at most ``BUMP_MAX_DOUBLINGS`` times, until the
+    relative change drops below ``BUMP_RTOL``.
     """
-    if dim not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2, or 3")
-    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
     upper = math.sqrt(2.0 * radius)
 
     def integral(npts: int) -> float:
         rho = np.linspace(0.0, upper, npts)
-        vals = smoothed_ball_indicator(radius, rho * rho) * rho ** (dim - 1)
-        return surface * float(np.trapezoid(vals, rho))
+        return 2.0 * float(np.trapezoid(smoothed_ball_indicator(radius, rho * rho), rho))
 
     npts = 257
     prev = integral(npts)
@@ -121,7 +119,7 @@ class DoeblinCert:
     def __post_init__(self):
         if self.radius <= 0 or self.epsilon <= 0:
             raise CertificateError("radius and epsilon must be positive")
-        object.__setattr__(self, "mass", bump_mass(self.radius, dim=1))
+        object.__setattr__(self, "mass", bump_mass(self.radius))
         p1 = self.epsilon * self.mass
         if not 0.0 < p1 < 1.0:
             raise CertificateError(f"epsilon * mass = {p1:.4f} is not a probability in (0,1)")
@@ -135,21 +133,18 @@ class DoeblinCert:
         return math.sqrt(2.0 * self.radius)
 
 
-def doeblin_check(dist: ComponentDistribution, center: float, radius: float, epsilon: float,
-                  grid_points: int = 256) -> tuple[bool, float]:
+def doeblin_check(dist: ComponentDistribution, center: float, radius: float, epsilon: float) -> tuple[bool, float]:
     """Grid check of the local lower bound: the density must exceed epsilon
     on the ball around ``center`` whose radius covers both the 2*radius
     ball of the lower-bound condition and the support of the smoothed bump.
 
-    Returns (ok, margin) where margin = min(p) - epsilon on the grid; a
-    sufficient condition at grid scale only.
+    Returns (ok, margin) where margin = min(p) - epsilon on a grid of
+    ``DOEBLIN_GRID`` points; a sufficient condition at grid scale only.
     """
     if not has_density(dist):
         raise TypeError(f"{dist.kind} has no density; the lower-bound condition needs one")
-    if grid_points < 64:
-        raise ValueError("need at least 64 grid points per axis")
     reach = max(2.0 * radius, math.sqrt(2.0 * radius))
-    x = np.linspace(center - reach, center + reach, grid_points)
+    x = np.linspace(center - reach, center + reach, DOEBLIN_GRID)
     margin = float(np.min(pdf(dist, x)) - epsilon)
     return margin >= 0.0, margin
 
@@ -289,10 +284,13 @@ def run_grid(seed: int, driver: str, grid, samples: int, rows, block_fn, workers
     """``samples`` draws at each n of ``grid``, in blocks of ``rows(n)``
     rows, run as one plan over the whole grid: block b of n calls
     ``block_fn(n, rng, bsize)`` with ``rng = driver_stream(seed, driver, n,
-    b)``.  Returns, per grid entry, its block results in block order.
+    b)``; ``samples`` must be at least 1.  Returns, per grid entry, its
+    block results in block order.
     The plan starts the most costly blocks, by n * bsize, first, and
     ``workers > 1`` threads it across n as well as within it; both change
     scheduling only."""
+    if samples < 1:
+        raise ValueError(f"'samples' must be at least 1, got {samples}")
     # a stable sort keeps each n's blocks in block order: all share one
     # size but the last, which is no larger
     plan = sorted(((i, bid, bsize) for i, n in enumerate(grid) for bid, bsize in block_plan(samples, rows(n))),
@@ -327,8 +325,8 @@ def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
     (seed, n, samples) and not on the worker count; workers only add
     thread parallelism.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    if samples < MC_MIN_SAMPLES:
+        raise ValueError(f"'samples' must be at least {MC_MIN_SAMPLES}, got {samples}")
 
     def block_sums(n, rng, bsize):
         vals = np.asarray(f(sample_sum(model, rng, bsize)), dtype=float)

@@ -3,7 +3,7 @@ the library's closed forms, and random integer polynomials."""
 
 import numpy as np
 
-from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite1d
+from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite1d, hermite_value_table, power_table
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
@@ -102,3 +102,45 @@ def pow_evaluate(f: Polynomial, x) -> np.ndarray:
                 mono *= pts[:, i] ** b
         out += mono
     return out
+
+
+def polynomial_loop_reference(f: Polynomial, x):
+    """``Polynomial.__call__`` as its own loop over one ``power_table``, the
+    form it had before it shared the corrector's evaluator; kept as the
+    oracle that the shared one equals bit for bit."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.ndim != 2 or pts.shape[1] != f.d:
+        raise ValueError("point dimension mismatch")
+    out = np.zeros(pts.shape[0])
+    table = power_table(max((max(b) for b in f.terms), default=0), pts)
+    for beta, c in f.terms.items():
+        term = np.full(pts.shape[0], c)
+        for i, b in enumerate(beta):
+            if b:
+                term *= table[b, :, i]
+        out += term
+    return float(out[0]) if single else out
+
+
+def corrector_loop_reference(phi, x):
+    """``CorrectorPolynomial.evaluate`` as its own loop over one
+    ``hermite_value_table``, the form it had before it shared the
+    evaluator of ``Polynomial``; kept as the oracle of the shared one."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.ndim != 2 or pts.shape[1] != phi.d:
+        raise ValueError("point dimension mismatch")
+    out = np.full(pts.shape[0], phi.constant)
+    if phi.terms:
+        max_order = max(max(b) for b in phi.terms)
+        table = hermite_value_table(max_order, pts)
+        for beta, c in phi.terms.items():
+            term = np.full(pts.shape[0], c)
+            for i, b in enumerate(beta):
+                if b:
+                    term *= table[b, :, i]
+            out += term
+    return float(out[0]) if single else out

@@ -418,9 +418,8 @@ def test_workers_reach_exactly_the_drivers_that_take_them(tmp_path, monkeypatch,
 
 # one cheap, well-typed config per subcommand with the config_hash it had
 # before the subcommands were field specs (occupation's since its config
-# lost the Brownian grid size, smallball's since its default eta grid is
-# built in Python floats, rate's and density's since their parameters hold
-# the model)
+# lost the Brownian grid size, smallball's since its parameters lost a_exp,
+# rate's and density's since their parameters hold the model)
 MINIMAL = {
     "rate": ({"experiment": "rate", "component": {"kind": "rademacher"}, "N": 1, "n_grid": [8, 16],
               "f": {"[4]": 1.0}}, "f4c5c19b8aa3d94a"),
@@ -429,7 +428,7 @@ MINIMAL = {
     "occupation": (MINIMAL_OCCUPATION, "dd6de41754f781ed"),
     "roots": (MINIMAL_ROOTS, "fc8e957d29679d8d"),
     "smallball": ({"experiment": "smallball", "component": {"kind": "uniform_centered"}, "n": 10, "samples": 500,
-                   "u_grid_size": 8}, "087496407a4e76f7"),
+                   "u_grid_size": 8}, "ce58953bbf4eda57"),
     "nummelin": ({"experiment": "nummelin", "component": {"kind": "uniform_centered"}, "center": 0.0,
                   "radius": 0.25, "epsilon": 0.2, "samples": 2000}, "95d34cbf19aaf72f"),
     "kernel": ({"experiment": "kernel"}, "44136fa355b3678a"),
@@ -703,6 +702,34 @@ def test_ill_typed_field_names_it(experiment, field, value):
     assert code == 2 and f"field '{field}'" in err
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        # each of these used to end in a traceback
+        pytest.param(MINIMAL["density"][0] | {"samples": 0}, "samples", id="density-samples-0"),
+        pytest.param(MINIMAL_OCCUPATION | {"samples": 0}, "samples", id="occupation-samples-0"),
+        pytest.param(MINIMAL_OCCUPATION | {"samples": -3}, "samples", id="occupation-samples-negative"),
+        pytest.param(MINIMAL_ROOTS | {"samples": 0}, "samples", id="roots-samples-0"),
+        pytest.param(MINIMAL_ROOTS | {"samples": -3}, "samples", id="roots-samples-negative"),
+        pytest.param(RATE_MC | {"crn": True, "samples": 0}, "samples", id="rate-crn-samples-0"),
+        pytest.param(MINIMAL_OCCUPATION | {"n_grid": [0]}, "n_grid", id="occupation-n_grid-0"),
+        pytest.param(MINIMAL_ROOTS | {"n_grid": [0]}, "n_grid", id="roots-n_grid-0"),
+        pytest.param(MINIMAL["smallball"][0] | {"n": 0}, "n", id="smallball-n-0"),
+        pytest.param(MINIMAL_ROOTS | {"oversample": 0}, "oversample", id="roots-oversample-0"),
+        # these exited 2 with a numpy message that named no field
+        pytest.param(MINIMAL["smallball"][0] | {"samples": 0}, "samples", id="smallball-samples-0"),
+        pytest.param(MINIMAL["smallball"][0] | {"u_grid_size": 0}, "u_grid_size", id="smallball-u_grid_size-0"),
+        # this ran to an empty table noted all_degenerate
+        pytest.param(MINIMAL["rate"][0] | {"n_grid": []}, "n_grid", id="rate-n_grid-empty"),
+        # the common-random-number path ran below the plain path's floor of 100
+        pytest.param(RATE_MC | {"crn": True, "samples": 5}, "samples", id="rate-crn-samples-5"),
+    ],
+)
+def test_bad_size_names_its_field(cfg, field):
+    code, err = _run_config(cfg, cfg["experiment"])
+    assert code == 2 and f"'{field}'" in err
+
+
 def test_integral_float_is_an_integer(tmp_path):
     cfg = MINIMAL["roots"][0]
     outs = []
@@ -734,6 +761,21 @@ def test_readme_rate_config_runs(tmp_path):
     cpath.write_text(_readme_rate_config())
     assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "rate.csv").read_text().startswith("n,estimate,se,corrected,error,degenerate\n")
+
+
+def test_readme_csv_table_matches_headers(tmp_path):
+    # the CSV header is the key order of the driver's rows; the README's
+    # "CSV columns" table documents it, one row per subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("CSV columns", 1)[1]
+    for experiment, (cfg, _) in MINIMAL.items():
+        documented = re.search(rf"^\| {experiment} +\| `([^`]*)`", table, re.M).group(1)
+        cpath = tmp_path / f"{experiment}.json"
+        cpath.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+        header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[0]
+        assert documented.split(", ") == header.split(","), experiment
 
 
 def test_readme_field_table_matches_specs():

@@ -12,6 +12,7 @@ from edgeworth import experiments, sampling
 from edgeworth.experiments import (
     CRN_CHUNK,
     SMALLBALL_BLOCK,
+    ExperimentResult,
     _brownian_band_occupation,
     _count_roots,
     _crn_block,
@@ -428,6 +429,14 @@ def test_small_ball_zero_hits_reported_one_sided():
     row = [r for r in res.rows if r["section"] == "pointwise"][0]
     assert row["flagged"] and row["hits"] == 0
     assert row["probability"] == pytest.approx(3.0 / 2000)
+
+
+def test_csv_header_is_the_row_keys(tmp_path):
+    # a row whose keys differ from the first row's is an error, not a blank cell
+    res = ExperimentResult(name="t", parameters={}, rows=[{"n": 1, "error": 0.5}, {"n": 2, "eror": 0.25}])
+    assert res.columns == ["n", "error"]
+    with pytest.raises(KeyError, match="error"):
+        res.write_csv(tmp_path / "t.csv")
 
 
 def test_experiment_result_csv_roundtrip(tmp_path):

@@ -17,9 +17,11 @@ from edgeworth.hermite import (
 from edgeworth.corrector import CorrectorPolynomial
 from edgeworth.multiindex import enumerate_multiindices
 from hermite_helpers import (
+    corrector_loop_reference,
     duality_check,
     expect_poly_times_hermite,
     hermite_inner,
+    polynomial_loop_reference,
     pow_evaluate,
     random_polynomial,
     rodrigues_coeffs,
@@ -173,6 +175,31 @@ def test_evaluation_through_products_matches_pow_oracle(data):
     for i, row in enumerate(x):
         assert f(row) == values[i]
     assert np.array_equal(Polynomial(d)(x), np.zeros(m)) and Polynomial(d)(x[0]) == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_shared_evaluator_matches_both_loops(data):
+    # one evaluator serves both bases: bit for bit the two loops it replaced,
+    # on single points and (m, d) batches, with and without terms
+    d = data.draw(st.integers(1, 3), label="d")
+    degree = data.draw(st.integers(0, MAX_DEGREE), label="degree")
+    index = st.sampled_from([b for l in range(degree + 1) for b in enumerate_multiindices(d, l)])
+    terms = data.draw(st.dictionaries(index, _COEFF, max_size=6), label="terms")
+    constant = data.draw(_COEFF | st.just(0.0), label="constant")
+    point = st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=d, max_size=d)
+    if data.draw(st.booleans(), label="single"):
+        x = np.array(data.draw(point, label="x"))
+    else:
+        x = np.array(data.draw(st.lists(point, min_size=1, max_size=8), label="x"))
+    for f, phi in [(Polynomial(d, terms), CorrectorPolynomial(d, constant, terms)),
+                   (Polynomial(d), CorrectorPolynomial(d, constant))]:
+        assert _same_bits(f(x), polynomial_loop_reference(f, x))
+        assert _same_bits(phi.evaluate(x), corrector_loop_reference(phi, x))
 
 
 def test_point_dimension_is_checked():
