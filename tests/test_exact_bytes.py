@@ -1,0 +1,96 @@
+"""Byte pins of the exact layer on non-identically distributed models.
+
+The CSV pins guard these values only through iid models.  Here the repr of
+every float of the cumulant tables, the exact sum moment tables and the
+corrector polynomials of counted non-iid records is hashed, so a change in
+how they are computed must keep each operation and its order.
+"""
+
+import hashlib
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from edgeworth.corrector import corrector_polynomial
+from edgeworth.moments import (
+    ModelSpec,
+    Summand,
+    cumulant_table,
+    exact_sum_moment,
+    exact_sum_moment_table,
+    gaussian_mixture,
+    rademacher,
+    skewed_two_point,
+    standard_normal,
+    uniform_centered,
+)
+
+KINDS = (rademacher(), uniform_centered(), skewed_two_point(0.3),
+         gaussian_mixture(0.2, 0.8, 1.0, -0.2, math.sqrt(0.8)), standard_normal())
+
+
+def _model(seed: int, d: int, shapes: list) -> ModelSpec:
+    """Records of (components, count) with Gaussian mixing matrices; the
+    component kinds cycle through the catalog."""
+    rng = np.random.default_rng(seed)
+    kinds = itertools.cycle(KINDS)
+    records = []
+    for m, count in shapes:
+        C = rng.normal(size=(d, m)) + np.eye(d, m)
+        records.append((Summand(C, tuple(next(kinds) for _ in range(m))), count))
+    return ModelSpec(d=d, records=tuple(records))
+
+
+# (model, N of the corrector, K of the moment and cumulant tables)
+MODELS = {
+    "d1": (_model(1, 1, [(1, 1), (1, 3), (2, 1), (1, 2), (3, 1), (1, 1), (2, 4)]), 4, 8),
+    "d2": (_model(2, 2, [(2, 1), (2, 2), (1, 1), (3, 1), (2, 5), (2, 1)]), 4, 8),
+    "d3": (_model(3, 3, [(3, 1), (3, 2), (2, 1), (3, 1), (1, 3)]), 3, 6),
+}
+
+PINS = {
+    "d1": {
+        "corrector": "0011fb729ff4f9247f2c3939cf678ec9f02c0d456c8f9d5255270bc4e0021152",
+        "sum_moments": "f31aca41c7bc875b8a3966998bbc7620246f42063bd269448d50bf489c814102",
+        "cumulants": "92f452826a3f7a17659cd8906167ba7972fda158d92fff6b799366e84779e94d",
+    },
+    "d2": {
+        "corrector": "f557986b4f4dd1071779d1413a519106e941e8a25061bd367878b18c64c78bf6",
+        "sum_moments": "e045d5bd68ee4eaa295b4d0b35790c39caa64ed139ad8a035766c05d9a4d1607",
+        "cumulants": "633635c43ffeecb7c6a0fbd81269f42981a5c79509ee64d866f8b58a07126c75",
+    },
+    "d3": {
+        "corrector": "9ca950f937219263baa65f28a38fc75ec57e70e258c65cc167085c0f710d2df1",
+        "sum_moments": "6ea93e9674a79826aa0084720c1fab0ffcc08528d9779840eb41a2a8c059f132",
+        "cumulants": "5b2130b7da2d8827b641d4547f596ded10ca8e4a8794834815e58ac48d29a5d1",
+    },
+}
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_exact_layer_bytes(name):
+    model, N, K = MODELS[name]
+    got = {
+        "corrector": _sha(corrector_polynomial(model, N).terms),
+        "sum_moments": _sha(exact_sum_moment_table(model, K)),
+        "cumulants": _sha([cumulant_table(s.C, s.components, K) for s, _ in model.records]),
+    }
+    assert got == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_exact_sum_moment_is_its_table_entry(name):
+    # the single moment reads the down-set of beta; every entry must be
+    # the whole table's bit for bit
+    model = MODELS[name][0]
+    for K in range(7):
+        table = exact_sum_moment_table(model, K)
+        for beta in itertools.product(range(K + 1), repeat=model.d):
+            if sum(beta) == K:
+                assert repr(exact_sum_moment(model, beta)) == repr(table[beta])
