@@ -53,7 +53,7 @@ import numpy as np
 from .errors import NumericalGuardError, check_integer
 from .hermite import Polynomial, _evaluate, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex
-from .moments import ModelSpec, Summand, hermite_moments
+from .moments import ModelSpec, Summand, hermite_moments, record_inputs
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
@@ -86,17 +86,25 @@ def _power_series(s: list, coeffs: list) -> list:
 
 def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
-    k is Gamma_k, or with log=False of exp(sum_records count * T_record)."""
+    k is Gamma_k, or with log=False of exp(sum_records count * T_record).
+
+    Built once per call: the Hermite indices of orders 3..N+2 with their
+    1 / (n beta!) weights, each distinct law's cumulants, and the log's
+    coefficients.  Built per record: its cumulant table, Hermite moments
+    and log series; a record of count 1 enters unscaled."""
     d = model.d
+    betas, cumulants = record_inputs(model, 3, N + 2)
+    weights = {b: model.n * math.prod(map(math.factorial, b)) for b in betas}
+    log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
     total = [Polynomial(d) for _ in range(N + 1)]
     for rec, count in model.records:
         grades: list = [{} for _ in range(N + 1)]
-        for b, h in hermite_moments(rec.C, rec.components, N + 2).items():
-            grades[sum(b) - 2][b] = h / (model.n * math.prod(map(math.factorial, b)))
+        for b, h in hermite_moments(rec.C, rec.components, N + 2, betas, cumulants).items():
+            grades[sum(b) - 2][b] = h / weights[b]
         t = [Polynomial._of(d, g) for g in grades]
         if log:
-            t = _power_series(t, [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)])
-        total = [a + b.scale(float(count)) for a, b in zip(total, t)]
+            t = _power_series(t, log_coeffs)
+        total = [a + (b if count == 1 else b.scale(float(count))) for a, b in zip(total, t)]
     return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)])
 
 

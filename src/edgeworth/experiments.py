@@ -70,6 +70,18 @@ def _json_scalar(v):
     return v.item() if isinstance(v, np.generic) else _fmt(v)
 
 
+def _strict(v):
+    """``v`` with every non-finite float, in any dict or list, as None: the
+    summary is strict JSON, with null where a value is NaN or infinite."""
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        return None
+    return v
+
+
 @dataclass
 class ExperimentResult:
     """Tabular record of one experiment run: ``rows`` is a nonempty list
@@ -114,7 +126,7 @@ class ExperimentResult:
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=1, sort_keys=True, default=_json_scalar)
+            json.dump(_strict(self.summary()), fh, indent=1, sort_keys=True, default=_json_scalar, allow_nan=False)
             fh.write("\n")
 
 
@@ -786,8 +798,10 @@ def nummelin_experiment(
     """Draws through the density splitting of ``dist`` on the certified ball
     (stream block 0 of the driver) against direct draws (block 1), compared
     by the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
-    without a density is a ValueError; a failed grid check of the lower
-    bound aborts."""
+    without a density and ``samples`` below 1 are ValueErrors, raised before
+    any draw; a failed grid check of the lower bound aborts."""
+    if samples < 1:
+        raise ValueError(f"'samples' must be at least 1, got {samples}")
     if not has_density(dist):
         raise ValueError(f"nummelin splitting needs a law with a density; {dist.kind} has none")
     ok, margin = doeblin_check(dist, center, radius, epsilon)

@@ -297,25 +297,61 @@ def _component_cumulants(dist: ComponentDistribution, K: int) -> list[float]:
     return kappa
 
 
-def cumulant_table(C: np.ndarray, comps, K: int) -> dict:
+def _indices(d: int, lo: int, K: int) -> list[tuple]:
+    """Multi-indices with lo <= |beta| <= K: by order, each order in
+    :func:`enumerate_multiindices` order."""
+    return [b for l in range(lo, K + 1) for b in enumerate_multiindices(d, l)]
+
+
+def _law_cumulants(laws, K: int) -> dict:
+    """Each distinct law's :func:`_component_cumulants` to order K."""
+    return {law: _component_cumulants(law, K) for law in set(laws)}
+
+
+def _model_cumulants(model: "ModelSpec", K: int) -> dict:
+    return _law_cumulants((c for rec, _ in model.records for c in rec.components), K)
+
+
+def record_inputs(model: "ModelSpec", lo: int, K: int) -> tuple:
+    """What the tables of all records of one call share, built once per
+    call: the indices lo <= |beta| <= K and each distinct law's cumulants to
+    order K, passed after K to :func:`cumulant_table` or
+    :func:`hermite_moments`."""
+    return _indices(model.d, lo, K), _model_cumulants(model, K)
+
+
+def cumulant_table(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> dict:
     """Cumulants kappa_beta(C Y) of one summand record for 2 <= |beta| <= K,
     zeros left out.
 
     Cumulants are multilinear and add over independent components:
     kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
     order-1 cumulants vanish because the components are centered.
+
+    ``betas`` (the indices to compute, in table order) and ``cumulants``
+    (:func:`_law_cumulants` of the laws) are the same for every record of a
+    model; a caller that builds several tables passes them from
+    :func:`record_inputs`, and without them they are built here.  Per
+    record, each power C_ij^b, b <= K, is raised once, and the order-l sum
+    leaves out the components whose order-l cumulant is 0: adding +-0.0
+    changes no nonzero sum, and zero sums are left out anyway.
     """
     if K > 12:
         raise ValueError("pushforward moment order capped at 12")
     rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
-    kappas = [_component_cumulants(c, K) for c in comps]
+    if betas is None:
+        betas = _indices(len(rows), 2, K)
+    if cumulants is None:
+        cumulants = _law_cumulants(comps, K)
+    # powers[j][i][b] = C_ij ** b
+    powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
+    kappas = [cumulants[c] for c in comps]
+    by_order = [[(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(K + 1)]
     table = {}
-    for l in range(2, K + 1):
-        for beta in enumerate_multiindices(len(rows), l):
-            v = sum(kap[l] * math.prod(row[j] ** b for row, b in zip(rows, beta))
-                    for j, kap in enumerate(kappas))
-            if v != 0.0:
-                table[beta] = v
+    for beta in betas:
+        v = sum(k * math.prod(map(list.__getitem__, pw, beta)) for k, pw in by_order[sum(beta)])
+        if v != 0.0:
+            table[beta] = v
     return table
 
 
@@ -340,47 +376,76 @@ def _recursion_steps(d: int, K: int) -> tuple:
     return tuple(steps)
 
 
-def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
-    """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
-    cumulant table (missing entries are 0), by the recursion
-    mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k, delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
+def _recursion(kappa: dict, d: int, steps) -> dict:
     mu = {(0,) * d: 1.0}
-    for beta, terms in _recursion_steps(d, K):
+    for beta, terms in steps:
         mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
     return mu
 
 
-def hermite_moments(C: np.ndarray, comps, K: int) -> dict:
+def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
+    """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
+    cumulant table (missing entries are 0), by the recursion
+    mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k, delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
+    return _recursion(kappa, d, _recursion_steps(d, K))
+
+
+@lru_cache(maxsize=None)
+def _down_set_steps(top: tuple) -> tuple:
+    """The steps of :func:`_recursion_steps` for the down-set {0 != beta <=
+    top}, in the same order: mu_top reads only cumulants and moments there."""
+    return tuple(step for step in _recursion_steps(len(top), sum(top))
+                 if all(b <= t for b, t in zip(step[0], top)))
+
+
+def hermite_moments(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> dict:
     """Hermite moments h_beta of one summand record for 3 <= |beta| <= K,
     zeros left out: the moment recursion on the record's cumulant table with
     its order-2 entries dropped.  They are the Taylor coefficients (over
     beta!) of E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment
-    generating function over its Gaussian twin's."""
-    kappa = {b: v for b, v in cumulant_table(C, comps, K).items() if sum(b) >= 3}
-    mu = moments_from_cumulants(kappa, np.atleast_2d(C).shape[0], K)
+    generating function over its Gaussian twin's.  ``betas`` and
+    ``cumulants`` are :func:`record_inputs` of orders 3 to K, built here when
+    not given."""
+    d = np.atleast_2d(C).shape[0]
+    if betas is None:
+        betas = _indices(d, 3, K)
+    mu = moments_from_cumulants(cumulant_table(C, comps, K, betas, cumulants), d, K)
     return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
 
 
-def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
-    """Exact E[S_n^beta] for every |beta| <= K from the summand records'
-    cumulant tables.
-
-    Cumulants add over independent summands and scale by n^{-|delta|/2}, so
+def _sum_cumulants(model: ModelSpec, K: int, betas) -> dict:
+    """kappa_delta(S_n) for delta in betas, zeros left out: cumulants add
+    over independent summands and scale by n^{-|delta|/2}, so
     kappa_delta(S_n) = n^{-|delta|/2} sum_records count * kappa_delta(record)
-    for any count; one moment recursion turns them into moments.
-    """
-    if K > 8:
-        raise ValueError("exact sum moment order capped at 8")
+    for any count.  The laws' cumulants and the scales are built once."""
+    cumulants = _model_cumulants(model, K)
+    scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
     kappa: dict = {}
     for rec, count in model.records:
-        for delta, v in cumulant_table(rec.C, rec.components, K).items():
-            kappa[delta] = kappa.get(delta, 0.0) + count * v * float(model.n) ** (-0.5 * sum(delta))
-    return moments_from_cumulants(kappa, model.d, K)
+        for delta, v in cumulant_table(rec.C, rec.components, K, betas, cumulants).items():
+            kappa[delta] = kappa.get(delta, 0.0) + count * v * scale[sum(delta)]
+    return kappa
+
+
+def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
+    """Exact E[S_n^beta] for every |beta| <= K: one moment recursion on the
+    cumulants of S_n, summed from the records' cumulant tables.  The indices
+    and the laws' cumulants are built once per call."""
+    if K > 8:
+        raise ValueError("exact sum moment order capped at 8")
+    return moments_from_cumulants(_sum_cumulants(model, K, _indices(model.d, 2, K)), model.d, K)
 
 
 def exact_sum_moment(model: ModelSpec, beta) -> float:
-    """Exact E[S_n^beta]: one entry of :func:`exact_sum_moment_table`."""
+    """Exact E[S_n^beta]: the entry of :func:`exact_sum_moment_table`, bit
+    for bit, from the cumulants and moments of the down-set {delta <= beta}
+    only, which is all the recursion for mu_beta reads."""
     beta = check_multiindex(beta)
     if len(beta) != model.d:
         raise ValueError("index dimension != model dimension")
-    return exact_sum_moment_table(model, sum(beta))[beta]
+    K = sum(beta)
+    if K > 8:
+        raise ValueError("exact sum moment order capped at 8")
+    steps = _down_set_steps(beta)
+    kappa = _sum_cumulants(model, K, [b for b, _ in steps if sum(b) >= 2])
+    return _recursion(kappa, model.d, steps)[beta]

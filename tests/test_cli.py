@@ -271,9 +271,11 @@ def test_nummelin_law_without_density_is_config_error():
 
 
 def test_nummelin_without_samples_is_config_error():
-    code, err = _run_config(MINIMAL["nummelin"][0] | {"samples": 0}, "nummelin")
-    assert code == 2
-    assert "config error: the two-sample KS statistic needs two non-empty samples" in err
+    # the size check names the field before anything is drawn
+    for samples in (0, -3):
+        code, err = _run_config(MINIMAL["nummelin"][0] | {"samples": samples}, "nummelin")
+        assert code == 2
+        assert f"config error: 'samples' must be at least 1, got {samples}" in err
 
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
@@ -452,6 +454,22 @@ def test_config_hash_tells_laws_apart(tmp_path, experiment):
 
 def test_minimal_configs_cover_every_subcommand():
     assert MINIMAL.keys() == SPECS.keys()
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("experiment", sorted(MINIMAL))
+def test_summary_is_strict_json(tmp_path, experiment):
+    # NaN and infinities are written as null; the two-point rate grid has
+    # no slope standard error
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(MINIMAL[experiment][0]))
+    assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{experiment}.json").read_text(), parse_constant=_reject_constant)
+    if experiment == "rate":
+        assert summary["slope_stderr"] is None
 
 
 @pytest.mark.parametrize("experiment", sorted(MINIMAL))
