@@ -303,13 +303,11 @@ def _indices(d: int, lo: int, K: int) -> list[tuple]:
     return [b for l in range(lo, K + 1) for b in enumerate_multiindices(d, l)]
 
 
-def _law_cumulants(laws, K: int) -> dict:
-    """Each distinct law's :func:`_component_cumulants` to order K."""
-    return {law: _component_cumulants(law, K) for law in set(laws)}
-
-
 def _model_cumulants(model: "ModelSpec", K: int) -> dict:
-    return _law_cumulants((c for rec, _ in model.records for c in rec.components), K)
+    """:func:`_component_cumulants` to order K of each distinct law of the
+    model's records."""
+    laws = {c for rec, _ in model.records for c in rec.components}
+    return {law: _component_cumulants(law, K) for law in laws}
 
 
 def record_inputs(model: "ModelSpec", lo: int, K: int) -> tuple:
@@ -329,12 +327,12 @@ def cumulant_table(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> 
     order-1 cumulants vanish because the components are centered.
 
     ``betas`` (the indices to compute, in table order) and ``cumulants``
-    (:func:`_law_cumulants` of the laws) are the same for every record of a
-    model; a caller that builds several tables passes them from
-    :func:`record_inputs`, and without them they are built here.  Per
-    record, each power C_ij^b, b <= K, is raised once, and the order-l sum
-    leaves out the components whose order-l cumulant is 0: adding +-0.0
-    changes no nonzero sum, and zero sums are left out anyway.
+    (each law's cumulants to order K) are the same for every record of a
+    model: a caller that builds several tables builds them once, as
+    :func:`record_inputs` does, and passes them; without them they are
+    built here.  Per record, each power C_ij^b, b <= K, is raised once, and
+    the order-l sum leaves out the components whose order-l cumulant is 0:
+    adding +-0.0 changes no nonzero sum, and zero sums are left out anyway.
     """
     if K > 12:
         raise ValueError("pushforward moment order capped at 12")
@@ -342,11 +340,11 @@ def cumulant_table(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> 
     if betas is None:
         betas = _indices(len(rows), 2, K)
     if cumulants is None:
-        cumulants = _law_cumulants(comps, K)
+        cumulants = {c: _component_cumulants(c, K) for c in comps}
     # powers[j][i][b] = C_ij ** b
     powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
     kappas = [cumulants[c] for c in comps]
-    by_order = [[(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(K + 1)]
+    by_order = {l: [(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(2, K + 1)}
     table = {}
     for beta in betas:
         v = sum(k * math.prod(map(list.__getitem__, pw, beta)) for k, pw in by_order[sum(beta)])
@@ -377,6 +375,8 @@ def _recursion_steps(d: int, K: int) -> tuple:
 
 
 def _recursion(kappa: dict, d: int, steps) -> dict:
+    """Moments mu_beta from the cumulants ``kappa`` for the betas of
+    ``steps``, a subsequence of :func:`_recursion_steps`, and mu_0 = 1."""
     mu = {(0,) * d: 1.0}
     for beta, terms in steps:
         mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
@@ -413,39 +413,38 @@ def hermite_moments(C: np.ndarray, comps, K: int, betas=None, cumulants=None) ->
     return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
 
 
-def _sum_cumulants(model: ModelSpec, K: int, betas) -> dict:
-    """kappa_delta(S_n) for delta in betas, zeros left out: cumulants add
-    over independent summands and scale by n^{-|delta|/2}, so
-    kappa_delta(S_n) = n^{-|delta|/2} sum_records count * kappa_delta(record)
-    for any count.  The laws' cumulants and the scales are built once."""
+def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> dict:
+    """Exact E[S_n^beta] for every |beta| <= K, or with ``top`` for its
+    down-set only, which is all the recursion for mu_top reads: one moment
+    recursion on the cumulants of S_n.  Cumulants add over independent
+    summands and scale by n^{-|delta|/2}, so kappa_delta(S_n) =
+    n^{-|delta|/2} sum_records count * kappa_delta(record) for any count.
+    The indices, the laws' cumulants and the scales are built once per call;
+    each record's cumulant table once per record."""
+    if K > 8:
+        raise ValueError("exact sum moment order capped at 8")
+    steps = _recursion_steps(model.d, K) if top is None else _down_set_steps(top)
+    betas = [b for b, _ in steps if sum(b) >= 2]
     cumulants = _model_cumulants(model, K)
     scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
     kappa: dict = {}
     for rec, count in model.records:
         for delta, v in cumulant_table(rec.C, rec.components, K, betas, cumulants).items():
             kappa[delta] = kappa.get(delta, 0.0) + count * v * scale[sum(delta)]
-    return kappa
+    return _recursion(kappa, model.d, steps)
 
 
 def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
-    """Exact E[S_n^beta] for every |beta| <= K: one moment recursion on the
-    cumulants of S_n, summed from the records' cumulant tables.  The indices
-    and the laws' cumulants are built once per call."""
-    if K > 8:
-        raise ValueError("exact sum moment order capped at 8")
-    return moments_from_cumulants(_sum_cumulants(model, K, _indices(model.d, 2, K)), model.d, K)
+    """Exact E[S_n^beta] for every |beta| <= K from the summand records'
+    cumulant tables."""
+    return _sum_moments(model, K)
 
 
 def exact_sum_moment(model: ModelSpec, beta) -> float:
     """Exact E[S_n^beta]: the entry of :func:`exact_sum_moment_table`, bit
     for bit, from the cumulants and moments of the down-set {delta <= beta}
-    only, which is all the recursion for mu_beta reads."""
+    only."""
     beta = check_multiindex(beta)
     if len(beta) != model.d:
         raise ValueError("index dimension != model dimension")
-    K = sum(beta)
-    if K > 8:
-        raise ValueError("exact sum moment order capped at 8")
-    steps = _down_set_steps(beta)
-    kappa = _sum_cumulants(model, K, [b for b, _ in steps if sum(b) >= 2])
-    return _recursion(kappa, model.d, steps)[beta]
+    return _sum_moments(model, sum(beta), beta)[beta]
