@@ -53,7 +53,7 @@ import numpy as np
 from .errors import NumericalGuardError, check_integer
 from .hermite import Polynomial, _evaluate, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex
-from .moments import ModelSpec, Summand, hermite_moments, record_inputs
+from .moments import ModelSpec, Summand, _indices, hermite_moments
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
@@ -89,17 +89,17 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     k is Gamma_k, or with log=False of exp(sum_records count * T_record).
 
     Built once per call: the Hermite indices of orders 3..N+2 with their
-    1 / (n beta!) weights, each distinct law's cumulants, and the log's
-    coefficients.  Built per record: its cumulant table, Hermite moments
-    and log series; a record of count 1 enters unscaled."""
+    1 / (n beta!) weights, and the log's coefficients.  Built per record:
+    its cumulant table, Hermite moments and log series; a record of count 1
+    enters unscaled.  Each law's cumulants are cached across records."""
     d = model.d
-    betas, cumulants = record_inputs(model, 3, N + 2)
+    betas = _indices(d, 3, N + 2)
     weights = {b: model.n * math.prod(map(math.factorial, b)) for b in betas}
     log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
     total = [Polynomial(d) for _ in range(N + 1)]
     for rec, count in model.records:
         grades: list = [{} for _ in range(N + 1)]
-        for b, h in hermite_moments(rec.C, rec.components, N + 2, betas, cumulants).items():
+        for b, h in hermite_moments(rec.C, rec.components, N + 2, betas).items():
             grades[sum(b) - 2][b] = h / weights[b]
         t = [Polynomial._of(d, g) for g in grades]
         if log:

@@ -287,14 +287,16 @@ def iid_vector_model(dists, n: int) -> ModelSpec:
     return ModelSpec(d=len(dists), records=((Summand(np.eye(len(dists)), dists), n),))
 
 
-def _component_cumulants(dist: ComponentDistribution, K: int) -> list[float]:
+@lru_cache(maxsize=None)
+def _component_cumulants(dist: ComponentDistribution, K: int) -> tuple:
     """Cumulants kappa_0, ..., kappa_K of one catalog law from its raw
-    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}."""
+    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}.
+    Cached, so each law's cumulants are worked out once for all records."""
     m = [raw_moment(dist, k) for k in range(K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
         kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
-    return kappa
+    return tuple(kappa)
 
 
 def _indices(d: int, lo: int, K: int) -> list[tuple]:
@@ -303,22 +305,7 @@ def _indices(d: int, lo: int, K: int) -> list[tuple]:
     return [b for l in range(lo, K + 1) for b in enumerate_multiindices(d, l)]
 
 
-def _model_cumulants(model: "ModelSpec", K: int) -> dict:
-    """:func:`_component_cumulants` to order K of each distinct law of the
-    model's records."""
-    laws = {c for rec, _ in model.records for c in rec.components}
-    return {law: _component_cumulants(law, K) for law in laws}
-
-
-def record_inputs(model: "ModelSpec", lo: int, K: int) -> tuple:
-    """What the tables of all records of one call share, built once per
-    call: the indices lo <= |beta| <= K and each distinct law's cumulants to
-    order K, passed after K to :func:`cumulant_table` or
-    :func:`hermite_moments`."""
-    return _indices(model.d, lo, K), _model_cumulants(model, K)
-
-
-def cumulant_table(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> dict:
+def cumulant_table(C: np.ndarray, comps, K: int, betas=None) -> dict:
     """Cumulants kappa_beta(C Y) of one summand record for 2 <= |beta| <= K,
     zeros left out.
 
@@ -326,24 +313,22 @@ def cumulant_table(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> 
     kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
     order-1 cumulants vanish because the components are centered.
 
-    ``betas`` (the indices to compute, in table order) and ``cumulants``
-    (each law's cumulants to order K) are the same for every record of a
-    model: a caller that builds several tables builds them once, as
-    :func:`record_inputs` does, and passes them; without them they are
-    built here.  Per record, each power C_ij^b, b <= K, is raised once, and
-    the order-l sum leaves out the components whose order-l cumulant is 0:
-    adding +-0.0 changes no nonzero sum, and zero sums are left out anyway.
+    ``betas``, the indices to compute in table order, is the same for every
+    record of a model: a caller that builds several tables builds it once
+    per call and passes it; without it, all indices of orders 2 to K are
+    built here.  Each law's cumulants are cached across records and calls.
+    Per record, each power C_ij^b, b <= K, is raised once, and the order-l
+    sum leaves out the components whose order-l cumulant is 0: adding +-0.0
+    changes no nonzero sum, and zero sums are left out anyway.
     """
     if K > 12:
         raise ValueError("pushforward moment order capped at 12")
     rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
     if betas is None:
         betas = _indices(len(rows), 2, K)
-    if cumulants is None:
-        cumulants = {c: _component_cumulants(c, K) for c in comps}
     # powers[j][i][b] = C_ij ** b
     powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
-    kappas = [cumulants[c] for c in comps]
+    kappas = [_component_cumulants(c, K) for c in comps]
     by_order = {l: [(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(2, K + 1)}
     table = {}
     for beta in betas:
@@ -398,18 +383,15 @@ def _down_set_steps(top: tuple) -> tuple:
                  if all(b <= t for b, t in zip(step[0], top)))
 
 
-def hermite_moments(C: np.ndarray, comps, K: int, betas=None, cumulants=None) -> dict:
+def hermite_moments(C: np.ndarray, comps, K: int, betas: list) -> dict:
     """Hermite moments h_beta of one summand record for 3 <= |beta| <= K,
     zeros left out: the moment recursion on the record's cumulant table with
     its order-2 entries dropped.  They are the Taylor coefficients (over
     beta!) of E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment
-    generating function over its Gaussian twin's.  ``betas`` and
-    ``cumulants`` are :func:`record_inputs` of orders 3 to K, built here when
-    not given."""
+    generating function over its Gaussian twin's.  ``betas`` are the
+    indices of orders 3 to K, built once per call by the caller."""
     d = np.atleast_2d(C).shape[0]
-    if betas is None:
-        betas = _indices(d, 3, K)
-    mu = moments_from_cumulants(cumulant_table(C, comps, K, betas, cumulants), d, K)
+    mu = moments_from_cumulants(cumulant_table(C, comps, K, betas), d, K)
     return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
 
 
@@ -419,17 +401,16 @@ def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> dict:
     recursion on the cumulants of S_n.  Cumulants add over independent
     summands and scale by n^{-|delta|/2}, so kappa_delta(S_n) =
     n^{-|delta|/2} sum_records count * kappa_delta(record) for any count.
-    The indices, the laws' cumulants and the scales are built once per call;
-    each record's cumulant table once per record."""
+    The indices and the scales are built once per call; each record's
+    cumulant table once per record."""
     if K > 8:
         raise ValueError("exact sum moment order capped at 8")
     steps = _recursion_steps(model.d, K) if top is None else _down_set_steps(top)
     betas = [b for b, _ in steps if sum(b) >= 2]
-    cumulants = _model_cumulants(model, K)
     scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
     kappa: dict = {}
     for rec, count in model.records:
-        for delta, v in cumulant_table(rec.C, rec.components, K, betas, cumulants).items():
+        for delta, v in cumulant_table(rec.C, rec.components, K, betas).items():
             kappa[delta] = kappa.get(delta, 0.0) + count * v * scale[sum(delta)]
     return _recursion(kappa, model.d, steps)
 
