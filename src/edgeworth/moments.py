@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,9 +27,87 @@ from .multiindex import check_multiindex, enumerate_multiindices
 
 SQRT3 = math.sqrt(3.0)
 
-_KINDS = ("rademacher", "uniform_centered", "two_point", "gaussian_mixture", "standard_normal")
-# parameter names of the parametrized kinds, in ``params`` order
-_PARAMS = {"two_point": ("p", "a", "b"), "gaussian_mixture": ("w", "mu1", "sigma1", "mu2", "sigma2")}
+
+def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
+    total = 0.0
+    for j in range(0, k + 1, 2):
+        total += math.comb(k, j) * (sigma ** j) * gaussian_moment_1d(j) * (mu ** (k - j))
+    return total
+
+
+def _two_point_sum(count, rng, size, p, a, b):
+    k = rng.binomial(count, p, size)
+    return a * k - b * (count - k)
+
+
+def _normal_pdf(x, mu: float, sigma: float):
+    return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
+
+def _mixture_sample(rng, size, w, mu1, s1, mu2, s2):
+    pick = rng.random(size=size) < w
+    z = rng.standard_normal(size=size)
+    return np.where(pick, mu1 + s1 * z, mu2 + s2 * z)
+
+
+def _mixture_check(w, mu1, s1, mu2, s2):
+    if not (0.0 <= w <= 1.0 and s1 > 0.0 and s2 > 0.0):
+        raise ValueError(f"mixture needs 0 <= w <= 1 and sigma1, sigma2 > 0; got w {w}, sigmas {s1}, {s2}")
+
+
+def _mixture_sum(count, rng, size, w, mu1, s1, mu2, s2):
+    k = rng.binomial(count, w, size)
+    z = rng.standard_normal(size)
+    return k * mu1 + (count - k) * mu2 + np.sqrt(k * (s1 * s1) + (count - k) * (s2 * s2)) * z
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One kind's row of the catalog ``_LAWS``.  Each closed form takes the
+    law's parameters last: ``moment(k, *p)`` = E[Y^k] for k >= 1,
+    ``sample(rng, size, *p)``, ``density(x, *p)`` and ``icdf(u, *p)`` on
+    floats, and ``fold_sum(c, rng, size, *p)``, draws of the sum of c iid
+    copies exact in law.  The last three are None where the kind has no
+    closed form.  ``check(*p)`` raises a ValueError for parameters outside
+    the kind's domain, beyond the mean 0 and variance 1 that every kind
+    needs."""
+
+    params: tuple
+    moment: Callable
+    sample: Callable
+    density: Callable | None = None
+    icdf: Callable | None = None
+    fold_sum: Callable | None = None
+    check: Callable = lambda *p: None
+
+
+_LAWS = {
+    "rademacher": _Law(
+        (), lambda k: 1.0 if k % 2 == 0 else 0.0,
+        lambda rng, size: rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0,
+        icdf=lambda u: np.array([1.0, -1.0]).take((u < 0.5).view(np.uint8)),
+        fold_sum=lambda count, rng, size: 2.0 * rng.binomial(count, 0.5, size) - count),
+    # (1/(2 sqrt 3)) int_{-s3}^{s3} x^k dx = 3^{k/2}/(k+1) for even k
+    "uniform_centered": _Law(
+        (), lambda k: (SQRT3 ** k) / (k + 1) if k % 2 == 0 else 0.0,
+        lambda rng, size: rng.uniform(-SQRT3, SQRT3, size=size),
+        density=lambda x: np.where(np.abs(x) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0),
+        icdf=lambda u: (2.0 * u - 1.0) * SQRT3),
+    "two_point": _Law(
+        ("p", "a", "b"), lambda k, p, a, b: p * a ** k + (1.0 - p) * (-b) ** k,
+        lambda rng, size, p, a, b: np.where(rng.random(size=size) < p, a, -b),
+        icdf=lambda u, p, a, b: np.array([a, -b]).take((u < 1.0 - p).view(np.uint8)),
+        fold_sum=_two_point_sum),
+    "gaussian_mixture": _Law(
+        ("w", "mu1", "sigma1", "mu2", "sigma2"),
+        lambda k, w, mu1, s1, mu2, s2: w * _normal_raw_moment(mu1, s1, k) + (1.0 - w) * _normal_raw_moment(mu2, s2, k),
+        _mixture_sample, fold_sum=_mixture_sum, check=_mixture_check,
+        density=lambda x, w, mu1, s1, mu2, s2: w * _normal_pdf(x, mu1, s1) + (1.0 - w) * _normal_pdf(x, mu2, s2)),
+    "standard_normal": _Law(
+        (), lambda k: gaussian_moment_1d(k), lambda rng, size: rng.standard_normal(size=size),
+        density=lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), icdf=ndtri,
+        fold_sum=lambda count, rng, size: math.sqrt(count) * rng.standard_normal(size)),
+}
 
 
 @dataclass(frozen=True)
@@ -39,15 +118,19 @@ class ComponentDistribution:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _LAWS:
             raise ValueError(f"unknown component kind {self.kind!r}")
+        if len(self.params) != len(_LAWS[self.kind].params):
+            raise ValueError(f"{self.kind} takes parameters {_LAWS[self.kind].params}, got {self.params}")
+        _LAWS[self.kind].check(*self.params)
         m1 = raw_moment(self, 1)
         m2 = raw_moment(self, 2)
-        if abs(m1) > 1e-12 or abs(m2 - 1.0) > 1e-12:
+        # written so that a NaN or infinite moment fails it
+        if not (abs(m1) <= 1e-12 and abs(m2 - 1.0) <= 1e-12):
             raise ValueError(f"{self.kind}{self.params}: mean {m1}, variance {m2}; need (0, 1)")
 
     def to_json(self) -> dict:
-        return {"kind": self.kind} | dict(zip(_PARAMS.get(self.kind, ()), self.params))
+        return {"kind": self.kind} | dict(zip(_LAWS[self.kind].params, self.params))
 
     @staticmethod
     def from_json(doc: dict) -> "ComponentDistribution":
@@ -55,9 +138,9 @@ class ComponentDistribution:
         exactly the parameters of that kind."""
         check_object(doc, "component")
         kind = doc.get("kind")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _LAWS:
             raise ValueError(f"unknown component kind {kind!r}")
-        names = _PARAMS.get(kind, ())
+        names = _LAWS[kind].params
         check_fields(doc, {"kind", *names}, set(), f"{kind} component")
         for k in names:
             if isinstance(doc[k], bool) or not isinstance(doc[k], numbers.Real):
@@ -97,77 +180,33 @@ def gaussian_mixture(w: float, mu1: float, sigma1: float, mu2: float, sigma2: fl
     return ComponentDistribution("gaussian_mixture", (float(w), float(mu1), float(sigma1), float(mu2), float(sigma2)))
 
 
-def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
-    total = 0.0
-    for j in range(0, k + 1, 2):
-        total += math.comb(k, j) * (sigma ** j) * gaussian_moment_1d(j) * (mu ** (k - j))
-    return total
-
-
 def raw_moment(dist: ComponentDistribution, k: int) -> float:
     """Exact E[Y^k] in closed form."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
     if k == 0:
         return 1.0
-    kind = dist.kind
-    if kind == "rademacher":
-        return 1.0 if k % 2 == 0 else 0.0
-    if kind == "uniform_centered":
-        # (1/(2 sqrt 3)) int_{-s3}^{s3} x^k dx = 3^{k/2}/(k+1) for even k
-        return (SQRT3 ** k) / (k + 1) if k % 2 == 0 else 0.0
-    if kind == "standard_normal":
-        return gaussian_moment_1d(k)
-    if kind == "two_point":
-        p, a, b = dist.params
-        return p * a ** k + (1.0 - p) * (-b) ** k
-    if kind == "gaussian_mixture":
-        w, mu1, s1, mu2, s2 = dist.params
-        return w * _normal_raw_moment(mu1, s1, k) + (1.0 - w) * _normal_raw_moment(mu2, s2, k)
-    raise ValueError(f"unsupported kind {kind!r}")
+    return _LAWS[dist.kind].moment(k, *dist.params)
 
 
 def has_density(dist: ComponentDistribution) -> bool:
-    return dist.kind in ("uniform_centered", "standard_normal", "gaussian_mixture")
+    return _LAWS[dist.kind].density is not None
 
 
 def has_icdf(dist: ComponentDistribution) -> bool:
     """Whether :func:`component_icdf` has a closed form for the law."""
-    return dist.kind in ("rademacher", "uniform_centered", "standard_normal", "two_point")
+    return _LAWS[dist.kind].icdf is not None
 
 
 def pdf(dist: ComponentDistribution, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    kind = dist.kind
-    if kind == "uniform_centered":
-        return np.where(np.abs(x) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0)
-    if kind == "standard_normal":
-        return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    if kind == "gaussian_mixture":
-        w, mu1, s1, mu2, s2 = dist.params
-        g1 = np.exp(-0.5 * ((x - mu1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
-        g2 = np.exp(-0.5 * ((x - mu2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-        return w * g1 + (1.0 - w) * g2
-    raise TypeError(f"{kind} has no Lebesgue density")
+    density = _LAWS[dist.kind].density
+    if density is None:
+        raise TypeError(f"{dist.kind} has no Lebesgue density")
+    return density(np.asarray(x, dtype=float), *dist.params)
 
 
 def sample_component(dist: ComponentDistribution, rng: np.random.Generator, size) -> np.ndarray:
-    kind = dist.kind
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-    if kind == "uniform_centered":
-        return rng.uniform(-SQRT3, SQRT3, size=size)
-    if kind == "standard_normal":
-        return rng.standard_normal(size=size)
-    if kind == "two_point":
-        p, a, b = dist.params
-        return np.where(rng.random(size=size) < p, a, -b)
-    if kind == "gaussian_mixture":
-        w, mu1, s1, mu2, s2 = dist.params
-        pick = rng.random(size=size) < w
-        z = rng.standard_normal(size=size)
-        return np.where(pick, mu1 + s1 * z, mu2 + s2 * z)
-    raise ValueError(f"unsupported kind {kind!r}")
+    return _LAWS[dist.kind].sample(rng, size, *dist.params)
 
 
 def component_icdf(dist: ComponentDistribution, u) -> np.ndarray:
@@ -175,18 +214,10 @@ def component_icdf(dist: ComponentDistribution, u) -> np.ndarray:
     coupling of different laws through shared uniforms).  A two-valued law
     looks its values up in a two-entry table: ``np.where``'s bits, in less
     time on the common-random-number blocks."""
-    u = np.asarray(u, dtype=float)
-    kind = dist.kind
-    if kind == "rademacher":
-        return np.array([1.0, -1.0]).take((u < 0.5).view(np.uint8))
-    if kind == "uniform_centered":
-        return (2.0 * u - 1.0) * SQRT3
-    if kind == "standard_normal":
-        return ndtri(u)
-    if kind == "two_point":
-        p, a, b = dist.params
-        return np.array([a, -b]).take((u < 1.0 - p).view(np.uint8))
-    raise TypeError(f"{kind} has no closed-form inverse CDF")
+    icdf = _LAWS[dist.kind].icdf
+    if icdf is None:
+        raise TypeError(f"{dist.kind} has no closed-form inverse CDF")
+    return icdf(np.asarray(u, dtype=float), *dist.params)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, NumericalGuardError
-from .moments import ComponentDistribution, ModelSpec, has_density, pdf, sample_component
+from .moments import _LAWS, ComponentDistribution, ModelSpec, has_density, pdf, sample_component
 
 MC_BLOCK = 1 << 14
 MC_MIN_SAMPLES = 100  # fewest draws a Monte Carlo expectation takes
@@ -220,44 +220,23 @@ def _rejection_draws(branch: str, propose, rng: np.random.Generator, count: int)
     return out
 
 
-def _component_sum(dist: ComponentDistribution, count: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` draws of the sum of ``count`` iid copies of ``dist``, exact in
-    law: one normal, one binomial count, or (a mixture) both per draw."""
-    kind = dist.kind
-    if kind == "standard_normal":
-        return math.sqrt(count) * rng.standard_normal(size)
-    if kind == "rademacher":
-        return 2.0 * rng.binomial(count, 0.5, size) - count
-    if kind == "two_point":
-        p, a, b = dist.params
-        k = rng.binomial(count, p, size)
-        return a * k - b * (count - k)
-    if kind == "gaussian_mixture":
-        w, mu1, s1, mu2, s2 = dist.params
-        k = rng.binomial(count, w, size)
-        z = rng.standard_normal(size)
-        return k * mu1 + (count - k) * mu2 + np.sqrt(k * (s1 * s1) + (count - k) * (s2 * s2)) * z
-    raise ValueError(f"{kind} has no closed-form sum")
-
-
 def sample_sum(model: ModelSpec, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draws of the scaled sum n^{-1/2} sum_k C_k Y_k; shape (size, d).
 
     A record of count c > 1 whose components all have a closed-form c-fold
-    sum (``standard_normal``, ``rademacher``, ``two_point``,
-    ``gaussian_mixture``) draws that sum once per component and multiplies
-    by its matrix once.  A record of count 1, or one with a
-    ``uniform_centered`` component, draws summand by summand, component by
-    component, so count-1 and uniform records keep their streams.
+    sum draws that sum once per component and multiplies by its matrix
+    once.  Any other record draws summand by summand, component by
+    component, and so keeps its streams.
     """
     out = np.zeros((size, model.d))
     scale = 1.0 / math.sqrt(model.n)
     for rec, count in model.records:
-        per_summand = count == 1 or any(c.kind == "uniform_centered" for c in rec.components)
+        folds = [_LAWS[c.kind].fold_sum for c in rec.components]
+        per_summand = count == 1 or None in folds
         for _ in range(count if per_summand else 1):
             y = np.empty((size, len(rec.components)))
             for j, comp in enumerate(rec.components):
-                y[:, j] = sample_component(comp, rng, size) if per_summand else _component_sum(comp, count, rng, size)
+                y[:, j] = sample_component(comp, rng, size) if per_summand else folds[j](count, rng, size, *comp.params)
             # a 1x1 matrix multiplies: the same product, without matmul's generic loop
             out += y * rec.C[0, 0] if rec.C.shape == (1, 1) else y @ rec.C.T
     return out * scale

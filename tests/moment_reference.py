@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from edgeworth.moments import raw_moment, sample_component
+from edgeworth.moments import _LAWS, raw_moment, sample_component
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
-from edgeworth.sampling import _component_sum
 
 
 def summand_list(model) -> list:
@@ -28,7 +27,8 @@ def summand_list(model) -> list:
 def sample_sum_reference(model, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draws of n^{-1/2} sum_k C_k Y_k, one summand at a time and one
     component at a time: the draw order ``sampling.sample_sum`` keeps for
-    records of count 1 and records with a ``uniform_centered`` component."""
+    records of count 1 and records with a component without a closed-form
+    c-fold sum."""
     out = np.zeros((size, model.d))
     scale = 1.0 / math.sqrt(model.n)
     for rec in summand_list(model):
@@ -41,17 +41,21 @@ def sample_sum_reference(model, rng: np.random.Generator, size: int = 1) -> np.n
 
 def sample_sum_matmul_reference(model, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """``sampling.sample_sum``'s draws, each record's matrix applied as
-    ``y @ C.T`` whatever its shape: a closed-form sum per component for a
-    record of count c > 1 without a uniform component, else summand by
-    summand, component by component."""
+    ``y @ C.T`` whatever its shape: the law's closed-form c-fold sum per
+    component for a record of count c > 1 whose components all have one,
+    else summand by summand, component by component."""
     out = np.zeros((size, model.d))
     scale = 1.0 / math.sqrt(model.n)
     for rec, count in model.records:
-        per_summand = count == 1 or any(c.kind == "uniform_centered" for c in rec.components)
+        laws = [_LAWS[c.kind] for c in rec.components]
+        per_summand = count == 1 or any(law.fold_sum is None for law in laws)
         for _ in range(count if per_summand else 1):
             y = np.empty((size, len(rec.components)))
             for j, comp in enumerate(rec.components):
-                y[:, j] = sample_component(comp, rng, size) if per_summand else _component_sum(comp, count, rng, size)
+                if per_summand:
+                    y[:, j] = sample_component(comp, rng, size)
+                else:
+                    y[:, j] = laws[j].fold_sum(count, rng, size, *comp.params)
             out += y @ rec.C.T
     return out * scale
 

@@ -270,6 +270,16 @@ def test_nummelin_law_without_density_is_config_error():
     assert "config error: nummelin splitting needs a law with a density; rademacher has none" in err
 
 
+@pytest.mark.parametrize("component", [
+    # this used to run, and wrote a CSV whose se column read 0.0
+    {"kind": "two_point", "p": math.nan, "a": 1.0, "b": 1.0},
+    {"kind": "gaussian_mixture", "w": 2.0, "mu1": 0.0, "sigma1": 1.0, "mu2": 0.0, "sigma2": 1.0},
+])
+def test_law_outside_its_domain_is_config_error(component):
+    code, err = _run_config(MINIMAL_OCCUPATION | {"component": component}, "occupation")
+    assert code == 2 and "config error: " in err
+
+
 def test_nummelin_without_samples_is_config_error():
     # the size check names the field before anything is drawn
     for samples in (0, -3):
@@ -785,6 +795,21 @@ def test_readme_csv_table_matches_headers(tmp_path):
             assert main([experiment, "--config", str(cpath), "--out-dir", str(tmp_path)]) == 0
         header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[0]
         assert documented.split(", ") == header.split(","), experiment
+
+
+def test_readme_catalog_table_matches_laws():
+    # the README's component catalog table documents the law table, one row
+    # per kind: its parameters and which closed forms it has
+    from edgeworth.moments import _LAWS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Component catalog", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (yes|no) \| (yes|no) \| (yes|no) \|$", table, re.M)
+    assert [row[0] for row in rows] == list(_LAWS)
+    for kind, params, density, icdf, fold_sum in rows:
+        law = _LAWS[kind]
+        assert re.findall(r"`(\w+)`", params) == list(law.params), kind
+        assert [density, icdf, fold_sum] == ["no" if f is None else "yes" for f in (law.density, law.icdf, law.fold_sum)]
 
 
 def test_readme_field_table_matches_specs():

@@ -293,6 +293,29 @@ def test_law_pair_coupled_exactly_with_inverse_cdf(dist):
     assert occupation.parameters["crn"] is roots.parameters["crn"] is has_icdf(dist)
 
 
+def test_draws_go_through_the_public_entry_points(monkeypatch):
+    # perfbench times sample_component and component_icdf where the drivers
+    # call them, as module globals; its moments.sample_component_s and
+    # moments.icdf_s read 0 if the drivers reach the closed forms another way
+    calls = {"sample_component": 0, "component_icdf": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(sampling, "sample_component")
+    count(experiments, "component_icdf")
+    sampling.sample_sum(iid_model(rademacher(), 1), RngStream(1, 1).generator(), 4)
+    assert calls == {"sample_component": 1, "component_icdf": 0}
+    occupation_time(rademacher(), rho=0.5, n_grid=[4], samples=8, seed=1)
+    assert calls["component_icdf"] >= 1
+
+
 def test_count_roots_tangency_guard():
     # Q(t) = sin t (cos t - cos t0)^8 touches zero at t0 without a sign
     # change; t0 is the midpoint of a grid interval, so only the tangency

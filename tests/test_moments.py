@@ -16,10 +16,12 @@ from edgeworth.moments import (
     exact_sum_moment,
     exact_sum_moment_table,
     gaussian_mixture,
+    has_density,
     has_icdf,
     iid_model,
     iid_vector_model,
     moments_from_cumulants,
+    pdf,
     rademacher,
     raw_moment,
     skewed_two_point,
@@ -54,17 +56,29 @@ def test_catalog_standardized(dist):
 
 
 def test_invalid_parameterizations_rejected():
-    with pytest.raises(ValueError):
-        two_point(0.3, 1.0, 1.0)  # mean != 0
-    with pytest.raises(ValueError):
-        ComponentDistribution("lognormal")
+    cases = [
+        (lambda: two_point(0.3, 1.0, 1.0), "need \\(0, 1\\)"),  # mean != 0
+        (lambda: ComponentDistribution("lognormal"), "unknown component kind"),
+        (lambda: ComponentDistribution(["rademacher"]), "unknown component kind"),
+        (lambda: ComponentDistribution("two_point", (0.5, 1.0)), "two_point takes parameters"),
+        # a NaN or infinite moment used to pass the mean and variance check
+        (lambda: two_point(math.nan, 1.0, 1.0), "need \\(0, 1\\)"),
+        (lambda: two_point(0.5, math.inf, math.inf), "need \\(0, 1\\)"),
+        (lambda: gaussian_mixture(0.5, 0.0, math.nan, 0.0, 1.0), "mixture needs"),
+        # mean 0 and variance 1, but no law: a weight outside [0, 1], sigma <= 0
+        (lambda: gaussian_mixture(2.0, 0.0, 1.0, 0.0, 1.0), "mixture needs"),
+        (lambda: gaussian_mixture(-1.0, 0.0, 1.0, 0.0, 1.0), "mixture needs"),
+        (lambda: gaussian_mixture(0.5, 0.0, -1.0, 0.0, -1.0), "mixture needs"),
+        (lambda: gaussian_mixture(0.5, 1.0, 0.0, -1.0, 0.0), "mixture needs"),
+    ]
+    for make, match in cases:
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 def test_mixture_moments_against_quadrature():
     dist = gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)
     xs = np.linspace(-12, 12, 200001)
-    from edgeworth.moments import pdf
-
     dens = pdf(dist, xs)
     for k in range(1, 7):
         quad = np.trapezoid(dens * xs**k, xs)
@@ -118,13 +132,17 @@ def test_pushforward_vs_direct_expansion():
 
 @pytest.mark.parametrize("dist", CATALOG)
 def test_has_icdf_matches_component_icdf(dist):
-    try:
-        component_icdf(dist, np.array([0.25, 0.5, 0.75]))
-    except TypeError:
-        works = False
-    else:
-        works = True
-    assert has_icdf(dist) is works
+    # each capability predicate holds exactly when its closed form runs, and
+    # the closed form of a law without one raises a TypeError that names it
+    x = np.array([0.25, 0.5, 0.75])
+    for has, closed_form, message in ((has_icdf, component_icdf, "has no closed-form inverse CDF"),
+                                      (has_density, pdf, "has no Lebesgue density")):
+        if has(dist) is True:
+            assert closed_form(dist, x).shape == x.shape
+        else:
+            assert has(dist) is False
+            with pytest.raises(TypeError, match=f"^{dist.kind} {message}$"):
+                closed_form(dist, x)
 
 
 TWO_VALUED = [rademacher(), skewed_two_point(0.2), two_point(0.2, 2.0, 0.5), skewed_two_point(0.5)]
@@ -143,9 +161,9 @@ def test_two_valued_tables_match_where(dist):
 
 
 def test_catalog_covers_every_kind():
-    from edgeworth.moments import _KINDS
+    from edgeworth.moments import _LAWS
 
-    assert {c.kind for c in CATALOG} == set(_KINDS)
+    assert {c.kind for c in CATALOG} == set(_LAWS)
 
 
 @pytest.mark.parametrize("dist", CATALOG)
