@@ -12,12 +12,7 @@ from .corrector import (
     order_discrepancy,
 )
 from .errors import CertificateError, KernelMomentError, NumericalGuardError
-from .hermite import (
-    Polynomial,
-    gauss_hermite,
-    gaussian_moment,
-    hermite1d,
-)
+from .hermite import Polynomial, gauss_hermite, gaussian_moment
 from .moments import (
     ComponentDistribution,
     ModelSpec,

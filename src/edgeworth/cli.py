@@ -17,12 +17,11 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import experiments
 from .corrector import corrector_polynomial
-from .errors import ConfigError, NumericalGuardError, check_fields, check_object
+from .errors import (BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, ConfigError, Field, NumericalGuardError, check_object,
+                     read_field, read_fields)
 from .experiments import ExperimentResult
 from .hermite import Polynomial
 from .moments import ComponentDistribution, ModelSpec, iid_model
@@ -30,36 +29,13 @@ from .moments import ComponentDistribution, ModelSpec, iid_model
 N_CAP = 4
 
 
-@dataclass(frozen=True)
-class Field:
-    """Type of a config field: ``ok`` holds for a well-typed value, which
-    ``read`` converts; any other value is an error that names the field and
-    ``what`` it must be."""
-
-    ok: Callable
-    what: str
-    read: Callable = lambda value: value
-
-
-def _integral(value) -> bool:
-    return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _object(value) -> bool:
-    return isinstance(value, dict)
-
-
 def _numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_number, value))
+    return isinstance(value, list) and all(map(NUMBER.ok, value))
 
 
 def _index(value) -> bool:
     """A list of non-negative integers."""
-    return isinstance(value, list) and all(_integral(b) and b >= 0 for b in value)
+    return isinstance(value, list) and all(INTEGER.ok(b) and b >= 0 for b in value)
 
 
 def _monomial_key(key: str) -> bool:
@@ -71,21 +47,10 @@ def _monomial_key(key: str) -> bool:
     return _index(beta) and len(beta) > 0
 
 
-INTEGER = Field(_integral, "an integer", int)
-BOOLEAN = Field(lambda value: isinstance(value, bool), "true or false")
-NUMBER = Field(_number, "a number", float)
-STRING = Field(lambda value: isinstance(value, str), "a string")
-ORDER = Field(lambda N: _integral(N) and 0 <= N <= N_CAP, f"in 0..{N_CAP}", int)
-N_GRID = Field(lambda grid: isinstance(grid, list) and all(map(_integral, grid)), "a list of integers",
+ORDER = Field(lambda N: INTEGER.ok(N) and 0 <= N <= N_CAP, f"in 0..{N_CAP}", int)
+N_GRID = Field(lambda grid: isinstance(grid, list) and all(map(INTEGER.ok, grid)), "a list of integers",
                lambda grid: [int(n) for n in grid])
-COMPONENT = Field(_object, "a JSON object", ComponentDistribution.from_json)
-
-
-def _field(name: str, field: Field, value):
-    """``value`` read through ``field``, which it must fit."""
-    if not field.ok(value):
-        raise ConfigError(f"field {name!r} must be {field.what}, got {value!r}")
-    return field.read(value)
+COMPONENT = Field(OBJECT.ok, OBJECT.what, ComponentDistribution.from_json)
 
 
 def _n_family(kw: dict, base_dir: str, experiment: str):
@@ -136,22 +101,23 @@ def _driver(name: str, blocks: bool = True):
 # reaches every driver that runs blocks, which records it in its summary;
 # the nummelin and kernel summaries record the one thread they ran in.
 COMMON = {"seed": INTEGER, "workers": INTEGER, "out_stem": STRING}
-_N_FAMILY = {"component": COMPONENT, "model": Field(_object, "a JSON object", ModelSpec.from_json),
+_N_FAMILY = {"component": COMPONENT, "model": Field(OBJECT.ok, OBJECT.what, ModelSpec.from_json),
              "model_path": STRING}
-_F = Field(lambda f: isinstance(f, dict) and all(_monomial_key(k) and _number(c) for k, c in f.items()),
+_F = Field(lambda f: isinstance(f, dict) and all(_monomial_key(k) and NUMBER.ok(c) for k, c in f.items()),
            "an object from JSON lists of non-negative integers to numbers",
            lambda f: {tuple(json.loads(key)): float(c) for key, c in f.items()})
+_MODE = Field(lambda mode: mode in ("exact", "mc"), '"exact" or "mc"')
 
 # subcommand -> (required fields, optional fields, runner); each field maps to
 # its Field; the runner takes (config dir, *required, **optional)
 SPECS = {
     "rate": ({"N": ORDER, "n_grid": N_GRID, "f": _F},
              {**_N_FAMILY, "gamma": Field(lambda g: g is None or _index(g), "a list of non-negative integers or null"),
-              "mode": STRING, "samples": INTEGER, "crn": BOOLEAN}, _rate),
+              "mode": _MODE, "samples": INTEGER, "crn": BOOLEAN}, _rate),
     "density": ({"N": ORDER, "n_grid": N_GRID, "a": Field(_numbers, "a list of numbers")},
                 {**_N_FAMILY, "samples": INTEGER, "delta_exponent": NUMBER, "delta_scale": NUMBER}, _density),
     "occupation": ({"component": COMPONENT, "rho": NUMBER, "n_grid": N_GRID},
-                   {"samples": INTEGER, "ref_eps": Field(lambda eps: eps is None or _number(eps), "a number or null")},
+                   {"samples": INTEGER, "ref_eps": Field(lambda eps: eps is None or NUMBER.ok(eps), "a number or null")},
                    _driver("occupation_time")),
     "roots": ({"component": COMPONENT, "n_grid": N_GRID}, {"samples": INTEGER, "oversample": INTEGER},
               _driver("kac_rice_roots")),
@@ -185,7 +151,7 @@ def _print_table(result: ExperimentResult) -> None:
 def cmd_expand(args) -> int:
     with open(args.model) as fh:
         model = ModelSpec.from_json(json.load(fh))
-    print(corrector_polynomial(model, _field("N", ORDER, args.N)).to_json_str())
+    print(corrector_polynomial(model, read_field("N", ORDER, args.N)).to_json_str())
     return 0
 
 
@@ -196,10 +162,9 @@ def cmd_run(args, experiment: str) -> int:
     if cfg.get("experiment") != experiment:
         raise ConfigError(f"config field 'experiment' is {cfg.get('experiment')!r}, expected {experiment!r}")
     required, optional, run = SPECS[experiment]
-    check_fields(cfg, {"experiment", *required}, optional.keys() | COMMON.keys(), f"{experiment} config")
     cfg |= {k: v for k, v in (("seed", args.seed), ("workers", args.workers)) if v is not None}
-    fields = required | optional | COMMON
-    kw = {k: _field(k, fields[k], v) for k, v in cfg.items() if k != "experiment"}
+    kw = read_fields(cfg, {"experiment": STRING, **required}, optional | COMMON, f"{experiment} config")
+    del kw["experiment"]
     stem = kw.pop("out_stem", experiment)
     positional = [kw.pop(k) for k in required]
     result = run(os.path.dirname(os.path.abspath(args.config)), *positional, **kw)

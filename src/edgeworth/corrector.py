@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalGuardError, check_integer
+from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
 from .hermite import Polynomial, _evaluate, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex
 from .moments import ModelSpec, Summand, _indices, hermite_moments
@@ -163,24 +163,29 @@ class CorrectorPolynomial:
 
     @staticmethod
     def from_json(doc: dict) -> "CorrectorPolynomial":
-        """Reads ``to_json``'s document; ``d``, ``n``, ``N`` (the last two
-        optional) and every index entry must be JSON integers, so nothing is
-        truncated.  This is where outside input is checked for integers:
-        ``check_multiindex`` converts library indices with ``int()``."""
-
-        def integer(value, name: str, optional: bool = False):
-            return None if optional and value is None else check_integer(value, f"corrector field {name!r}")
-
-        return CorrectorPolynomial(
-            d=integer(doc["d"], "d"),
-            constant=float(doc["constant"]),
-            terms={tuple(integer(b, "beta") for b in t["beta"]): float(t["coeff"]) for t in doc["terms"]},
-            n=integer(doc.get("n"), "n", optional=True),
-            order=integer(doc.get("N"), "N", optional=True),
-        )
+        """Reads ``to_json``'s document, whose fields are those of
+        ``CORRECTOR_FIELDS`` and each term's those of ``TERM_FIELDS``.  This
+        is where outside input is checked for integers: ``check_multiindex``
+        converts library indices with ``int()``."""
+        phi = read_fields(doc, *CORRECTOR_FIELDS, "corrector", "corrector field")
+        terms = {t["beta"]: t["coeff"] for t in phi["terms"]}
+        return CorrectorPolynomial(d=phi["d"], constant=phi["constant"], terms=terms, n=phi.get("n"),
+                                   order=phi.get("N"))
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json())
+
+
+# (required, optional) fields of a corrector document and of each of its
+# terms, whose index entries must be JSON integers; n and N may be null
+_INDEX = Field(LIST.ok, LIST.what,
+               lambda beta: tuple(read_field("beta", JSON_INTEGER, b, "corrector field") for b in beta))
+TERM_FIELDS = ({"beta": _INDEX, "coeff": NUMBER}, {})
+_TERMS = Field(LIST.ok, LIST.what,
+               lambda docs: [read_fields(t, *TERM_FIELDS, "corrector term", "corrector field") for t in docs])
+_OPTIONAL_INTEGER = Field(lambda value: value is None or JSON_INTEGER.ok(value), JSON_INTEGER.what)
+CORRECTOR_FIELDS = ({"d": JSON_INTEGER, "constant": NUMBER, "terms": _TERMS},
+                    {"n": _OPTIONAL_INTEGER, "N": _OPTIONAL_INTEGER})
 
 
 def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:

@@ -1,4 +1,23 @@
-"""Shared exception types and the checks of JSON documents."""
+"""Shared exception types and the one reader of JSON documents.
+
+Every JSON input (a CLI config, a model, a component, a corrector) is read
+the same way: its reader declares the required and optional fields of the
+document as ``{name: Field}`` maps, and :func:`read_fields` rejects a
+document that is not an object, lacks a required field or has an unknown
+one, then reads each field through its :class:`Field`.  A value that does
+not fit its field is an error that names the field.
+
+The fields here are the shared vocabulary.  ``NUMBER`` is a finite real
+number: NaN, the infinities and integers too large for a float are not.
+There are two integer rules: ``INTEGER``, for configs, also takes an
+integral float (``1e5`` reads as 100000), and ``JSON_INTEGER``, for
+documents the library writes, takes only a JSON integer, so that nothing
+is truncated.
+"""
+
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -11,30 +30,51 @@ def check_object(doc, where: str) -> None:
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
 
 
-def check_list(doc, where: str) -> None:
-    """Rejects a document that is not a JSON list."""
-    if not isinstance(doc, list):
-        raise ConfigError(f"{where} must be a JSON list, got {doc!r}")
+@dataclass(frozen=True)
+class Field:
+    """Type of a document field: ``ok`` holds for a well-typed value, which
+    ``read`` converts; any other value is an error that names the field and
+    ``what`` it must be."""
+
+    ok: Callable
+    what: str
+    read: Callable = lambda value: value
 
 
-def check_fields(doc: dict, required: set, optional: set, where: str) -> None:
-    """Rejects a document that is not a JSON object, lacks a required field
-    or has one outside ``required | optional``."""
+def read_field(name: str, field: Field, value, label: str = "field"):
+    """``value`` read through ``field``, which it must fit; the error calls
+    the field ``label`` and ``name``."""
+    if not field.ok(value):
+        raise ConfigError(f"{label} {name!r} must be {field.what}, got {value!r}")
+    return field.read(value)
+
+
+def read_fields(doc, required: dict, optional: dict, where: str, label: str = "field") -> dict:
+    """The fields of the document ``doc``, called ``where``, each read
+    through its Field: ``doc`` must be a JSON object with every ``required``
+    field and none outside ``required | optional``.  An absent optional
+    field is left out."""
     check_object(doc, where)
-    missing = required - doc.keys()
+    missing = required.keys() - doc.keys()
     if missing:
         raise ConfigError(f"{where}: missing fields {sorted(missing)}")
-    unknown = doc.keys() - required - optional
+    unknown = doc.keys() - required.keys() - optional.keys()
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    fields = required | optional
+    return {name: read_field(name, fields[name], value, label) for name, value in doc.items()}
 
 
-def check_integer(value, where: str) -> int:
-    """``value`` if it is a JSON integer (an int that is not a bool), so
-    that nothing is truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
+JSON_INTEGER = Field(lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer")
+INTEGER = Field(lambda value: JSON_INTEGER.ok(value) or isinstance(value, float) and value.is_integer(),
+                "an integer", int)
+# a comparison with NaN is false, and Python compares a large integer with a float exactly
+NUMBER = Field(lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
+               and abs(value) <= sys.float_info.max, "a number", float)
+BOOLEAN = Field(lambda value: isinstance(value, bool), "true or false")
+STRING = Field(lambda value: isinstance(value, str), "a string")
+OBJECT = Field(lambda value: isinstance(value, dict), "a JSON object")
+LIST = Field(lambda value: isinstance(value, list), "a JSON list")
 
 
 class NumericalGuardError(RuntimeError):

@@ -262,6 +262,8 @@ def rate_experiment(
     reproduces the test function's moments identically, the slope is None
     and the ``all_degenerate`` note is true.
     """
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
     ns = _sizes(n_grid)
     if mode == "mc" and samples < MC_MIN_SAMPLES:
         raise ValueError(f"'samples' must be at least {MC_MIN_SAMPLES} in mc mode, got {samples}")
@@ -282,15 +284,13 @@ def rate_experiment(
             err = abs(truth - corrected)
             se = 0.0
             degenerate = err <= DEGENERATE_RTOL * max(1.0, abs(truth))
-        elif mode == "mc":
+        else:
             if crn_estimates is not None:
                 truth, se = crn_estimates[n]
             else:
                 truth, se = mc_expectation(g, model, samples, seed=seed, workers=workers)
             err = abs(truth - corrected)
             degenerate = err <= 3.0 * se
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         rows.append(
             {
                 "n": n,

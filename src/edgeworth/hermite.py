@@ -21,30 +21,7 @@ import numpy as np
 
 from .multiindex import check_multiindex
 
-MAX_DEGREE = 12
-
-_HERMITE_CACHE: list[np.ndarray] = [np.array([1.0]), np.array([0.0, 1.0])]
-
-
-def hermite1d(m: int) -> np.ndarray:
-    """Coefficient vector of the probabilists' Hermite polynomial of order m.
-
-    Position k holds the coefficient of ``x**k``.  Generated by the
-    recurrence ``H_{m+1}(x) = x H_m(x) - m H_{m-1}(x)`` with H_0 = 1, H_1 = x;
-    coefficients are exact integers up to the supported degree.
-    """
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    if m > MAX_DEGREE:
-        raise ValueError(f"polynomial arithmetic capped at degree {MAX_DEGREE}")
-    while len(_HERMITE_CACHE) <= m:
-        k = len(_HERMITE_CACHE) - 1
-        hk, hk1 = _HERMITE_CACHE[k], _HERMITE_CACHE[k - 1]
-        nxt = np.zeros(k + 2)
-        nxt[1:] += hk
-        nxt[: k] -= k * hk1
-        _HERMITE_CACHE.append(nxt)
-    return _HERMITE_CACHE[m].copy()
+MAX_DEGREE = 12  # highest order the exact arithmetic is checked for; cumulant tables stop there
 
 
 def hermite_value_table(max_order: int, x: np.ndarray) -> np.ndarray:

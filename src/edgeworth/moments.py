@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import check_fields, check_integer, check_list, check_object
-from .hermite import gaussian_moment_1d
+from .errors import BOOLEAN, JSON_INTEGER, LIST, NUMBER, STRING, Field, check_object, read_fields
+from .hermite import MAX_DEGREE, gaussian_moment_1d
 from .multiindex import check_multiindex, enumerate_multiindices
 
 SQRT3 = math.sqrt(3.0)
@@ -135,17 +135,15 @@ class ComponentDistribution:
     @staticmethod
     def from_json(doc: dict) -> "ComponentDistribution":
         """Reads :meth:`to_json` documents: a JSON object of ``kind`` plus
-        exactly the parameters of that kind."""
+        exactly the parameters of that kind, each a number."""
         check_object(doc, "component")
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _LAWS:
             raise ValueError(f"unknown component kind {kind!r}")
         names = _LAWS[kind].params
-        check_fields(doc, {"kind", *names}, set(), f"{kind} component")
-        for k in names:
-            if isinstance(doc[k], bool) or not isinstance(doc[k], numbers.Real):
-                raise ValueError(f"{kind} component: field {k!r} must be a number, got {doc[k]!r}")
-        return ComponentDistribution(kind, tuple(float(doc[k]) for k in names))
+        p = read_fields(doc, {"kind": STRING} | dict.fromkeys(names, NUMBER), {}, f"{kind} component",
+                        f"{kind} component: field")
+        return ComponentDistribution(kind, tuple(p[k] for k in names))
 
 
 def rademacher() -> ComponentDistribution:
@@ -282,27 +280,29 @@ class ModelSpec:
     def from_json(doc: dict) -> "ModelSpec":
         """Reads :meth:`to_json` documents and the legacy layout: ``iid: true``
         is one record of count n, and a record without ``count`` counts once.
-        The document and each record must be JSON objects, ``summands`` and
-        each record's ``components`` JSON lists, and ``d`` and ``n`` JSON
-        integers."""
-        check_fields(doc, {"d", "n", "summands"}, {"iid"}, "model")
-        check_list(doc["summands"], "model field 'summands'")
-        iid = doc.get("iid", False)
-        if not isinstance(iid, bool):
-            raise ValueError(f"model field 'iid' must be true or false, got {iid!r}")
-        d, n = (check_integer(doc[k], f"model field {k!r}") for k in ("d", "n"))
-        if iid and len(doc["summands"]) != 1:
-            raise ValueError(f"expected 1 summand records, got {len(doc['summands'])}")
+        The fields are those of ``MODEL_FIELDS`` and each record's those of
+        ``RECORD_FIELDS``."""
+        model = read_fields(doc, *MODEL_FIELDS, "model", "model field")
+        iid, n, recs = model.get("iid", False), model["n"], model["summands"]
+        if iid and len(recs) != 1:
+            raise ValueError(f"expected 1 summand records, got {len(recs)}")
         records = []
-        for rec in doc["summands"]:
-            check_fields(rec, {"C", "components"}, {"count"}, "model record")
-            check_list(rec["components"], "model record field 'components'")
-            summand = Summand(rec["C"], [ComponentDistribution.from_json(c) for c in rec["components"]])
-            records.append((summand, rec.get("count", n if iid else 1)))
-        model = ModelSpec(d=d, records=tuple(records))
-        if model.n != n:
-            raise ValueError(f"expected {n} summand records, got {model.n}")
-        return model
+        for rec in recs:
+            rec = read_fields(rec, *RECORD_FIELDS, "model record", "model record field")
+            records.append((Summand(rec["C"], rec["components"]), rec.get("count", n if iid else 1)))
+        spec = ModelSpec(d=model["d"], records=tuple(records))
+        if spec.n != n:
+            raise ValueError(f"expected {n} summand records, got {spec.n}")
+        return spec
+
+
+# (required, optional) fields of a model document and of each of its
+# records; ModelSpec checks a record's count, with its own message
+_MATRIX = Field(lambda C: isinstance(C, list) and all(isinstance(row, list) and all(map(NUMBER.ok, row)) for row in C)
+                and len({len(row) for row in C}) <= 1, "a list of equal-length lists of numbers")
+_COMPONENTS = Field(LIST.ok, LIST.what, lambda docs: list(map(ComponentDistribution.from_json, docs)))
+MODEL_FIELDS = ({"d": JSON_INTEGER, "n": JSON_INTEGER, "summands": LIST}, {"iid": BOOLEAN})
+RECORD_FIELDS = ({"C": _MATRIX, "components": _COMPONENTS}, {"count": Field(lambda count: True, "an integer >= 1")})
 
 
 def iid_model(dist: ComponentDistribution, n: int) -> ModelSpec:
@@ -352,8 +352,8 @@ def cumulant_table(C: np.ndarray, comps, K: int, betas=None) -> dict:
     sum leaves out the components whose order-l cumulant is 0: adding +-0.0
     changes no nonzero sum, and zero sums are left out anyway.
     """
-    if K > 12:
-        raise ValueError("pushforward moment order capped at 12")
+    if K > MAX_DEGREE:
+        raise ValueError(f"pushforward moment order capped at {MAX_DEGREE}")
     rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
     if betas is None:
         betas = _indices(len(rows), 2, K)

@@ -3,13 +3,15 @@ the library's closed forms, and random integer polynomials."""
 
 import numpy as np
 
-from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite1d, hermite_value_table, power_table
+from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite_value_table, power_table
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
 def rodrigues_coeffs(m: int) -> np.ndarray:
-    """Hermite coefficients via the Rodrigues-type derivative recursion
-    (independent route, used as the oracle for ``hermite1d``).
+    """Coefficient vector of the probabilists' Hermite polynomial H_m
+    (position k holds the coefficient of ``x**k``) via the Rodrigues-type
+    derivative recursion, a route independent of the library's three-term
+    recurrence ``hermite_value_table``.
 
     Writes d^m/dx^m e^{-x^2/2} = p_m(x) e^{-x^2/2} with
     p_{m+1} = p_m' - x p_m, then H_m = (-1)^m p_m.
@@ -37,7 +39,7 @@ def hermite_inner(beta1, beta2) -> float:
         raise ValueError("dimension mismatch")
     out = 1.0
     for b1, b2 in zip(beta1, beta2):
-        prod = np.convolve(hermite1d(b1), hermite1d(b2))
+        prod = np.convolve(rodrigues_coeffs(b1), rodrigues_coeffs(b2))
         m = sum(c * gaussian_moment_1d(k) for k, c in enumerate(prod) if c != 0.0)
         if m == 0.0:
             return 0.0
@@ -51,7 +53,7 @@ def expect_poly_times_hermite(f: Polynomial, beta) -> float:
     if len(beta) != f.d:
         raise ValueError("dimension mismatch")
     total = 0.0
-    hcoeffs = [hermite1d(b) for b in beta]
+    hcoeffs = [rodrigues_coeffs(b) for b in beta]
     for mono, c in f.terms.items():
         fac = c
         for m, h in zip(mono, hcoeffs):

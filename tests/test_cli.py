@@ -21,6 +21,8 @@ from edgeworth import cli, experiments, sampling
 from edgeworth.cli import COMMON, SPECS, main
 from edgeworth.corrector import CorrectorPolynomial, corrector_polynomial
 from edgeworth.moments import iid_model, uniform_centered
+from ill_typed import (ILL_TYPED, NOT_INTEGER, NOT_LIST, NOT_NUMBER_ENTRY, NOT_NUMBER_OR_NULL, NOT_OBJECT, NOT_STRING,
+                       list_with)
 
 MODEL_UNIFORM = {
     "d": 1,
@@ -103,6 +105,24 @@ def test_rate_rejects_model_without_lists(tmp_path, capsys, model, field):
     cpath.write_text(json.dumps(cfg))
     assert main(["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == 2
     assert f"'{field}' must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("C", [
+    # each of these used to load: the first two as [[1.0]], the third into a NaN corrector
+    [["1.0"]], [[True]], [[math.nan]],
+    [[1.0], [1.0, 2.0]], "abc",
+])
+def test_ill_typed_matrix_names_it(tmp_path, capsys, C):
+    # through a model file and through an inline model
+    model = {"d": 1, "n": 1, "summands": [{"C": C, "components": [{"kind": "rademacher"}]}]}
+    mpath, cpath = tmp_path / "model.json", tmp_path / "cfg.json"
+    mpath.write_text(json.dumps(model))
+    cpath.write_text(json.dumps({"experiment": "rate", "model": model, "N": 1, "n_grid": [8], "f": {"[4]": 1.0}}))
+    for argv in (["expand", "--model", str(mpath), "--N", "2"],
+                 ["rate", "--config", str(cpath), "--out-dir", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: model record field 'C' must be a list of equal-length lists of numbers" in err
 
 
 @pytest.mark.parametrize("doc", ["[]", "3", '"rate"', "null"])
@@ -604,52 +624,24 @@ def _fields(experiment: str) -> dict:
     return required | optional | COMMON
 
 
-# maps rather than filters: the ill-typed test draws one value per field in every example
-_NOT_INTEGER = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).map(
-        lambda x: x + 0.5 if x.is_integer() and abs(x) < 2**51 else math.inf if x.is_integer() else x),
-    st.booleans(), st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2),
-)
-_NOT_BOOLEAN = st.one_of(st.integers(), st.floats(), st.text(max_size=5), st.none())
-_NOT_NUMBER_OR_NULL = st.one_of(
-    st.booleans(), st.text(max_size=5), st.lists(st.floats(), max_size=2),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-)
-_NOT_NUMBER = st.one_of(st.none(), _NOT_NUMBER_OR_NULL)
-_NOT_STRING = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.text(max_size=3), max_size=2),
-                        st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2))
-_NOT_OBJECT = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=5),
-                        st.lists(st.integers(), max_size=2))
-_NOT_LIST = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=5),
-                      st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
-_NOT_NUMBER_ENTRY = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
-
-
-def _list_with(bad):
-    """A list with at least one entry drawn from ``bad``."""
-    return st.tuples(st.lists(st.integers(0, 5), max_size=2), bad).map(lambda t: t[0] + [t[1]])
-
-
 # every Field of cli.SPECS and COMMON, and the values it must reject
 _ILL_TYPED = {
-    cli.INTEGER: _NOT_INTEGER,
-    cli.BOOLEAN: _NOT_BOOLEAN,
-    cli.NUMBER: _NOT_NUMBER,
-    cli.STRING: _NOT_STRING,
-    cli.ORDER: st.one_of(_NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=cli.N_CAP + 1)),
-    cli.N_GRID: st.one_of(st.none(), _NOT_LIST, _list_with(_NOT_INTEGER)),
-    cli.COMPONENT: _NOT_OBJECT,
+    **ILL_TYPED,
+    cli.ORDER: st.one_of(NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=cli.N_CAP + 1)),
+    cli.N_GRID: st.one_of(st.none(), NOT_LIST, list_with(NOT_INTEGER)),
+    cli.COMPONENT: NOT_OBJECT,
 }
 _ILL_TYPED_BY_NAME = {
-    "model": _NOT_OBJECT,
-    "f": st.one_of(_NOT_OBJECT,
+    "model": NOT_OBJECT,
+    "f": st.one_of(NOT_OBJECT,
                    st.dictionaries(st.sampled_from(["3", "[]", "[true]", "[1.5]", "[-1]", "x", "{}"]), st.floats(),
                                    min_size=1, max_size=2),
-                   st.dictionaries(st.just("[4]"), _NOT_NUMBER_ENTRY, min_size=1)),
-    "a": st.one_of(st.none(), _NOT_LIST, _list_with(_NOT_NUMBER_ENTRY)),
-    "gamma": st.one_of(_NOT_LIST, _list_with(st.one_of(_NOT_INTEGER, st.integers(max_value=-1)))),
-    "ref_eps": _NOT_NUMBER_OR_NULL,
-    "eta_grid": st.one_of(_NOT_LIST, _list_with(_NOT_NUMBER_ENTRY)),
+                   st.dictionaries(st.just("[4]"), NOT_NUMBER_ENTRY, min_size=1)),
+    "a": st.one_of(st.none(), NOT_LIST, list_with(NOT_NUMBER_ENTRY)),
+    "gamma": st.one_of(NOT_LIST, list_with(st.one_of(NOT_INTEGER, st.integers(max_value=-1)))),
+    "ref_eps": NOT_NUMBER_OR_NULL,
+    "eta_grid": st.one_of(NOT_LIST, list_with(NOT_NUMBER_ENTRY)),
+    "mode": st.one_of(NOT_STRING, st.text(max_size=5).filter(lambda mode: mode not in ("exact", "mc"))),
 }
 _ALL_FIELDS = [(experiment, name) for experiment in sorted(SPECS) for name in _fields(experiment)]
 
@@ -714,6 +706,12 @@ def test_spec_rejects_ill_typed_field(data):
         ("rate", "gamma", [True]),  # as gamma = [1]
         ("rate", "out_stem", 3),
         ("rate", "mode", None),  # exit 2 without naming the field
+        ("rate", "mode", "bogus"),  # named no field, and failed only after the first corrector build
+        # each of these used to run: eta nan in an infimum row, an all-zero table
+        ("smallball", "theta", math.nan),
+        ("density", "a", [math.inf]),
+        ("occupation", "ref_eps", math.nan),
+        ("occupation", "rho", 10**400),  # used to end in an OverflowError traceback
     ],
 )
 def test_ill_typed_field_names_it(experiment, field, value):
@@ -768,6 +766,8 @@ def test_integral_float_is_an_integer(tmp_path):
         ({"kind": "two_point", "p": 0.2, "a": 2.0, "b": 0.5, "w": 9}, "w"),
         ({"kind": "gaussian_mixture", "w": 0.5, "mu1": 0.6, "sigma1": 0.8, "mu2": -0.6, "sigma_2": 0.8}, "sigma2"),
         ({"kind": "two_point", "p": None, "a": 2.0, "b": 0.5}, "p"),  # used to end in a TypeError traceback
+        ({"kind": "two_point", "p": 10**400, "a": 2.0, "b": 0.5}, "p"),  # used to end in an OverflowError traceback
+        ({"kind": "two_point", "p": math.nan, "a": 1.0, "b": 1.0}, "p"),  # exited 2 without naming the field
     ],
 )
 def test_misspelt_component_field_rejected(component, field):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from edgeworth.corrector import (
     order_discrepancy,
 )
 from edgeworth.errors import NumericalGuardError
-from edgeworth.hermite import Polynomial, hermite1d
+from edgeworth.hermite import Polynomial
 from edgeworth.moments import (
     ModelSpec,
     Summand,
@@ -37,7 +38,7 @@ from corrector_reference import (
     explicit_order3_closed_form,
     order2_discrepancy_terms,
 )
-from hermite_helpers import random_polynomial, univariate_polynomial
+from hermite_helpers import random_polynomial, rodrigues_coeffs, univariate_polynomial
 
 
 def random_model(rng, d, n, normalized=True):
@@ -236,7 +237,7 @@ def test_edgeworth_expectation_matches_exact_moments():
     val = edgeworth_expectation(f, (0,), phi)
     assert val == pytest.approx(3.0 - 1.2 / 100.0, abs=1e-13)
     assert val == pytest.approx(exact_sum_moment(model, (4,)), abs=1e-13)
-    h4 = univariate_polynomial(hermite1d(4))
+    h4 = univariate_polynomial(rodrigues_coeffs(4))
     assert edgeworth_expectation(h4, (0,), phi) == pytest.approx(-0.012, abs=1e-14)
 
 
@@ -377,6 +378,26 @@ def test_corrector_json_loose_document_rejected():
     doc["d"] = 1.7
     with pytest.raises(ValueError, match="corrector field 'd' must be an integer, got 1.7"):
         CorrectorPolynomial.from_json(doc)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # the first two used to load as the constant 1.5 and 1.0
+    pytest.param("constant", "1.5", "corrector field 'constant' must be a number, got '1.5'", id="string-constant"),
+    pytest.param("constant", True, "corrector field 'constant' must be a number, got True", id="bool-constant"),
+    pytest.param("coeff", math.nan, "corrector field 'coeff' must be a number, got nan", id="nan-coeff"),
+    pytest.param("terms", 3, "corrector field 'terms' must be a JSON list, got 3", id="number-terms"),
+    # used to be dropped
+    pytest.param("order", 2, "corrector: unknown fields ['order']", id="unknown-field"),
+])
+def test_corrector_json_ill_typed_field_rejected(field, value, message):
+    doc = {"d": 1, "constant": 1.0, "terms": [{"beta": [3], "coeff": 2.0}], "n": 4, "N": 2}
+    if field == "coeff":
+        doc["terms"][0]["coeff"] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError) as err:
+        CorrectorPolynomial.from_json(doc)
+    assert str(err.value) == message
 
 
 def test_corrector_rejects_index_of_wrong_dimension():

@@ -100,6 +100,14 @@ def test_rate_slopes_monotone_in_order():
     assert slopes[2] <= -1.5 + 0.3
 
 
+def test_rate_unknown_mode_rejected_before_any_model():
+    def no_model(n):
+        raise AssertionError("a model was built")
+
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        rate_experiment(no_model, Polynomial(1, {(4,): 1.0}), 1, [8, 16], mode="bogus")
+
+
 def test_rate_mc_mode():
     f = Polynomial(1, {(4,): 1.0})
     res = rate_experiment(

@@ -368,6 +368,25 @@ BAD_MODEL_DOCS = [
                  "model field 'summands' must be a JSON list, got 'r'", id="string-summands"),
     pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": 3}]},
                  "model record field 'components' must be a JSON list, got 3", id="number-components"),
+    # the first two used to load as [[1.0]], the third into a NaN corrector
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [["1.0"]], "components": [{"kind": "rademacher"}]}]},
+                 "model record field 'C' must be a list of equal-length lists of numbers, got [['1.0']]",
+                 id="string-matrix-entry"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[True]], "components": [{"kind": "rademacher"}]}]},
+                 "model record field 'C' must be a list of equal-length lists of numbers, got [[True]]",
+                 id="bool-matrix-entry"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[math.nan]], "components": [{"kind": "rademacher"}]}]},
+                 "model record field 'C' must be a list of equal-length lists of numbers, got [[nan]]",
+                 id="nan-matrix-entry"),
+    pytest.param({"d": 2, "n": 1, "summands": [{"C": [[1.0], [1.0, 2.0]], "components": [{"kind": "rademacher"}]}]},
+                 "model record field 'C' must be a list of equal-length lists of numbers, got [[1.0], [1.0, 2.0]]",
+                 id="ragged-matrix"),
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": "abc", "components": [{"kind": "rademacher"}]}]},
+                 "model record field 'C' must be a list of equal-length lists of numbers, got 'abc'",
+                 id="string-matrix"),
+    # this exited with the law's moment check, which named no field
+    pytest.param({"d": 1, "n": 1, "summands": [{"C": [[1.0]], "components": [{"kind": "two_point", "p": math.nan, "a": 1.0, "b": 1.0}]}]},
+                 "two_point component: field 'p' must be a number, got nan", id="nan-component-field"),
 ]
 
 
