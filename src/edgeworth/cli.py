@@ -48,6 +48,7 @@ def _monomial_key(key: str) -> bool:
 
 
 ORDER = Field(lambda N: INTEGER.ok(N) and 0 <= N <= N_CAP, f"in 0..{N_CAP}", int)
+WORKERS = Field(lambda workers: INTEGER.ok(workers) and workers >= 1, "an integer at least 1", int)
 N_GRID = Field(lambda grid: isinstance(grid, list) and all(map(INTEGER.ok, grid)), "a list of integers",
                lambda grid: [int(n) for n in grid])
 COMPONENT = Field(OBJECT.ok, OBJECT.what, ComponentDistribution.from_json)
@@ -100,7 +101,7 @@ def _driver(name: str, blocks: bool = True):
 # Fields of every subcommand: the seed goes to the driver, the worker count
 # reaches every driver that runs blocks, which records it in its summary;
 # the nummelin and kernel summaries record the one thread they ran in.
-COMMON = {"seed": INTEGER, "workers": INTEGER, "out_stem": STRING}
+COMMON = {"seed": INTEGER, "workers": WORKERS, "out_stem": STRING}
 _N_FAMILY = {"component": COMPONENT, "model": Field(OBJECT.ok, OBJECT.what, ModelSpec.from_json),
              "model_path": STRING}
 _F = Field(lambda f: isinstance(f, dict) and all(_monomial_key(k) and NUMBER.ok(c) for k, c in f.items()),

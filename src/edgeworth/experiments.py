@@ -7,12 +7,12 @@ super-kernel's moment table.
 Every Monte Carlo driver takes a seed and draws from the streams of one
 key rule, (seed, driver tag, n, block) (``sampling.driver_stream``), so
 rerunning with the same seed reproduces results bit for bit.  The block
-drivers (rate, density, occupation, roots, small ball) also take a worker
-count and run through ``sampling.run_grid``: one plan of fixed-size blocks
-over the whole n-grid, results combined in block order, so the worker
-count, which threads the plan, never changes results.  The Nummelin
-splitting draws blocks 0 and 1 of its tag; the super-kernel table draws
-nothing.
+drivers (rate in mc mode, density, occupation, roots, small ball) also
+take a worker count and make one ``sampling.run_grid`` call per call: one
+plan of fixed-size blocks over the whole n-grid, results combined in block
+order, so the worker count, which threads the plan, never changes results.
+The Nummelin splitting draws blocks 0 and 1 of its tag; the super-kernel
+table draws nothing.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from .moments import (
     sample_component,
 )
 from .sampling import (
-    MC_MIN_SAMPLES,
     DoeblinCert,
     doeblin_check,
     driver_stream,
     fsums,
-    mc_expectation,
     mean_var,
     nummelin_sample,
     run_grid,
@@ -180,6 +178,8 @@ def gaussian_density(a) -> float:
 # convergence-rate experiment
 
 
+MC_BLOCK = 1 << 14  # rows per block of the plain Monte Carlo path
+MC_MIN_SAMPLES = 100  # fewest draws Monte Carlo mode takes
 CRN_CHUNK = 1 << 18  # uniforms per row chunk of a common-random-number block
 DEGENERATE_RTOL = 1e-12  # exact-mode error, relative to max(1, |truth|), that counts as machine noise
 
@@ -204,33 +204,42 @@ def _crn_block(laws: dict, n_max: int, rng: np.random.Generator, bsize: int) -> 
     return sums
 
 
-def _crn_mc_estimates(models: dict, g: Polynomial, samples: int, seed: int, workers: int = 1) -> dict:
-    """Monte Carlo means/SEs of g(S_n) over an n-grid with common random
-    numbers: one uniform block drives every n through the component's
-    inverse CDF (prefix columns), so estimates across the grid are coupled."""
-    laws = {}
-    for n, model in models.items():
-        rec = model.records[0][0]
-        if not (len(model.records) == 1 and rec.C.shape == (1, 1)):
-            raise ValueError("common random numbers need a one-dimensional iid model family")
-        if not has_icdf(rec.components[0]):
-            raise ValueError(
-                f"common random numbers need a closed-form inverse CDF; {rec.components[0].kind} has none"
-            )
-        laws[n] = (rec.components[0], float(rec.C[0, 0]))
+def _mc_estimates(models: dict, g: Polynomial, samples: int, seed: int, workers: int, crn: bool) -> dict:
+    """Monte Carlo means and standard errors of g(S_n), n -> (mean, se), over
+    the family ``models`` (n -> model) from one ``run_grid`` plan.  The plain
+    path draws ``sample_sum`` at each n in blocks of ``MC_BLOCK``; ``crn``
+    runs one plan at the largest n whose uniforms drive every n through the
+    component's inverse CDF (``_crn_block``), so estimates across the grid
+    are coupled."""
 
-    def block_sums(n_max, rng, bsize):
-        out = []
-        for s in _crn_block(laws, n_max, rng, bsize).values():
-            vals = np.asarray(g(s[:, None]), dtype=float)
-            out += [vals.sum(), (vals * vals).sum()]
-        return out
+    def power_sums(vals):
+        return vals.sum(), (vals * vals).sum()
 
-    [blocks] = run_grid(seed, "rate_crn", [max(models)], samples, lambda n: max(64, (1 << 21) // n), block_sums,
-                        workers)
-    totals = fsums(blocks)
+    if crn:
+        laws = {}
+        for n, model in models.items():
+            rec = model.records[0][0]
+            if not (len(model.records) == 1 and rec.C.shape == (1, 1)):
+                raise ValueError("common random numbers need a one-dimensional iid model family")
+            if not has_icdf(rec.components[0]):
+                raise ValueError(
+                    f"common random numbers need a closed-form inverse CDF; {rec.components[0].kind} has none"
+                )
+            laws[n] = (rec.components[0], float(rec.C[0, 0]))
+        tag, grid, rows = "rate_crn", [max(models)], lambda n: max(64, (1 << 21) // n)
+
+        def block_sums(n_max, rng, bsize):
+            return [t for s in _crn_block(laws, n_max, rng, bsize).values() for t in power_sums(g(s[:, None]))]
+    else:
+        tag, grid, rows = "mc_expectation", list(models), lambda n: MC_BLOCK
+
+        def block_sums(n, rng, bsize):
+            return power_sums(g(sample_sum(models[n], rng, bsize)))
+
+    # per n, in the order of models: its sum and its sum of squares
+    totals = [t for blocks in run_grid(seed, tag, grid, samples, rows, block_sums, workers) for t in fsums(blocks)]
     estimates = {}
-    for i, n in enumerate(laws):
+    for i, n in enumerate(models):
         mean, var = mean_var(totals[2 * i], totals[2 * i + 1], samples)
         estimates[n] = (mean, math.sqrt(var / samples))
     return estimates
@@ -270,9 +279,8 @@ def rate_experiment(
     gamma = tuple(gamma) if gamma else None
     g = f.diff(gamma) if gamma is not None else f
     models = {n: model_builder(n) for n in ns}
-    crn_estimates = None
-    if mode == "mc" and crn:
-        crn_estimates = _crn_mc_estimates(models, g, samples, seed, workers)
+    if mode == "mc":
+        estimates = _mc_estimates(models, g, samples, seed, workers, crn)
     rows = []
     for n in ns:
         model = models[n]
@@ -280,27 +288,13 @@ def rate_experiment(
         corrected = edgeworth_expectation(g, (0,) * model.d, phi)
         if mode == "exact":
             mu = exact_sum_moment_table(model, g.degree())
-            truth = math.fsum(c * mu[b] for b, c in g.terms.items())
-            err = abs(truth - corrected)
-            se = 0.0
-            degenerate = err <= DEGENERATE_RTOL * max(1.0, abs(truth))
+            truth, se = math.fsum(c * mu[b] for b, c in g.terms.items()), 0.0
         else:
-            if crn_estimates is not None:
-                truth, se = crn_estimates[n]
-            else:
-                truth, se = mc_expectation(g, model, samples, seed=seed, workers=workers)
-            err = abs(truth - corrected)
-            degenerate = err <= 3.0 * se
-        rows.append(
-            {
-                "n": n,
-                "estimate": truth,
-                "se": se,
-                "corrected": corrected,
-                "error": err,
-                "degenerate": degenerate,
-            }
-        )
+            truth, se = estimates[n]
+        err = abs(truth - corrected)
+        resolution = DEGENERATE_RTOL * max(1.0, abs(truth)) if mode == "exact" else 3.0 * se
+        rows.append({"n": n, "estimate": truth, "se": se, "corrected": corrected, "error": err,
+                     "degenerate": err <= resolution})
 
     slope, stderr = _fitted_slope(rows, "n", "error", lambda r: not r["degenerate"])
     result = ExperimentResult(
@@ -374,7 +368,7 @@ def density_experiment(
         vol = (2.0 * delta) ** model.d
         p_hat = h / samples
         est = p_hat / vol
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples) / vol
+        se = math.sqrt(p_hat * (1.0 - p_hat) / samples) / vol
         rows.append(
             {
                 "n": n,
@@ -727,7 +721,7 @@ def small_ball(
                 "eta": eta,
                 "hits": h,
                 "probability": p if h else 3.0 / samples,
-                "se": math.sqrt(max(p * (1 - p), 0.0) / samples),
+                "se": math.sqrt(p * (1 - p) / samples),
                 "flagged": h == 0,
             }
         )
@@ -798,10 +792,14 @@ def nummelin_experiment(
     """Draws through the density splitting of ``dist`` on the certified ball
     (stream block 0 of the driver) against direct draws (block 1), compared
     by the two-sample Kolmogorov-Smirnov statistic at the 1% level.  A law
-    without a density and ``samples`` below 1 are ValueErrors, raised before
-    any draw; a failed grid check of the lower bound aborts."""
+    without a density, ``samples`` below 1 and a ``radius`` or ``epsilon``
+    that is not positive are ValueErrors, raised before any work; a failed
+    grid check of the lower bound aborts."""
     if samples < 1:
         raise ValueError(f"'samples' must be at least 1, got {samples}")
+    for name, value in (("radius", radius), ("epsilon", epsilon)):
+        if value <= 0:
+            raise ValueError(f"{name!r} must be positive, got {value}")
     if not has_density(dist):
         raise ValueError(f"nummelin splitting needs a law with a density; {dist.kind} has none")
     ok, margin = doeblin_check(dist, center, radius, epsilon)

@@ -1,7 +1,7 @@
 """Seeded random generation: keyed deterministic streams, samplers for the
-model sum, the block runner of every Monte Carlo driver, Monte Carlo
-expectations with error bars, and the density-splitting sampler backed by a
-Doeblin lower-bound certificate.
+model sum, the block runner of every Monte Carlo driver with its
+reductions (compensated sums, mean and variance), and the density-splitting
+sampler backed by a Doeblin lower-bound certificate.
 
 Determinism contract: every stochastic routine takes a 64-bit seed.  A
 driver's stream is keyed by (seed, tag, n, block), ``tag`` the driver's
@@ -24,15 +24,14 @@ import numpy as np
 from .errors import CertificateError, NumericalGuardError
 from .moments import _LAWS, ComponentDistribution, ModelSpec, has_density, pdf, sample_component
 
-MC_BLOCK = 1 << 14
-MC_MIN_SAMPLES = 100  # fewest draws a Monte Carlo expectation takes
 BUMP_RTOL = 1e-8  # relative change at which bump_mass stops doubling its grid
 BUMP_MAX_DOUBLINGS = 24
 MIN_ACCEPTANCE = 1e-3  # smallest acceptance rate a splitting branch tolerates
 DOEBLIN_GRID = 256  # points of doeblin_check's grid on the ball
 
 
-# one stream tag per Monte Carlo driver, the first word of its stream keys
+# one stream tag per Monte Carlo driver, the first word of its stream keys;
+# rate's plain and common-random-number paths each have their own
 STREAM_TAGS = {name: tag for tag, name in enumerate(
     ("mc_expectation", "rate_crn", "density", "occupation", "roots", "smallball", "nummelin"))}
 
@@ -293,24 +292,3 @@ def mean_var(total: float, total_sq: float, samples: int) -> tuple[float, float]
     """Mean and (population) variance from a sum and a sum of squares."""
     mean = total / samples
     return mean, max(total_sq / samples - mean * mean, 0.0)
-
-
-def mc_expectation(f, model: ModelSpec, samples: int, seed: int,
-                   workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate of E[f(S_n)] with its standard error.
-
-    ``f`` maps an (m, d) array to m values.  Sampling runs through
-    ``run_grid`` on the grid ``[model.n]``, so the estimate depends only on
-    (seed, n, samples) and not on the worker count; workers only add
-    thread parallelism.
-    """
-    if samples < MC_MIN_SAMPLES:
-        raise ValueError(f"'samples' must be at least {MC_MIN_SAMPLES}, got {samples}")
-
-    def block_sums(n, rng, bsize):
-        vals = np.asarray(f(sample_sum(model, rng, bsize)), dtype=float)
-        return float(vals.sum()), float((vals * vals).sum())
-
-    [blocks] = run_grid(seed, "mc_expectation", [model.n], samples, lambda n: MC_BLOCK, block_sums, workers)
-    mean, var = mean_var(*fsums(blocks), samples)
-    return mean, math.sqrt(var / samples)

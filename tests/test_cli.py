@@ -608,14 +608,15 @@ def test_csv_digests_cover_every_minimal_config():
     assert CSV_DIGESTS.keys() == MINIMAL.keys() | {"readme_rate"} | RATE_MC_CASES.keys()
 
 
-def _run_config(cfg: dict, experiment: str) -> tuple[int, str]:
-    """Exit code and standard error of one run, in a fresh directory."""
+def _run_config(cfg: dict, experiment: str, *flags: str) -> tuple[int, str]:
+    """Exit code and standard error of one run, with command-line ``flags``,
+    in a fresh directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         cpath = Path(tmp) / "cfg.json"
         cpath.write_text(json.dumps(cfg))
-        code = main([experiment, "--config", str(cpath), "--out-dir", tmp])
+        code = main([experiment, "--config", str(cpath), "--out-dir", tmp, *flags])
     return code, err.getvalue()
 
 
@@ -630,6 +631,7 @@ _ILL_TYPED = {
     cli.ORDER: st.one_of(NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=cli.N_CAP + 1)),
     cli.N_GRID: st.one_of(st.none(), NOT_LIST, list_with(NOT_INTEGER)),
     cli.COMPONENT: NOT_OBJECT,
+    cli.WORKERS: st.one_of(NOT_INTEGER, st.integers(max_value=0)),
 }
 _ILL_TYPED_BY_NAME = {
     "model": NOT_OBJECT,
@@ -740,11 +742,25 @@ def test_ill_typed_field_names_it(experiment, field, value):
         pytest.param(MINIMAL["rate"][0] | {"n_grid": []}, "n_grid", id="rate-n_grid-empty"),
         # the common-random-number path ran below the plain path's floor of 100
         pytest.param(RATE_MC | {"crn": True, "samples": 5}, "samples", id="rate-crn-samples-5"),
+        # a worker count below 1 ran serially, exited 0 and was written to the summary
+        *(pytest.param(MINIMAL[experiment][0] | {"workers": workers}, "workers", id=f"{experiment}-workers-{workers}")
+          for experiment in sorted(MINIMAL) for workers in (0, -3)),
+        # these exited 2 with "math domain error" or 3 from the certificate
+        pytest.param(MINIMAL["nummelin"][0] | {"radius": -1}, "radius", id="nummelin-radius-negative"),
+        pytest.param(MINIMAL["nummelin"][0] | {"radius": 0}, "radius", id="nummelin-radius-0"),
+        pytest.param(MINIMAL["nummelin"][0] | {"epsilon": -0.2}, "epsilon", id="nummelin-epsilon-negative"),
     ],
 )
 def test_bad_size_names_its_field(cfg, field):
     code, err = _run_config(cfg, cfg["experiment"])
     assert code == 2 and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("experiment", sorted(SPECS))
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_names_it(experiment, workers):
+    code, err = _run_config(MINIMAL[experiment][0], experiment, "--workers", workers)
+    assert code == 2 and "'workers'" in err
 
 
 def test_integral_float_is_an_integer(tmp_path):

@@ -148,6 +148,37 @@ def test_rate_mc_common_random_numbers():
         )
 
 
+def test_rate_mc_estimate_contract():
+    family = lambda n: iid_model(rademacher(), n)
+    # a constant f has no spread
+    [row] = rate_experiment(family, Polynomial(1, {(0,): 1.0}), 0, [10], mode="mc", samples=1000, seed=0).rows
+    assert row["estimate"] == 1.0 and row["se"] == 0.0
+    # the worker count never changes the estimate, which sees E[S_10^4] = 3 - 2/10
+    quartic = Polynomial(1, {(4,): 1.0})
+    rows1, rows3 = (rate_experiment(family, quartic, 0, [10], mode="mc", samples=150_000, seed=5, workers=w).rows
+                    for w in (1, 3))
+    assert rows1 == rows3
+    assert abs(rows1[0]["estimate"] - 2.8) <= 4 * rows1[0]["se"]
+    with pytest.raises(ValueError, match="'samples' must be at least 100"):
+        rate_experiment(family, quartic, 0, [10], mode="mc", samples=10, seed=0)
+
+
+@pytest.mark.parametrize("crn", [False, True])
+def test_rate_mc_makes_one_grid_run(monkeypatch, crn):
+    # like every other block driver, one plan over the whole n-grid
+    grids, real = [], sampling.run_grid
+
+    def counted(seed, driver, grid, *args):
+        grids.append((driver, list(grid)))
+        return real(seed, driver, grid, *args)
+
+    monkeypatch.setattr(experiments, "run_grid", counted)
+    res = rate_experiment(lambda n: iid_model(rademacher(), n), Polynomial(1, {(4,): 1.0}), 0, [8, 16],
+                          mode="mc", samples=500, seed=1, crn=crn)
+    assert grids == ([("rate_crn", [16])] if crn else [("mc_expectation", [8, 16])])
+    assert [row["n"] for row in res.rows] == [8, 16]
+
+
 def test_density_gaussian_matches_density():
     res = density_experiment(
         lambda n: iid_model(standard_normal(), n), 0, [0.0], [128],

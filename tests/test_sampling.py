@@ -35,7 +35,6 @@ from edgeworth.sampling import (
     bump_mass,
     doeblin_check,
     driver_stream,
-    mc_expectation,
     mean_var,
     nummelin_sample,
     run_blocks,
@@ -277,21 +276,6 @@ def test_sample_sum_normalized_vector_model():
     cov = np.cov(x.T)
     assert np.max(np.abs(mean)) < 4 / math.sqrt(50_000) * 1.1
     assert np.max(np.abs(cov - np.eye(2))) < 0.03
-
-
-def test_mc_expectation_contract():
-    model = iid_model(rademacher(), 10)
-    est, se = mc_expectation(lambda x: np.ones(len(x)), model, 1000, seed=0)
-    assert est == 1.0 and se == 0.0
-    r1 = mc_expectation(lambda x: x[:, 0] ** 4, model, 150_000, seed=5, workers=1)
-    r2 = mc_expectation(lambda x: x[:, 0] ** 4, model, 150_000, seed=5, workers=3)
-    assert r1 == r2
-    assert abs(r1[0] - 2.8) <= 4 * r1[1]
-    g = iid_model(standard_normal(), 1)
-    est, se = mc_expectation(lambda x: np.cos(x[:, 0]), g, 150_000, seed=6)
-    assert abs(est - math.exp(-0.5)) <= 4 * se
-    with pytest.raises(ValueError):
-        mc_expectation(lambda x: np.ones(len(x)), model, 10, seed=0)
 
 
 def test_run_blocks_plan_and_order():
