@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
-from .hermite import Polynomial, _evaluate, gauss_hermite, hermite_value_table
-from .multiindex import check_multiindex
+from .hermite import Polynomial, _add, _evaluate, _nonzero, _product, _scale, gauss_hermite, hermite_value_table
+from .multiindex import check_multiindex, pack
 from .moments import ModelSpec, Summand, _indices, hermite_moments
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
@@ -60,27 +60,29 @@ QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relativ
 MIN_EIGENVALUE = 1e-12  # smallest mean-covariance eigenvalue that normalize inverts
 
 # A graded series truncated at grade N is the list of its N + 1 grades, each
-# a constant-coefficient operator stored as a Polynomial read in the partial
-# derivatives: the monomial beta stands for d^beta, so products compose.
+# a constant-coefficient operator stored as a term map on packed indices
+# (``multiindex.pack``) read in the partial derivatives: the key of beta
+# stands for d^beta, so products compose.  The grades are unpacked into
+# Polynomials only when _graded_series returns them.
 
-def _series_product(a: list, b: list) -> list:
+def _series_product(a: list, b: list, d: int) -> list:
     """Product of two graded series, truncated at the last grade of a."""
-    out = [Polynomial(a[0].d) for _ in a]
+    out = [{} for _ in a]
     for i, ai in enumerate(a):
         for j in range(len(a) - i):
-            if ai.terms and b[j].terms:
-                out[i + j] = out[i + j] + ai * b[j]
+            if ai and b[j]:
+                out[i + j] = _add(out[i + j], _product(ai, b[j], d))
     return out
 
 
-def _power_series(s: list, coeffs: list) -> list:
+def _power_series(s: list, coeffs: list, d: int) -> list:
     """sum_j coeffs[j] s^j for a series s without grade 0, truncated at its
     last grade N = len(coeffs) - 1 (s^j starts at grade j)."""
-    out = [Polynomial.monomial((0,) * s[0].d, coeffs[0])] + [t.scale(coeffs[1]) for t in s[1:]]
+    out = [_nonzero({pack((0,) * d): coeffs[0]})] + [_scale(t, coeffs[1]) for t in s[1:]]
     power = s
     for c in coeffs[2:]:
-        power = _series_product(power, s)
-        out = [o + p.scale(c) for o, p in zip(out, power)]
+        power = _series_product(power, s, d)
+        out = [_add(o, _scale(p, c)) for o, p in zip(out, power)]
     return out
 
 
@@ -89,23 +91,26 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     k is Gamma_k, or with log=False of exp(sum_records count * T_record).
 
     Built once per call: the Hermite indices of orders 3..N+2 with their
-    1 / (n beta!) weights, and the log's coefficients.  Built per record:
-    its cumulant table, Hermite moments and log series; a record of count 1
-    enters unscaled.  Each law's cumulants are cached across records."""
+    packed keys and 1 / (n beta!) weights, and the log's coefficients.
+    Built per record: its cumulant table, Hermite moments and log series; a
+    record of count 1 enters unscaled.  Each law's cumulants are cached
+    across records."""
     d = model.d
     betas = _indices(d, 3, N + 2)
-    weights = {b: model.n * math.prod(map(math.factorial, b)) for b in betas}
+    slots = {b: (sum(b) - 2, pack(b), model.n * math.prod(map(math.factorial, b))) for b in betas}
     log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
-    total = [Polynomial(d) for _ in range(N + 1)]
+    total: list = [{} for _ in range(N + 1)]
     for rec, count in model.records:
-        grades: list = [{} for _ in range(N + 1)]
+        t: list = [{} for _ in range(N + 1)]
         for b, h in hermite_moments(rec.C, rec.components, N + 2, betas).items():
-            grades[sum(b) - 2][b] = h / weights[b]
-        t = [Polynomial._of(d, g) for g in grades]
+            grade, key, weight = slots[b]
+            t[grade][key] = h / weight
+        t = [_nonzero(g) for g in t]
         if log:
-            t = _power_series(t, log_coeffs)
-        total = [a + (b if count == 1 else b.scale(float(count))) for a, b in zip(total, t)]
-    return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)])
+            t = _power_series(t, log_coeffs, d)
+        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
+    series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
+    return [Polynomial._of_packed(d, g) for g in series]
 
 
 def corrector_operator(model: ModelSpec, k: int, N: int) -> Polynomial:

@@ -10,16 +10,25 @@ Polynomial's monomials from a table of powers built by repeated
 multiplication (``power_table``) and the corrector's Hermite terms from
 ``hermite_value_table``, so no libm ``pow`` enters a value and a power
 x**k carries at most k - 1 roundings.
+
+A term map (multi-index -> coefficient) has one set of operations, written
+once below: ``_add``, ``_scale``, ``_nonzero`` take any keys, and
+``_product``, the one pair loop, takes packed keys (``multiindex.pack``),
+so a pair costs one integer add.  ``Polynomial.terms`` stays keyed by
+tuples: ``__mul__`` packs its operands, runs ``_product`` and unpacks the
+result.  The corrector's graded series pack the Hermite moments once and
+stay packed through every series product, unpacking only the grades they
+return.  Every path runs the same loops in the same order, so each
+coefficient and the key order are those of the tuple-keyed loops.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .multiindex import check_multiindex
+from .multiindex import check_multiindex, check_packed, pack, unpack
 
 MAX_DEGREE = 12  # highest order the exact arithmetic is checked for; cumulant tables stop there
 
@@ -101,6 +110,41 @@ def _evaluate(d: int, terms: dict, table_of, start: float, x) -> np.ndarray | fl
     return float(out[0]) if single else out
 
 
+def _nonzero(terms: dict) -> dict:
+    """The term map without its zero coefficients: ``terms`` itself when it
+    has none (a value == 0.0 is found by ``in``, as it is dropped by !=)."""
+    return {k: c for k, c in terms.items() if c != 0.0} if 0.0 in terms.values() else terms
+
+
+def _add(a: dict, b: dict) -> dict:
+    """Sum of two term maps: a's keys in order, then b's new ones."""
+    terms = dict(a)
+    for k, c in b.items():
+        terms[k] = terms.get(k, 0.0) + c
+    return _nonzero(terms)
+
+
+def _scale(a: dict, s: float) -> dict:
+    return _nonzero({k: s * c for k, c in a.items()})
+
+
+def _product(a: dict, b: dict, d: int) -> dict:
+    """Product of two term maps on packed d-dimensional keys, accumulated
+    in pair order; a coordinate that leaves the packed field raises."""
+    terms: dict = {}
+    get = terms.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            terms[k] = get(k, 0.0) + c1 * c2
+    check_packed(terms, d)
+    return _nonzero(terms)
+
+
+def _packed(terms: dict) -> dict:
+    return {pack(b): c for b, c in terms.items()}
+
+
 class Polynomial:
     """Multivariate polynomial as a map monomial multi-index -> coefficient.
 
@@ -130,8 +174,13 @@ class Polynomial:
         drops zero coefficients."""
         p = cls.__new__(cls)
         p.d = d
-        p.terms = {b: c for b, c in terms.items() if c != 0.0}
+        p.terms = _nonzero(terms)
         return p
+
+    @classmethod
+    def _of_packed(cls, d: int, terms: dict) -> "Polynomial":
+        """Unchecked constructor from a term map on packed keys."""
+        return cls._of(d, {unpack(k, d): c for k, c in terms.items()})
 
     @classmethod
     def monomial(cls, beta, coeff: float = 1.0) -> "Polynomial":
@@ -144,23 +193,15 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms.get(b, 0.0) + c
-        return Polynomial._of(self.d, terms)
+        return Polynomial._of(self.d, _add(self.terms, other.terms))
 
     def scale(self, a: float) -> "Polynomial":
-        return Polynomial._of(self.d, {b: a * c for b, c in self.terms.items()})
+        return Polynomial._of(self.d, _scale(self.terms, a))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        terms: dict = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                b = tuple(map(operator.add, b1, b2))
-                terms[b] = terms.get(b, 0.0) + c1 * c2
-        return Polynomial._of(self.d, terms)
+        return Polynomial._of_packed(self.d, _product(_packed(self.terms), _packed(other.terms), self.d))
 
     def diff(self, gamma) -> "Polynomial":
         """Apply the differential operator with multiplicities ``gamma``."""

@@ -262,13 +262,15 @@ def run_grid(seed: int, driver: str, grid, samples: int, rows, block_fn, workers
     """``samples`` draws at each n of ``grid``, in blocks of ``rows(n)``
     rows, run as one plan over the whole grid: block b of n calls
     ``block_fn(n, rng, bsize)`` with ``rng = driver_stream(seed, driver, n,
-    b)``; ``samples`` must be at least 1.  Returns, per grid entry, its
-    block results in block order.
+    b)``; ``samples`` and ``workers`` must be at least 1.  Returns, per grid
+    entry, its block results in block order.
     The plan starts the most costly blocks, by n * bsize, first, and
     ``workers > 1`` threads it across n as well as within it; both change
     scheduling only."""
     if samples < 1:
         raise ValueError(f"'samples' must be at least 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"'workers' must be at least 1, got {workers}")
     # a stable sort keeps each n's blocks in block order: all share one
     # size but the last, which is no larger
     plan = sorted(((i, bid, bsize) for i, n in enumerate(grid) for bid, bsize in block_plan(samples, rows(n))),

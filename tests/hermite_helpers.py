@@ -1,6 +1,8 @@
 """Test-side Hermite helpers: independent routes that the tests pit against
 the library's closed forms, and random integer polynomials."""
 
+import operator
+
 import numpy as np
 
 from edgeworth.hermite import Polynomial, gaussian_moment_1d, hermite_value_table, power_table
@@ -146,3 +148,30 @@ def corrector_loop_reference(phi, x):
                     term *= table[b, :, i]
             out += term
     return float(out[0]) if single else out
+
+
+def tuple_product_reference(p: Polynomial, q: Polynomial) -> dict:
+    """``(p * q).terms`` by the tuple-keyed pair loop that ``Polynomial``
+    ran before it packed its indices, kept as the oracle of the packed
+    product: the same pairs in the same order, so the same bits and key
+    order."""
+    terms: dict = {}
+    for b1, c1 in p.terms.items():
+        for b2, c2 in q.terms.items():
+            b = tuple(map(operator.add, b1, b2))
+            terms[b] = terms.get(b, 0.0) + c1 * c2
+    return {b: c for b, c in terms.items() if c != 0.0}
+
+
+def tuple_sum_reference(p: Polynomial, q: Polynomial) -> dict:
+    """``(p + q).terms`` by the tuple-keyed loop it replaced."""
+    terms = dict(p.terms)
+    for b, c in q.terms.items():
+        terms[b] = terms.get(b, 0.0) + c
+    return {b: c for b, c in terms.items() if c != 0.0}
+
+
+def tuple_scale_reference(p: Polynomial, a: float) -> dict:
+    """``p.scale(a).terms`` by the tuple-keyed loop it replaced."""
+    scaled = {b: a * c for b, c in p.terms.items()}
+    return {b: c for b, c in scaled.items() if c != 0.0}

@@ -24,3 +24,15 @@ def reference_kernel_values(x, plateau: float, rolloff: float, half_width: float
         block = x[start : start + chunk]
         values[start : start + chunk] += np.cos(np.outer(block, xi)) @ wxi
     return values / np.pi
+
+
+def mollify_whole_array(f, kernel, delta: float, x):
+    """``mollify`` as one (points, grid) array of shifted arguments, the
+    form it had before it worked in row blocks; kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 0
+    pts = np.atleast_1d(x)
+    shifted = pts[:, None] - delta * kernel.x[None, :]
+    vals = np.asarray(f(shifted), dtype=float)
+    out = np.trapezoid(vals * kernel.values[None, :], dx=kernel.spacing, axis=1)
+    return float(out[0]) if single else out

@@ -527,6 +527,29 @@ def test_block_drivers_take_a_worker_count(driver):
     assert inspect.signature(driver).parameters["workers"].default == 1
 
 
+_BLOCK_DRIVER_CALLS = {
+    "rate": lambda workers: rate_experiment(lambda n: iid_model(rademacher(), n), Polynomial(1, {(4,): 1.0}), 0,
+                                            [8], mode="mc", samples=200, workers=workers),
+    "density": lambda workers: density_experiment(lambda n: iid_model(uniform_centered(), n), 1, [0.3], [8],
+                                                  samples=200, workers=workers),
+    "occupation": lambda workers: occupation_time(uniform_centered(), 0.5, [4], samples=20, workers=workers),
+    "roots": lambda workers: kac_rice_roots(standard_normal(), [5], samples=20, workers=workers),
+    "smallball": lambda workers: small_ball(uniform_centered(), 16, u_grid_size=8, samples=20, workers=workers),
+}
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("driver", sorted(_BLOCK_DRIVER_CALLS))
+def test_block_drivers_reject_a_worker_count_below_one(monkeypatch, driver, workers):
+    # run_grid checks the count before it makes any stream, so no driver
+    # records a count it could not run with
+    made = []
+    monkeypatch.setattr(sampling, "driver_stream", lambda *key: made.append(key))
+    with pytest.raises(ValueError, match=f"^'workers' must be at least 1, got {workers}$"):
+        _BLOCK_DRIVER_CALLS[driver](workers)
+    assert made == []
+
+
 def test_nummelin_experiment_streams():
     dist = uniform_centered()
     res = nummelin_experiment(dist, 0.0, 0.25, 0.2, samples=5000, seed=3)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from edgeworth.errors import KernelMomentError
-from edgeworth.kernels import build_super_kernel, frequency_window, mollify, smooth_step
-from kernel_reference import reference_kernel_values
+from edgeworth.kernels import MOLLIFY_BLOCK, build_super_kernel, frequency_window, mollify, smooth_step
+from kernel_reference import mollify_whole_array, reference_kernel_values
 
 # (9.5, 21.5) failed the moment guard at order 6 (-5.3e-6) when the taper
 # band was integrated by Gauss-Legendre quadrature
@@ -67,6 +69,35 @@ def test_step_pointwise_convergence(kernels):
             errs.append(max(abs(v[0]), abs(1.0 - v[1])))
         assert errs[0] < 1e-3 and errs[1] < 1e-3
         assert errs[1] < errs[0]
+
+
+def _quartic(y):
+    return 0.3 + y * (-1.2 + y * (0.7 + y * (0.25 - 0.9 * y)))
+
+
+@pytest.mark.parametrize("x", [0.4, np.array([0.4])] + [np.linspace(-2.0, 2.0, m) for m in (7, 8, 9, 65)],
+                         ids=["scalar", "1", "7", "8", "9", "65"])
+def test_mollify_blocks_keep_the_bytes(kernels, x):
+    # the default grid takes MOLLIFY_BLOCK // 8192 = 8 rows per block, so
+    # 7, 8, 9 and 65 points end inside, on and past a block edge
+    assert MOLLIFY_BLOCK // len(kernels[0].x) == 8
+    for kernel in kernels:
+        for delta in (0.3, 1.0):
+            got, ref = mollify(_quartic, kernel, delta, x), mollify_whole_array(_quartic, kernel, delta, x)
+            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_mollify_memory_stays_block_sized(kernels):
+    # the whole (65, 8192) array of shifted arguments peaked at 17.0 MB
+    xs = np.linspace(-2.0, 2.0, 65)
+    mollify(_quartic, kernels[0], 0.3, xs)
+    tracemalloc.start()
+    try:
+        mollify(_quartic, kernels[0], 0.3, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize(
