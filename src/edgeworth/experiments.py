@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .corrector import corrector_polynomial, edgeworth_expectation
 from .errors import NumericalGuardError
 from .hermite import Polynomial
 from .kernels import build_super_kernel, mollify
 from .moments import (
+    _LAWS,
     ComponentDistribution,
     component_icdf,
     exact_sum_moment_table,
@@ -411,7 +411,7 @@ def _paired_draws(dist, couple: bool, rng: np.random.Generator, shape):
     draws, then independent normals, from the one generator."""
     if couple:
         u = rng.random(shape)
-        return component_icdf(dist, u), ndtri(u)
+        return component_icdf(dist, u), _LAWS["standard_normal"].icdf(u)
     y = sample_component(dist, rng, shape)
     return y, rng.standard_normal(shape)
 
@@ -445,6 +445,7 @@ def _paired_row(totals, samples: int, couple: bool, name: str) -> dict:
 
 def occupation_closed_form_gaussian(n: int, eps: float) -> float:
     """Exact E of the banded occupation average for Gaussian steps."""
+    from scipy.special import ndtr  # here, not at the top: scipy.special is slow to import
     k = np.arange(1, n + 1)
     return float(np.mean(2.0 * ndtr(eps * np.sqrt(n / k)) - 1.0)) / (2.0 * eps)
 
@@ -536,33 +537,37 @@ def occupation_time(
 # root counts of random trigonometric polynomials
 
 
-def _trig_eval(t, a_coef, b_coef):
-    """Q(t) = sum_k a_k cos(kt) + b_k sin(kt), rows of coefficients."""
-    n = a_coef.shape[1]
-    k = np.arange(1, n + 1)
-    phase = t[:, None] * k[None, :]
-    return np.einsum("ij,ij->i", np.cos(phase), a_coef) + np.einsum(
-        "ij,ij->i", np.sin(phase), b_coef
-    )
+def _trig_tables(phase: np.ndarray, rate: np.ndarray) -> tuple:
+    """The tables of Q = sum_k a_k cos(phase_k) + b_k sin(phase_k) over
+    coefficient rows y = [a | b], for a phase matrix with one row per point
+    and one column per k whose phase grows at ``rate[k]``: y @ P is Q and
+    y @ dP its derivative at every point, with P = [cos; sin] and
+    dP = [-rate sin; rate cos], written in place into one block: built from
+    temporaries, the tables took about twice the time of their cos and sin."""
+    n = len(rate)
+    P, dP = np.empty((2, 2 * n, phase.shape[0]))
+    np.cos(phase.T, out=P[:n])
+    np.sin(phase.T, out=P[n:])
+    np.multiply(-rate[:, None], P[n:], out=dP[:n])
+    np.multiply(rate[:, None], P[:n], out=dP[n:])
+    return P, dP
 
 
 def _root_grid(n: int, oversample: int) -> tuple:
     """The grid of ``oversample * n`` intervals on [0, pi] that
-    ``_count_roots`` reads, with its tables cos(k t) and sin(k t),
-    k = 1..n, one row per grid point."""
+    ``_count_roots`` reads, with its tables P and dP of degree n."""
     grid = np.linspace(0.0, math.pi, oversample * n + 1)
-    phase = np.outer(grid, np.arange(1, n + 1))
-    return grid, np.cos(phase), np.sin(phase)
+    k = np.arange(1, n + 1)
+    return (grid, *_trig_tables(np.outer(grid, k), k))
 
 
-def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, grid, cosg, sing) -> np.ndarray:
-    """Roots of each row's trigonometric polynomial on (0, pi): sign changes
-    on the grid of ``_root_grid``, whose tables ``cosg`` and ``sing`` the
-    caller builds once per degree; near-tangency intervals get a
+def _count_roots(y: np.ndarray, grid, P, dP) -> np.ndarray:
+    """Roots on (0, pi) of the trigonometric polynomial of each coefficient
+    row y = [a | b]: sign changes on the grid of ``_root_grid``, whose
+    tables the caller builds once per degree; near-tangency intervals get a
     derivative-sign check so double roots are not silently dropped."""
-    q = a_coef @ cosg.T + b_coef @ sing.T
-    signs = np.where(q >= 0.0, 1.0, -1.0)
-    flips = signs[:, 1:] * signs[:, :-1] < 0
+    q = y @ P
+    flips = np.diff(q >= 0.0, axis=1)
     counts = np.count_nonzero(flips, axis=1)
 
     # tangency guard: intervals without sign change whose endpoint values
@@ -570,16 +575,11 @@ def _count_roots(a_coef: np.ndarray, b_coef: np.ndarray, grid, cosg, sing) -> np
     scale = np.max(np.abs(q), axis=1, keepdims=True)
     small = (np.abs(q[:, 1:]) < 1e-9 * scale) & (np.abs(q[:, :-1]) < 1e-9 * scale) & ~flips
     if np.any(small):
-        k = np.arange(1, a_coef.shape[1] + 1)
-        qp = b_coef @ (cosg * k[None, :]).T - a_coef @ (sing * k[None, :]).T
-        dsign = np.where(qp >= 0.0, 1.0, -1.0)
-        dflip = dsign[:, 1:] * dsign[:, :-1] < 0
-        sus = small & dflip
-        r2, c2 = np.nonzero(sus)
-        for rr, cc in zip(r2, c2):
-            tmid = 0.5 * (grid[cc] + grid[cc + 1])
-            val = _trig_eval(np.array([tmid]), a_coef[rr : rr + 1], b_coef[rr : rr + 1])[0]
-            if abs(val) <= 1e-12 * scale[rr, 0]:
+        dflip = np.diff(y @ dP >= 0.0, axis=1)
+        k = np.arange(1, y.shape[1] // 2 + 1)
+        for rr, cc in zip(*np.nonzero(small & dflip)):
+            p_mid, _ = _trig_tables(np.outer([0.5 * (grid[cc] + grid[cc + 1])], k), k)
+            if abs(y[rr] @ p_mid[:, 0]) <= 1e-12 * scale[rr, 0]:
                 counts[rr] += 2
     return counts
 
@@ -610,8 +610,7 @@ def kac_rice_roots(
 
     def block_sums(n, rng, bsize):
         y, g = _paired_draws(dist, couple, rng, (bsize, 2 * n))
-        cy = _count_roots(y[:, :n], y[:, n:], *tables[n])
-        cg = _count_roots(g[:, :n], g[:, n:], *tables[n])
+        cy, cg = _count_roots(y, *tables[n]), _count_roots(g, *tables[n])
         max_count = int(max(cy.max(initial=0), cg.max(initial=0)))
         if max_count > 2 * n:
             raise NumericalGuardError("root count exceeds twice the degree: counting bug")
@@ -648,15 +647,11 @@ SMALLBALL_BLOCK = 1 << 13
 
 
 def _trig_sum_weights(n: int, u_values: np.ndarray) -> np.ndarray:
-    """W of shape (2n, 2G) with y @ W = S_n at the G points ``u_values``,
-    P_n and P_n' interleaved: column 2g holds cos(k u_g / n) over the a_k
-    rows and sin(k u_g / n) over the b_k rows, column 2g + 1 the
-    derivative's -(k/n) sin and (k/n) cos, all scaled by 1 / sqrt(n)."""
+    """W of shape (2n, 2G) with y @ W = S_n at the G points ``u_values``:
+    the ``_trig_tables`` of phase k u_g / n, P_n in column 2g and P_n' in
+    column 2g + 1, all scaled by 1 / sqrt(n)."""
     k = np.arange(1, n + 1)
-    phase = np.outer(u_values, k) / n
-    cosm, sinm = np.cos(phase).T, np.sin(phase).T
-    kn = (k / n)[:, None]
-    p, dp = np.vstack([cosm, sinm]), np.vstack([-kn * sinm, kn * cosm])
+    p, dp = _trig_tables(np.outer(u_values, k) / n, k / n)
     return (np.stack([p, dp], axis=-1) * (1.0 / math.sqrt(n))).reshape(2 * n, -1)
 
 

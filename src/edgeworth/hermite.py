@@ -117,11 +117,11 @@ def _nonzero(terms: dict) -> dict:
 
 
 def _add(a: dict, b: dict) -> dict:
-    """Sum of two term maps: a's keys in order, then b's new ones."""
-    terms = dict(a)
+    """Sum of two term maps, accumulated into ``a``, which the caller owns:
+    a's keys in order, then b's new ones."""
     for k, c in b.items():
-        terms[k] = terms.get(k, 0.0) + c
-    return _nonzero(terms)
+        a[k] = a.get(k, 0.0) + c
+    return _nonzero(a)
 
 
 def _scale(a: dict, s: float) -> dict:
@@ -193,7 +193,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return Polynomial._of(self.d, _add(self.terms, other.terms))
+        return Polynomial._of(self.d, _add(dict(self.terms), other.terms))
 
     def scale(self, a: float) -> "Polynomial":
         return Polynomial._of(self.d, _scale(self.terms, a))

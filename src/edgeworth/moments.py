@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BOOLEAN, JSON_INTEGER, LIST, NUMBER, STRING, Field, check_object, read_fields
 from .hermite import MAX_DEGREE, gaussian_moment_1d
@@ -42,6 +41,11 @@ def _two_point_sum(count, rng, size, p, a, b):
 
 def _normal_pdf(x, mu: float, sigma: float):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
+
+def _normal_icdf(u):
+    from scipy.special import ndtri  # here, not at the top: scipy.special is slow to import
+    return ndtri(u)
 
 
 def _mixture_sample(rng, size, w, mu1, s1, mu2, s2):
@@ -105,7 +109,7 @@ _LAWS = {
         density=lambda x, w, mu1, s1, mu2, s2: w * _normal_pdf(x, mu1, s1) + (1.0 - w) * _normal_pdf(x, mu2, s2)),
     "standard_normal": _Law(
         (), lambda k: gaussian_moment_1d(k), lambda rng, size: rng.standard_normal(size=size),
-        density=lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), icdf=ndtri,
+        density=lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), icdf=_normal_icdf,
         fold_sum=lambda count, rng, size: math.sqrt(count) * rng.standard_normal(size)),
 }
 

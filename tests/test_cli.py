@@ -308,6 +308,14 @@ def test_nummelin_without_samples_is_config_error():
         assert f"config error: 'samples' must be at least 1, got {samples}" in err
 
 
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special is imported by the calls that need it, not at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", "import sys, edgeworth.cli; print('scipy.special' in sys.modules)"],
+                         capture_output=True, text=True, check=True, env=os.environ | {"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # a nummelin run (the two-sample KS statistic) must not import it either
     cpath = tmp_path / "nummelin.json"

@@ -44,6 +44,7 @@ from edgeworth.moments import (
 )
 from edgeworth.sampling import DoeblinCert, RngStream, block_plan, driver_stream, nummelin_sample, sample_component
 
+import trig_reference
 from conftest import CATALOG_KINDS
 
 
@@ -355,26 +356,44 @@ def test_draws_go_through_the_public_entry_points(monkeypatch):
     assert calls["component_icdf"] >= 1
 
 
-def test_count_roots_tangency_guard():
-    # Q(t) = sin t (cos t - cos t0)^8 touches zero at t0 without a sign
-    # change; t0 is the midpoint of a grid interval, so only the tangency
-    # guard can count the double root
-    n, oversample = 9, 8
+def _tangent_row(n, oversample):
+    """Coefficients [a | b] of Q(t) = sin t (cos t - cos t0)^8, which
+    touches zero at t0 without a sign change; t0 is the midpoint of a grid
+    interval, so only the tangency guard can count the double root."""
     t0 = 30.5 * math.pi / (oversample * n)
     t = np.linspace(0.0, math.pi, 400)
     k = np.arange(1, n + 1)
     target = np.sin(t) * (np.cos(t) - math.cos(t0)) ** 8
     b = np.linalg.lstsq(np.sin(np.outer(t, k)), target, rcond=None)[0]
-    counts = _count_roots(np.zeros((1, n)), b[None, :], *_root_grid(n, oversample))
+    return np.concatenate([np.zeros(n), b])[None, :]
+
+
+def test_count_roots_tangency_guard():
+    n, oversample = 9, 8
+    y = _tangent_row(n, oversample)
+    counts = _count_roots(y, *_root_grid(n, oversample))
     assert counts.tolist() == [2]
+    want = trig_reference.count_roots(y[:, :n], y[:, n:], *trig_reference.root_tables(n, oversample))
+    assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("oversample", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 5, 25, 100])
+def test_count_roots_equals_split_products(n, oversample):
+    # one product on [a | b] counts what the two products on a and b counted
+    y = np.random.default_rng(100 * n + oversample).standard_normal((400, 2 * n))
+    got = _count_roots(y, *_root_grid(n, oversample))
+    want = trig_reference.count_roots(y[:, :n], y[:, n:], *trig_reference.root_tables(n, oversample))
+    assert np.array_equal(got, want)
+    assert got.max() <= 2 * n
 
 
 def _root_tables_per_call(n, oversample):
     """The grid and tables as each root count built them before the driver
     shared them across blocks."""
-    grid = np.linspace(0.0, math.pi, oversample * n + 1)
+    grid, cosg, sing = trig_reference.root_tables(n, oversample)
     k = np.arange(1, n + 1)
-    return grid, np.cos(np.outer(grid, k)), np.sin(np.outer(grid, k))
+    return grid, np.vstack([cosg.T, sing.T]), np.vstack([-k[:, None] * sing.T, k[:, None] * cosg.T])
 
 
 @pytest.mark.parametrize("dist", [standard_normal(), gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)],
@@ -385,14 +404,20 @@ def test_kac_rice_shared_tables_keep_rows(monkeypatch, dist):
     shared = kac_rice_roots(dist, n_grid, samples=samples, seed=4, oversample=oversample)
     calls = []
 
-    def per_call(a, b, *tables):
-        calls.append(a.shape[0])
-        return _count_roots(a, b, *_root_tables_per_call(a.shape[1], oversample))
+    def per_call(y, *tables):
+        calls.append(y.shape[0])
+        return _count_roots(y, *_root_tables_per_call(y.shape[1] // 2, oversample))
 
     monkeypatch.setattr(experiments, "_count_roots", per_call)
     again = kac_rice_roots(dist, n_grid, samples=samples, seed=4, oversample=oversample)
     assert len(calls) > 2 * len(n_grid)
     assert shared.rows == again.rows
+
+
+@pytest.mark.parametrize("n", [1, 10, 25, 100])
+def test_trig_sum_weights_bits_unchanged(n):
+    u = np.concatenate([[1.3], np.linspace(0.0, math.pi, 64)])
+    assert np.array_equal(_trig_sum_weights(n, u), trig_reference.trig_sum_weights(n, u))
 
 
 def test_trig_parametrized_sum_shapes_and_values():

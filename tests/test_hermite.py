@@ -117,6 +117,16 @@ def test_polynomial_algebra():
     assert f.gaussian_expectation() == 0.0
 
 
+def test_sum_leaves_operands_unchanged():
+    # the term-map add accumulates into its first argument, so p + q must
+    # hand it a copy of p's terms
+    p = Polynomial(2, {(1, 0): 1.0, (0, 1): 2.0})
+    q = Polynomial(2, {(1, 0): -1.0, (2, 0): 3.0})
+    assert (p + q).terms == {(0, 1): 2.0, (2, 0): 3.0}
+    assert p.terms == {(1, 0): 1.0, (0, 1): 2.0}
+    assert q.terms == {(1, 0): -1.0, (2, 0): 3.0}
+
+
 # dyadic coefficients k/4: products and sums of a few of them are exact, so
 # p * q and q * p agree exactly whatever order the products are summed in
 _COEFF = st.integers(-20, 20).filter(bool).map(lambda k: k / 4.0)

@@ -160,6 +160,38 @@ def test_nummelin_draws_pinned(dist, cert, digest):
     assert h.hexdigest() == digest
 
 
+# sha256 of 256 draws, as little-endian 8-byte values, from the stream of
+# one fixed key, per numpy Generator method in each argument form the
+# library calls it with; taken on numpy 2.4.6.  numpy keeps PCG64's stream
+# stable across releases but not its Generator methods, so when the
+# CSV_DIGESTS pins move these name the method that moved.
+GENERATOR_DIGESTS = {
+    "random": (lambda g: g.random(256), "02bc77a71d6464bcf46531a25551a956512243c18514988bf307f7a5e91561ff"),
+    "random_2d": (lambda g: g.random((16, 16)), "02bc77a71d6464bcf46531a25551a956512243c18514988bf307f7a5e91561ff"),
+    "standard_normal": (lambda g: g.standard_normal(256),
+                        "44596fa2a7a988340e3d79f043a007f726ef29c365133629556f0e84592bf4e9"),
+    # numpy draws count * min(p, 1 - p) <= 30 by inversion, larger ones by BTPE
+    "binomial_inversion": (lambda g: g.binomial(10, 0.5, 256),
+                           "23e2c925d84e9807440277e04f11ea9e6b713226e26ff2213a5456fa29ce9aa6"),
+    "binomial_inversion_p_above_half": (lambda g: g.binomial(100, 0.8, 256),
+                                        "15a07518967f81bcc11700e3fa7d0be25eae853c58edcee75d36efd007743787"),
+    "binomial_btpe": (lambda g: g.binomial(1000, 0.5, 256),
+                      "847aada15ed47dd1252c5148af48a2705c52c42816312dbad7c11ea446f4d2fd"),
+    "uniform": (lambda g: g.uniform(-math.sqrt(3.0), math.sqrt(3.0), 256),
+                "c2c84440e8ec5ca5bbda806a35b523e58c59cb3f40257b8dfc45ce5db64725b2"),
+    "integers": (lambda g: g.integers(0, 2, 256), "460ba2d6a274a12975bd3fa61a61b994e36994cfdec4bd9dce227e44daa76add"),
+}
+
+
+@pytest.mark.parametrize("form", GENERATOR_DIGESTS)
+def test_generator_methods_pinned(form):
+    draw, digest = GENERATOR_DIGESTS[form]
+    x = draw(driver_stream(5, "density", 16, 2))
+    assert x.size == 256
+    x = np.ascontiguousarray(x, dtype="<i8" if x.dtype.kind == "i" else "<f8")
+    assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("threshold, message", [
     (0.99, "bump rejection acceptance 9.02e-01 below 1e+00"),
     (0.8, "remainder rejection acceptance 7.53e-01 below 8e-01"),
