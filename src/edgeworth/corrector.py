@@ -53,7 +53,7 @@ import numpy as np
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
 from .hermite import Polynomial, _add, _evaluate, _nonzero, _product, _scale, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex, pack
-from .moments import ModelSpec, Summand, _indices, hermite_moments
+from .moments import ModelSpec, Summand, hermite_moments
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
@@ -90,21 +90,20 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
     k is Gamma_k, or with log=False of exp(sum_records count * T_record).
 
-    Built once per call: the Hermite indices of orders 3..N+2 with their
-    packed keys and 1 / (n beta!) weights, and the log's coefficients.
-    Built per record: its cumulant table, Hermite moments and log series; a
-    record of count 1 enters unscaled.  Each law's cumulants are cached
-    across records."""
+    Built once per call: the Hermite moments of all records, orders 3..N+2,
+    from one cumulant-table call, the packed keys and 1 / (n beta!) weights
+    of their indices, and the log's coefficients.  Built per record: its
+    series and log series; a record of count 1 enters unscaled."""
     d = model.d
-    betas = _indices(d, 3, N + 2)
-    slots = {b: (sum(b) - 2, pack(b), model.n * math.prod(map(math.factorial, b))) for b in betas}
+    betas, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
+    slots = [(sum(b) - 2, pack(b), model.n * math.prod(map(math.factorial, b))) for b in betas]
     log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
     total: list = [{} for _ in range(N + 1)]
-    for rec, count in model.records:
+    for row, (_, count) in zip(moments, model.records):
         t: list = [{} for _ in range(N + 1)]
-        for b, h in hermite_moments(rec.C, rec.components, N + 2, betas).items():
-            grade, key, weight = slots[b]
-            t[grade][key] = h / weight
+        for (grade, key, weight), h in zip(slots, row):
+            if h != 0.0:
+                t[grade][key] = h / weight
         t = [_nonzero(g) for g in t]
         if log:
             t = _power_series(t, log_coeffs, d)

@@ -1,8 +1,9 @@
 """Distribution catalog with exact raw moments, model specification for
 scaled sums of independent non-identically distributed vectors as counted
-summand records (a law and how many summands share it), and one cumulant
-table per record, from which a single moment recursion gives the record's
-Hermite moments and the exact moments of the scaled sum.
+summand records (a law and how many summands share it), and the cumulant
+tables of all records of a call in one numpy pass per block of records,
+from which a single moment recursion gives each record's Hermite moments
+and the exact moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -25,6 +26,7 @@ from .hermite import MAX_DEGREE, gaussian_moment_1d
 from .multiindex import check_multiindex, enumerate_multiindices
 
 SQRT3 = math.sqrt(3.0)
+TABLE_BLOCK = 1 << 16  # gathered factors per block of records in cumulant_tables
 
 
 def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
@@ -235,6 +237,8 @@ class Summand:
         object.__setattr__(self, "components", tuple(self.components))
         if C.shape[1] != len(self.components):
             raise ValueError(f"matrix has {C.shape[1]} columns but {len(self.components)} components")
+        if not np.isfinite(C).all():
+            raise ValueError(f"mixing matrix {C.tolist()} has a non-finite entry")
 
     def sigma(self) -> np.ndarray:
         return self.C @ self.C.T
@@ -322,11 +326,9 @@ def iid_vector_model(dists, n: int) -> ModelSpec:
     return ModelSpec(d=len(dists), records=((Summand(np.eye(len(dists)), dists), n),))
 
 
-@lru_cache(maxsize=None)
 def _component_cumulants(dist: ComponentDistribution, K: int) -> tuple:
     """Cumulants kappa_0, ..., kappa_K of one catalog law from its raw
-    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}.
-    Cached, so each law's cumulants are worked out once for all records."""
+    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}."""
     m = [raw_moment(dist, k) for k in range(K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
@@ -334,43 +336,89 @@ def _component_cumulants(dist: ComponentDistribution, K: int) -> tuple:
     return tuple(kappa)
 
 
-def _indices(d: int, lo: int, K: int) -> list[tuple]:
-    """Multi-indices with lo <= |beta| <= K: by order, each order in
-    :func:`enumerate_multiindices` order."""
-    return [b for l in range(lo, K + 1) for b in enumerate_multiindices(d, l)]
+@lru_cache(maxsize=None)
+def _cumulant_factors(dist: ComponentDistribution, K: int) -> tuple:
+    """The cumulants kappa_0..kappa_K of one law, then a gate for each:
+    1.0 where the cumulant is nonzero and 0.0 where it is 0.  Cached, so
+    each law's cumulants are worked out once for all records."""
+    kappa = _component_cumulants(dist, K)
+    return kappa + tuple(1.0 if k != 0.0 else 0.0 for k in kappa)
 
 
-def cumulant_table(C: np.ndarray, comps, K: int, betas=None) -> dict:
-    """Cumulants kappa_beta(C Y) of one summand record for 2 <= |beta| <= K,
-    zeros left out.
+@lru_cache(maxsize=None)
+def _table_columns(betas: tuple, d: int, K: int) -> tuple:
+    """For a cumulant table on ``betas``: the order |beta| of each column,
+    and the (d + 2, len(betas)) positions, in a component's row of
+    :func:`cumulant_tables`, of the factors of each column's term: the
+    powers C_ij ** beta_i, the cumulant kappa_{|beta|} and its gate."""
+    b = np.array(betas, dtype=np.intp).reshape(len(betas), d)
+    orders = b.sum(axis=1)
+    return tuple(orders.tolist()), np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
+
+
+def cumulant_tables(summands, K: int, betas) -> np.ndarray:
+    """Cumulants kappa_beta(C Y) of summand records, zeros kept: one row per
+    record in record order, one column per index of ``betas`` (orders 2 to
+    K, the same for every record).
 
     Cumulants are multilinear and add over independent components:
     kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
     order-1 cumulants vanish because the components are centered.
 
-    ``betas``, the indices to compute in table order, is the same for every
-    record of a model: a caller that builds several tables builds it once
-    per call and passes it; without it, all indices of orders 2 to K are
-    built here.  Each law's cumulants are cached across records and calls.
-    Per record, each power C_ij^b, b <= K, is raised once, and the order-l
-    sum leaves out the components whose order-l cumulant is 0: adding +-0.0
-    changes no nonzero sum, and zero sums are left out anyway.
+    One numpy pass per block of records, about ``TABLE_BLOCK`` gathered
+    factors, so that memory stays bounded for many records: each power
+    C_ij^b, b <= K, is raised once with Python's float ``**`` (libm's pow,
+    which numpy's ``power`` does not always match), and the factors of the
+    block's terms are gathered from one array.  The product runs over the
+    rows in row order and the sum over the components in component order
+    from +0.0, as in a loop per record.  Each product starts from the
+    cumulant's gate: 1.0 keeps its bits, and 0.0 makes the term of a zero
+    cumulant +-0.0 even where the powers' product would overflow (0 * inf
+    is NaN).  Such a term, and the padding of a record with fewer
+    components, adds +-0.0, which changes no sum.  Each law's cumulants are
+    cached across records and calls, and so are the column positions of
+    each ``betas``.
     """
     if K > MAX_DEGREE:
         raise ValueError(f"pushforward moment order capped at {MAX_DEGREE}")
-    rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
-    if betas is None:
-        betas = _indices(len(rows), 2, K)
-    # powers[j][i][b] = C_ij ** b
-    powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
-    kappas = [_component_cumulants(c, K) for c in comps]
-    by_order = {l: [(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(2, K + 1)}
-    table = {}
-    for beta in betas:
-        v = sum(k * math.prod(map(list.__getitem__, pw, beta)) for k, pw in by_order[sum(beta)])
-        if v != 0.0:
-            table[beta] = v
+    d = summands[0].C.shape[0]
+    _, columns = _table_columns(tuple(betas), d, K)
+    width = max(len(s.components) for s in summands)
+    exponents = range(K + 1)
+    table = np.empty((len(summands), columns.shape[1]))
+    step = max(1, TABLE_BLOCK // max(1, columns.size * width))
+    for start in range(0, len(summands), step):
+        block = summands[start:start + step]
+        # one row per component: C_ij ** e for each row i and e <= K, then
+        # the law's cumulants and their gates; a padding row is all 0.0
+        values = []
+        for s in block:
+            for column, c in zip(s.C.T.tolist(), s.components):
+                values += [x ** e for x in column for e in exponents]
+                values += _cumulant_factors(c, K)
+            values += [0.0] * ((width - len(s.components)) * (d + 2) * (K + 1))
+        factors = np.array(values).reshape(len(block) * width, (d + 2) * (K + 1)).take(columns, axis=1)
+        terms = factors[:, d + 1] * factors[:, 0]
+        for i in range(1, d):
+            terms *= factors[:, i]
+        terms *= factors[:, d]
+        terms = terms.reshape(len(block), width, -1)
+        rows = table[start:start + step]
+        np.add(terms[:, 0], 0.0, out=rows)
+        for j in range(1, width):
+            rows += terms[:, j]
     return table
+
+
+def cumulant_table(C: np.ndarray, comps, K: int, betas=None) -> dict:
+    """Cumulants kappa_beta(C Y) of one summand record for the indices
+    ``betas``, by default all of orders 2 to K, zeros left out: its row of
+    :func:`cumulant_tables`."""
+    s = Summand(C, comps)
+    if betas is None:
+        betas = _plan(s.C.shape[0], K).table
+    row = cumulant_tables([s], K, betas)[0].tolist()
+    return {b: v for b, v in zip(betas, row) if v != 0.0}
 
 
 @lru_cache(maxsize=None)
@@ -394,12 +442,52 @@ def _recursion_steps(d: int, K: int) -> tuple:
     return tuple(steps)
 
 
-def _recursion(kappa: dict, d: int, steps) -> dict:
-    """Moments mu_beta from the cumulants ``kappa`` for the betas of
-    ``steps``, a subsequence of :func:`_recursion_steps`, and mu_0 = 1."""
-    mu = {(0,) * d: 1.0}
-    for beta, terms in steps:
-        mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
+@dataclass(frozen=True)
+class _Plan:
+    """Steps of the moment recursion compiled to positions.  The moments
+    are a list: mu_0 = 1, then one per index of ``betas`` in step order.
+    The cumulants are a row of the table on ``table``, the betas of order
+    lo and up.  ``steps`` holds, per beta, its terms (coef, cumulant
+    position, moment position); terms on cumulants of order below lo,
+    which the row does not hold, are left out."""
+
+    betas: tuple
+    table: tuple
+    steps: tuple
+
+
+def _compile(steps: tuple, d: int, lo: int) -> _Plan:
+    betas = tuple(beta for beta, _ in steps)
+    table = tuple(beta for beta in betas if sum(beta) >= lo)
+    mu_at = {beta: p for p, beta in enumerate(((0,) * d,) + betas)}
+    kappa_at = {beta: p for p, beta in enumerate(table)}
+    return _Plan(betas, table, tuple(
+        tuple((c, kappa_at[kb], mu_at[mb]) for c, kb, mb in terms if kb in kappa_at) for _, terms in steps))
+
+
+@lru_cache(maxsize=None)
+def _plan(d: int, K: int, lo: int = 2) -> _Plan:
+    """The recursion for every 1 <= |beta| <= K on the cumulants of orders
+    lo to K."""
+    return _compile(_recursion_steps(d, K), d, lo)
+
+
+@lru_cache(maxsize=None)
+def _down_set_plan(top: tuple) -> _Plan:
+    """The steps of :func:`_recursion_steps` for the down-set {0 != beta <=
+    top}, in the same order: mu_top, the last, reads only cumulants and
+    moments there."""
+    steps = tuple(step for step in _recursion_steps(len(top), sum(top))
+                  if all(b <= t for b, t in zip(step[0], top)))
+    return _compile(steps, len(top), 2)
+
+
+def _moments(kappa: list, plan: _Plan) -> list:
+    """Moments by position (mu_0 = 1 first) from a cumulant row on
+    ``plan.table``: each is the sum from 0.0 of its terms in order."""
+    mu = [1.0]
+    for terms in plan.steps:
+        mu.append(sum([c * kappa[k] * mu[m] for c, k, m in terms], 0.0))
     return mu
 
 
@@ -407,53 +495,50 @@ def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
     """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
     cumulant table (missing entries are 0), by the recursion
     mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k, delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
-    return _recursion(kappa, d, _recursion_steps(d, K))
+    plan = _plan(d, K)
+    mu = _moments([kappa.get(b, 0.0) for b in plan.table], plan)
+    return dict(zip(((0,) * d,) + plan.betas, mu))
 
 
-@lru_cache(maxsize=None)
-def _down_set_steps(top: tuple) -> tuple:
-    """The steps of :func:`_recursion_steps` for the down-set {0 != beta <=
-    top}, in the same order: mu_top reads only cumulants and moments there."""
-    return tuple(step for step in _recursion_steps(len(top), sum(top))
-                 if all(b <= t for b, t in zip(step[0], top)))
+def hermite_moments(summands, K: int) -> tuple[tuple, list]:
+    """Hermite moments h_beta of summand records for 3 <= |beta| <= K: the
+    moment recursion on each record's cumulant table with its order-2
+    entries dropped.  They are the Taylor coefficients (over beta!) of
+    E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment generating
+    function over its Gaussian twin's.  Returns the indices, orders 3 to K
+    in table order, and one list of moments on them per record, zeros kept:
+    one table call for all records, then one recursion per record."""
+    plan = _plan(summands[0].C.shape[0], K, 3)
+    tail = len(plan.betas) + 1 - len(plan.table)  # the table's betas end the step order
+    return plan.table, [_moments(row, plan)[tail:] for row in cumulant_tables(summands, K, plan.table).tolist()]
 
 
-def hermite_moments(C: np.ndarray, comps, K: int, betas: list) -> dict:
-    """Hermite moments h_beta of one summand record for 3 <= |beta| <= K,
-    zeros left out: the moment recursion on the record's cumulant table with
-    its order-2 entries dropped.  They are the Taylor coefficients (over
-    beta!) of E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment
-    generating function over its Gaussian twin's.  ``betas`` are the
-    indices of orders 3 to K, built once per call by the caller."""
-    d = np.atleast_2d(C).shape[0]
-    mu = moments_from_cumulants(cumulant_table(C, comps, K, betas), d, K)
-    return {b: v for b, v in mu.items() if sum(b) >= 3 and v != 0.0}
-
-
-def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> dict:
+def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:
     """Exact E[S_n^beta] for every |beta| <= K, or with ``top`` for its
-    down-set only, which is all the recursion for mu_top reads: one moment
-    recursion on the cumulants of S_n.  Cumulants add over independent
-    summands and scale by n^{-|delta|/2}, so kappa_delta(S_n) =
-    n^{-|delta|/2} sum_records count * kappa_delta(record) for any count.
-    The indices and the scales are built once per call; each record's
-    cumulant table once per record."""
+    down-set only, which is all the recursion for mu_top reads, by position
+    (mu_0 = 1 first, mu_top last): one moment recursion on the cumulants of
+    S_n.  Cumulants add over independent summands and scale by
+    n^{-|delta|/2}, so kappa_delta(S_n) = n^{-|delta|/2} sum_records count *
+    kappa_delta(record) for any count, summed in record order from +0.0 over
+    one table call for all records."""
     if K > 8:
         raise ValueError("exact sum moment order capped at 8")
-    steps = _recursion_steps(model.d, K) if top is None else _down_set_steps(top)
-    betas = [b for b, _ in steps if sum(b) >= 2]
+    plan = _plan(model.d, K) if top is None else _down_set_plan(top)
+    summands, counts = zip(*model.records)
     scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
-    kappa: dict = {}
-    for rec, count in model.records:
-        for delta, v in cumulant_table(rec.C, rec.components, K, betas).items():
-            kappa[delta] = kappa.get(delta, 0.0) + count * v * scale[sum(delta)]
-    return _recursion(kappa, model.d, steps)
+    terms = cumulant_tables(summands, K, plan.table)
+    terms *= np.array(counts, dtype=float)[:, None]
+    terms *= [scale[l] for l in _table_columns(plan.table, model.d, K)[0]]
+    # add.accumulate is a running sum in record order; its last row plus 0.0
+    # is sum()'s from +0.0, which turns a run of -0.0 terms into +0.0
+    return _moments((np.add.accumulate(terms, out=terms)[-1] + 0.0).tolist(), plan)
 
 
 def exact_sum_moment_table(model: ModelSpec, K: int) -> dict:
     """Exact E[S_n^beta] for every |beta| <= K from the summand records'
     cumulant tables."""
-    return _sum_moments(model, K)
+    mu = _sum_moments(model, K)
+    return dict(zip(((0,) * model.d,) + _plan(model.d, K).betas, mu))
 
 
 def exact_sum_moment(model: ModelSpec, beta) -> float:
@@ -463,4 +548,4 @@ def exact_sum_moment(model: ModelSpec, beta) -> float:
     beta = check_multiindex(beta)
     if len(beta) != model.d:
         raise ValueError("index dimension != model dimension")
-    return _sum_moments(model, sum(beta), beta)[beta]
+    return _sum_moments(model, sum(beta), beta)[-1]

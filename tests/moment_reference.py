@@ -8,14 +8,17 @@ summand-by-summand oracles read a model through :func:`summand_list`,
 and :func:`sample_sum_reference` draws the scaled sum summand by summand.
 :func:`sample_sum_matmul_reference` and :func:`icdf_where_reference` are
 the matrix products and ``np.where`` selections that the package replaced by
-same-bits shortcuts.
+same-bits shortcuts.  :func:`cumulant_table_reference` and
+:func:`recursion_reference` are the cumulant table built one record at a
+time and the moment recursion on dict keys, the loops that the package's
+one-pass tables and position recursion must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from edgeworth.moments import _LAWS, raw_moment, sample_component
+from edgeworth.moments import _LAWS, _component_cumulants, _recursion_steps, raw_moment, sample_component
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
@@ -115,3 +118,53 @@ def pushforward_moment(C: np.ndarray, comps, beta) -> float:
                     break
         total += val
     return total
+
+
+def cumulant_table_reference(C, comps, K: int) -> dict:
+    """Cumulants kappa_beta(C Y), 2 <= |beta| <= K, zeros left out, one
+    record on its own: per beta, the sum from 0 over the components with a
+    nonzero order-|beta| cumulant, in component order, of the cumulant times
+    the product over the rows, in row order, of the powers C_ij ** beta_i."""
+    rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
+    powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
+    kappas = [_component_cumulants(c, K) for c in comps]
+    by_order = {l: [(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(2, K + 1)}
+    table = {}
+    for l in range(2, K + 1):
+        for beta in enumerate_multiindices(len(rows), l):
+            v = sum(k * math.prod(map(list.__getitem__, pw, beta)) for k, pw in by_order[l])
+            if v != 0.0:
+                table[beta] = v
+    return table
+
+
+def recursion_reference(kappa: dict, d: int, K: int, top=None) -> dict:
+    """Moments mu_beta, 1 <= |beta| <= K (or the down-set of ``top``), and
+    mu_0 = 1, keyed by index: the steps of the package's recursion, each
+    summed from 0.0 over the terms whose cumulant ``kappa`` holds."""
+    mu = {(0,) * d: 1.0}
+    for beta, terms in _recursion_steps(d, K):
+        if top is None or all(b <= t for b, t in zip(beta, top)):
+            mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
+    return mu
+
+
+def hermite_moments_reference(C, comps, K: int) -> dict:
+    """Nonzero Hermite moments, 3 <= |beta| <= K, of one record: the
+    recursion on its cumulant table without the order-2 entries."""
+    kappa = {b: v for b, v in cumulant_table_reference(C, comps, K).items() if sum(b) >= 3}
+    d = np.atleast_2d(C).shape[0]
+    return {b: v for b, v in recursion_reference(kappa, d, K).items() if sum(b) >= 3 and v != 0.0}
+
+
+def sum_moments_reference(model, K: int, top=None) -> dict:
+    """Exact E[S_n^beta], |beta| <= K (or the down-set of ``top``): the
+    record tables accumulated one record at a time, count * value *
+    n^{-|delta|/2} per nonzero entry, then the recursion."""
+    scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
+    kappa: dict = {}
+    for rec, count in model.records:
+        for delta, v in cumulant_table_reference(rec.C, rec.components, K).items():
+            if top is None or all(b <= t for b, t in zip(delta, top)):
+                kappa[delta] = kappa.get(delta, 0.0) + count * v * scale[sum(delta)]
+    return recursion_reference(kappa, model.d, K, top)

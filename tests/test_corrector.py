@@ -110,23 +110,24 @@ def test_gamma_dp_matches_enumeration():
 
 
 def test_build_cost_is_per_record(monkeypatch):
-    # per-record cumulant tables are the unit of work of corrector and
-    # moment builds; their number must depend on the records, not on n
-    calls = [0]
-    real = moments.cumulant_table
+    # one batched cumulant-table call, one row per record, is the unit of
+    # work of corrector and moment builds; the number of calls and of rows
+    # must depend on the records, not on n
+    calls = []
+    real = moments.cumulant_tables
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(summands, *args):
+        calls.append(len(summands))
+        return real(summands, *args)
 
-    monkeypatch.setattr(moments, "cumulant_table", counted)
+    monkeypatch.setattr(moments, "cumulant_tables", counted)
 
     def cost(model, N, betas):
-        calls[0] = 0
+        calls.clear()
         corrector_polynomial(model, N)
         for beta in betas:
             exact_sum_moment(model, beta)
-        return calls[0]
+        return list(calls)
 
     laws = (skewed_two_point(0.2), uniform_centered())
     for make, N, betas in [
@@ -134,11 +135,11 @@ def test_build_cost_is_per_record(monkeypatch):
         (lambda n: iid_vector_model(laws, n), 4, [(4, 4), (3, 2)]),
     ]:
         small = cost(make(10), N, betas)
-        assert small > 0
+        assert small == [1] * (1 + len(betas))
         assert cost(make(10**6), N, betas) == small
 
-    # non-iid: each record's table of orders up to N + 2 = 5 is built
-    # once for all corrector orders
+    # non-iid: one call over all records builds the tables of orders up to
+    # N + 2 = 5 for all corrector orders, and one the moment's
     kinds = [rademacher(), uniform_centered(), skewed_two_point(0.25),
              gaussian_mixture(0.5, 0.6, 0.8, -0.6, 0.8)]
     rng = np.random.default_rng(12)
@@ -146,7 +147,7 @@ def test_build_cost_is_per_record(monkeypatch):
         (Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3))), 1)
         for _ in range(50)
     )
-    assert cost(normalize(ModelSpec(d=3, records=records)), 3, []) == 50
+    assert cost(normalize(ModelSpec(d=3, records=records)), 3, [(2, 1, 1)]) == [50, 50]
 
 
 def test_odd_orders_vanish_for_symmetric_components():

@@ -13,11 +13,13 @@ from edgeworth.moments import (
     Summand,
     component_icdf,
     cumulant_table,
+    cumulant_tables,
     exact_sum_moment,
     exact_sum_moment_table,
     gaussian_mixture,
     has_density,
     has_icdf,
+    hermite_moments,
     iid_model,
     iid_vector_model,
     moments_from_cumulants,
@@ -29,10 +31,21 @@ from edgeworth.moments import (
     two_point,
     uniform_centered,
 )
+from edgeworth import moments
 from edgeworth.corrector import corrector_polynomial
+from edgeworth.hermite import MAX_DEGREE
+from edgeworth.multiindex import enumerate_multiindices
 from edgeworth.sampling import RngStream, sample_sum
 from corrector_reference import gap_table
-from moment_reference import icdf_where_reference, pushforward_moment, summand_list
+from moment_reference import (
+    cumulant_table_reference,
+    hermite_moments_reference,
+    icdf_where_reference,
+    pushforward_moment,
+    recursion_reference,
+    sum_moments_reference,
+    summand_list,
+)
 
 CATALOG = [
     rademacher(),
@@ -491,3 +504,87 @@ def test_table_moments_match_oracle(data):
         model = ModelSpec(d=d, records=((rec, 1),) + tuple((_record(data, d), 1) for _ in range(n - 1)))
     ref = _sum_moment_loop(model, beta)
     assert abs(exact_sum_moment(model, beta) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# matrix entries: signed zeros and units, so that powers and products meet
+# exact zeros, and floats of either sign
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_one_pass_tables_and_recursion_keep_the_record_loops_bytes(data):
+    # records with 1 to 3 components each (shorter ones are padded in the
+    # one pass), every catalog law (the symmetric ones and the normal have
+    # zero cumulants): every cumulant, Hermite moment and exact sum moment
+    # is the per-record loop's and the dict recursion's float, repr for repr
+    d = data.draw(st.integers(1, 3), label="d")
+    records = []
+    for _ in range(data.draw(st.integers(1, 4), label="records")):
+        m = data.draw(st.integers(1, 3), label="m")
+        C = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=d, max_size=d),
+                               label="C"))
+        comps = tuple(data.draw(st.lists(st.sampled_from(CATALOG), min_size=m, max_size=m), label="comps"))
+        records.append((Summand(C, comps), data.draw(st.integers(1, 5), label="count")))
+    model = ModelSpec(d=d, records=tuple(records))
+    summands = [s for s, _ in records]
+
+    K = data.draw(st.integers(2, MAX_DEGREE), label="K")
+    betas = [b for l in range(2, K + 1) for b in enumerate_multiindices(d, l)]
+    rows = cumulant_tables(summands, K, betas).tolist()
+    for s, row in zip(summands, rows):
+        ref = cumulant_table_reference(s.C, s.components, K)
+        assert repr(cumulant_table(s.C, s.components, K)) == repr(ref)
+        assert repr(row) == repr([ref.get(b, 0.0) for b in betas])
+        assert repr(moments_from_cumulants(ref, d, K)) == repr(recursion_reference(ref, d, K))
+
+    K = data.draw(st.integers(3, MAX_DEGREE), label="Hermite K")
+    betas, rows = hermite_moments(summands, K)
+    for s, row in zip(summands, rows):
+        got = {b: h for b, h in zip(betas, row) if h != 0.0}
+        assert repr(got) == repr(hermite_moments_reference(s.C, s.components, K))
+
+    K = data.draw(st.integers(0, 8), label="sum K")
+    table = exact_sum_moment_table(model, K)
+    assert repr(table) == repr(sum_moments_reference(model, K))
+    top = data.draw(st.sampled_from(sorted(table)), label="top")
+    assert repr(exact_sum_moment(model, top)) == repr(sum_moments_reference(model, sum(top), top)[top])
+
+
+@pytest.mark.parametrize("block", [1, 700, 1000])
+def test_table_blocks_keep_the_bytes(monkeypatch, block):
+    # 300 factors per record here, so blocks of 1, 2 and 3 records: the rows
+    # are the record loop's whatever the block boundaries and padding
+    rng = np.random.default_rng(32)
+    summands = [Summand(rng.normal(size=(2, m)), tuple(CATALOG[(k + j) % 5] for j in range(m)))
+                for k, m in enumerate([1, 3, 2, 3, 1, 2, 2, 3, 1])]
+    model = ModelSpec(d=2, records=tuple((s, k + 1) for k, s in enumerate(summands)))
+    betas = [b for l in range(2, 7) for b in enumerate_multiindices(2, l)]
+    monkeypatch.setattr(moments, "TABLE_BLOCK", block)
+    rows = cumulant_tables(summands, 6, betas).tolist()
+    for s, row in zip(summands, rows):
+        ref = cumulant_table_reference(s.C, s.components, 6)
+        assert repr(row) == repr([ref.get(b, 0.0) for b in betas])
+    assert repr(exact_sum_moment_table(model, 6)) == repr(sum_moments_reference(model, 6))
+
+
+def test_symmetric_odd_moments_are_positive_zero():
+    # the one-pass sums start from +0.0 like the loops they replace, so a
+    # moment that vanishes by symmetry prints as '0.0', never '-0.0'
+    for law in (uniform_centered(), rademacher(), standard_normal()):
+        for beta in [(1,), (3,), (5,), (7,)]:
+            assert repr(exact_sum_moment(iid_model(law, 5), beta)) == "0.0"
+    model = iid_vector_model((uniform_centered(), standard_normal()), 7)
+    assert repr(exact_sum_moment(model, (2, 1))) == "0.0"
+    assert repr(exact_sum_moment(model, (3, 2))) == "0.0"
+    C = np.array([[-1.0, 0.5], [-0.0, -2.0]])
+    assert all(repr(v) == "0.0" for v in cumulant_tables([Summand(C, (rademacher(), uniform_centered()))], 5,
+                                                          [(3, 0), (2, 1), (0, 5)]).ravel().tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summand_rejects_a_non_finite_matrix(bad):
+    for C in ([[bad]], [[1.0, 0.0], [0.2, bad]]):
+        comps = (skewed_two_point(0.3),) * len(C[0])
+        with pytest.raises(ValueError, match="mixing matrix .* non-finite"):
+            Summand(np.array(C), comps)
