@@ -24,7 +24,7 @@ print(f"bump mass {cert.mass:.4f}; split probability epsilon*mass = "
       f"{cert.split_probability:.4f}; bump support radius {cert.support_radius:.4f}\n")
 
 rng = RngStream(2024, 0).generator()
-draws, chi = nummelin_sample(dist, cert, rng, 50_000, with_indicator=True)
+draws, chi = nummelin_sample(dist, cert, rng, 50_000)
 direct = sample_component(dist, RngStream(2024, 1).generator(), 50_000)
 
 stat = ks_2samp(draws, direct).statistic

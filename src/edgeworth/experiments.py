@@ -801,7 +801,7 @@ def nummelin_experiment(
     if not ok:
         raise NumericalGuardError(f"lower-bound check failed: margin {margin:.3e}")
     cert = DoeblinCert(center, radius, epsilon)
-    split = nummelin_sample(dist, cert, driver_stream(seed, "nummelin", 0, 0), samples)
+    split, _ = nummelin_sample(dist, cert, driver_stream(seed, "nummelin", 0, 0), samples)
     direct = sample_component(dist, driver_stream(seed, "nummelin", 0, 1), samples)
     stat = _ks_statistic(split, direct)
     crit = 1.628 * np.sqrt(2.0 / samples)

@@ -326,40 +326,23 @@ def iid_vector_model(dists, n: int) -> ModelSpec:
     return ModelSpec(d=len(dists), records=((Summand(np.eye(len(dists)), dists), n),))
 
 
-def _component_cumulants(dist: ComponentDistribution, K: int) -> tuple:
-    """Cumulants kappa_0, ..., kappa_K of one catalog law from its raw
-    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}."""
+@lru_cache(maxsize=None)
+def _cumulant_factors(dist: ComponentDistribution, K: int) -> tuple:
+    """The cumulants kappa_0..kappa_K of one law from its raw moments,
+    kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}, then a gate for
+    each: 1.0 where the cumulant is nonzero and 0.0 where it is 0.  Cached,
+    so each law's cumulants are worked out once for all records."""
     m = [raw_moment(dist, k) for k in range(K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
         kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
-    return tuple(kappa)
+    return tuple(kappa) + tuple(1.0 if k != 0.0 else 0.0 for k in kappa)
 
 
-@lru_cache(maxsize=None)
-def _cumulant_factors(dist: ComponentDistribution, K: int) -> tuple:
-    """The cumulants kappa_0..kappa_K of one law, then a gate for each:
-    1.0 where the cumulant is nonzero and 0.0 where it is 0.  Cached, so
-    each law's cumulants are worked out once for all records."""
-    kappa = _component_cumulants(dist, K)
-    return kappa + tuple(1.0 if k != 0.0 else 0.0 for k in kappa)
-
-
-@lru_cache(maxsize=None)
-def _table_columns(betas: tuple, d: int, K: int) -> tuple:
-    """For a cumulant table on ``betas``: the order |beta| of each column,
-    and the (d + 2, len(betas)) positions, in a component's row of
-    :func:`cumulant_tables`, of the factors of each column's term: the
-    powers C_ij ** beta_i, the cumulant kappa_{|beta|} and its gate."""
-    b = np.array(betas, dtype=np.intp).reshape(len(betas), d)
-    orders = b.sum(axis=1)
-    return tuple(orders.tolist()), np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
-
-
-def cumulant_tables(summands, K: int, betas) -> np.ndarray:
+def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
     """Cumulants kappa_beta(C Y) of summand records, zeros kept: one row per
-    record in record order, one column per index of ``betas`` (orders 2 to
-    K, the same for every record).
+    record in record order, one column per index of ``plan.table`` (the
+    same for every record).
 
     Cumulants are multilinear and add over independent components:
     kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
@@ -369,20 +352,20 @@ def cumulant_tables(summands, K: int, betas) -> np.ndarray:
     factors, so that memory stays bounded for many records: each power
     C_ij^b, b <= K, is raised once with Python's float ``**`` (libm's pow,
     which numpy's ``power`` does not always match), and the factors of the
-    block's terms are gathered from one array.  The product runs over the
-    rows in row order and the sum over the components in component order
-    from +0.0, as in a loop per record.  Each product starts from the
-    cumulant's gate: 1.0 keeps its bits, and 0.0 makes the term of a zero
-    cumulant +-0.0 even where the powers' product would overflow (0 * inf
-    is NaN).  Such a term, and the padding of a record with fewer
-    components, adds +-0.0, which changes no sum.  Each law's cumulants are
-    cached across records and calls, and so are the column positions of
-    each ``betas``.
+    block's terms are gathered from one array through ``plan.columns``.
+    The product runs over the rows in row order and the sum over the
+    components in component order from +0.0, as in a loop per record.
+    Each product starts from the cumulant's gate: 1.0 keeps its bits, and
+    0.0 makes the term of a zero cumulant +-0.0 even where the powers'
+    product would overflow (0 * inf is NaN).  Such a term, and the padding
+    of a record with fewer components, adds +-0.0, which changes no sum.
+    Each law's cumulants are cached across records and calls.  A power
+    that overflows a float is a ValueError naming the matrix entry.
     """
+    K, columns = plan.K, plan.columns
     if K > MAX_DEGREE:
         raise ValueError(f"pushforward moment order capped at {MAX_DEGREE}")
     d = summands[0].C.shape[0]
-    _, columns = _table_columns(tuple(betas), d, K)
     width = max(len(s.components) for s in summands)
     exponents = range(K + 1)
     table = np.empty((len(summands), columns.shape[1]))
@@ -394,7 +377,11 @@ def cumulant_tables(summands, K: int, betas) -> np.ndarray:
         values = []
         for s in block:
             for column, c in zip(s.C.T.tolist(), s.components):
-                values += [x ** e for x in column for e in exponents]
+                try:
+                    values += [x ** e for x in column for e in exponents]
+                except OverflowError:
+                    x = max(column, key=abs)
+                    raise ValueError(f"mixing matrix entry {x!r} to the power {K} overflows a float") from None
                 values += _cumulant_factors(c, K)
             values += [0.0] * ((width - len(s.components)) * (d + 2) * (K + 1))
         factors = np.array(values).reshape(len(block) * width, (d + 2) * (K + 1)).take(columns, axis=1)
@@ -408,17 +395,6 @@ def cumulant_tables(summands, K: int, betas) -> np.ndarray:
         for j in range(1, width):
             rows += terms[:, j]
     return table
-
-
-def cumulant_table(C: np.ndarray, comps, K: int, betas=None) -> dict:
-    """Cumulants kappa_beta(C Y) of one summand record for the indices
-    ``betas``, by default all of orders 2 to K, zeros left out: its row of
-    :func:`cumulant_tables`."""
-    s = Summand(C, comps)
-    if betas is None:
-        betas = _plan(s.C.shape[0], K).table
-    row = cumulant_tables([s], K, betas)[0].tolist()
-    return {b: v for b, v in zip(betas, row) if v != 0.0}
 
 
 @lru_cache(maxsize=None)
@@ -442,26 +418,36 @@ def _recursion_steps(d: int, K: int) -> tuple:
     return tuple(steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
-    """Steps of the moment recursion compiled to positions.  The moments
-    are a list: mu_0 = 1, then one per index of ``betas`` in step order.
-    The cumulants are a row of the table on ``table``, the betas of order
-    lo and up.  ``steps`` holds, per beta, its terms (coef, cumulant
+    """Steps of the moment recursion compiled to positions, and the layout
+    of the cumulant table they read.  The moments are a list: mu_0 = 1, then
+    one per index of ``betas`` in step order.  The cumulants are a row of
+    :func:`cumulant_tables` on ``table``, the betas of order lo to ``K``:
+    ``orders`` holds each column's order |beta|, and ``columns`` the
+    (d + 2, len(table)) positions, in a component's row of factors, of each
+    column's term: the powers C_ij ** beta_i, the cumulant kappa_{|beta|}
+    and its gate.  ``steps`` holds, per beta, its terms (coef, cumulant
     position, moment position); terms on cumulants of order below lo,
     which the row does not hold, are left out."""
 
+    K: int
     betas: tuple
     table: tuple
+    orders: tuple
+    columns: np.ndarray
     steps: tuple
 
 
-def _compile(steps: tuple, d: int, lo: int) -> _Plan:
+def _compile(steps: tuple, d: int, K: int, lo: int) -> _Plan:
     betas = tuple(beta for beta, _ in steps)
     table = tuple(beta for beta in betas if sum(beta) >= lo)
     mu_at = {beta: p for p, beta in enumerate(((0,) * d,) + betas)}
     kappa_at = {beta: p for p, beta in enumerate(table)}
-    return _Plan(betas, table, tuple(
+    b = np.array(table, dtype=np.intp).reshape(len(table), d)
+    orders = b.sum(axis=1)
+    columns = np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
+    return _Plan(K, betas, table, tuple(orders.tolist()), columns, tuple(
         tuple((c, kappa_at[kb], mu_at[mb]) for c, kb, mb in terms if kb in kappa_at) for _, terms in steps))
 
 
@@ -469,7 +455,7 @@ def _compile(steps: tuple, d: int, lo: int) -> _Plan:
 def _plan(d: int, K: int, lo: int = 2) -> _Plan:
     """The recursion for every 1 <= |beta| <= K on the cumulants of orders
     lo to K."""
-    return _compile(_recursion_steps(d, K), d, lo)
+    return _compile(_recursion_steps(d, K), d, K, lo)
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +465,7 @@ def _down_set_plan(top: tuple) -> _Plan:
     moments there."""
     steps = tuple(step for step in _recursion_steps(len(top), sum(top))
                   if all(b <= t for b, t in zip(step[0], top)))
-    return _compile(steps, len(top), 2)
+    return _compile(steps, len(top), sum(top), 2)
 
 
 def _moments(kappa: list, plan: _Plan) -> list:
@@ -489,15 +475,6 @@ def _moments(kappa: list, plan: _Plan) -> list:
     for terms in plan.steps:
         mu.append(sum([c * kappa[k] * mu[m] for c, k, m in terms], 0.0))
     return mu
-
-
-def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
-    """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
-    cumulant table (missing entries are 0), by the recursion
-    mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k, delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
-    plan = _plan(d, K)
-    mu = _moments([kappa.get(b, 0.0) for b in plan.table], plan)
-    return dict(zip(((0,) * d,) + plan.betas, mu))
 
 
 def hermite_moments(summands, K: int) -> tuple[tuple, list]:
@@ -510,7 +487,7 @@ def hermite_moments(summands, K: int) -> tuple[tuple, list]:
     one table call for all records, then one recursion per record."""
     plan = _plan(summands[0].C.shape[0], K, 3)
     tail = len(plan.betas) + 1 - len(plan.table)  # the table's betas end the step order
-    return plan.table, [_moments(row, plan)[tail:] for row in cumulant_tables(summands, K, plan.table).tolist()]
+    return plan.table, [_moments(row, plan)[tail:] for row in cumulant_tables(summands, plan).tolist()]
 
 
 def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:
@@ -526,9 +503,9 @@ def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:
     plan = _plan(model.d, K) if top is None else _down_set_plan(top)
     summands, counts = zip(*model.records)
     scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
-    terms = cumulant_tables(summands, K, plan.table)
+    terms = cumulant_tables(summands, plan)
     terms *= np.array(counts, dtype=float)[:, None]
-    terms *= [scale[l] for l in _table_columns(plan.table, model.d, K)[0]]
+    terms *= [scale[l] for l in plan.orders]
     # add.accumulate is a running sum in record order; its last row plus 0.0
     # is sum()'s from +0.0, which turns a run of -0.0 terms into +0.0
     return _moments((np.add.accumulate(terms, out=terms)[-1] + 0.0).tolist(), plan)

@@ -149,15 +149,15 @@ def doeblin_check(dist: ComponentDistribution, center: float, radius: float, eps
 
 
 def nummelin_sample(dist: ComponentDistribution, cert: DoeblinCert, rng: np.random.Generator,
-                    size: int = 1, with_indicator: bool = False):
+                    size: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Draws from ``dist`` through the density splitting: with probability
     epsilon * mass a draw V from the normalized smoothed bump, otherwise a
     draw U from the normalized remainder (density - epsilon * bump).
 
     Both branches use rejection sampling; an acceptance rate below
     ``MIN_ACCEPTANCE`` or a negative remainder density aborts with a
-    certificate error.  With ``with_indicator`` the Bernoulli split
-    variable is returned alongside the draws.
+    certificate error.  Returns the draws and the Bernoulli split
+    variable chi, True where a draw came from the bump.
     """
     if not has_density(dist):
         raise TypeError(f"{dist.kind} is discrete; splitting needs a Lebesgue lower bound")
@@ -189,9 +189,7 @@ def nummelin_sample(dist: ComponentDistribution, cert: DoeblinCert, rng: np.rand
         count = int(mask.sum())
         if count:
             out[mask] = _rejection_draws(branch, propose, rng, count)
-    if with_indicator:
-        return out, chi
-    return out
+    return out, chi
 
 
 def _rejection_draws(branch: str, propose, rng: np.random.Generator, count: int) -> np.ndarray:

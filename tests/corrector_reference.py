@@ -21,9 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from edgeworth.hermite import Polynomial
-from edgeworth.moments import cumulant_table, moments_from_cumulants
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
-from moment_reference import summand_list
+from moment_reference import cumulant_table, moments_from_cumulants, summand_list
 
 
 def multinomial_weight(beta) -> int:

@@ -11,14 +11,19 @@ the matrix products and ``np.where`` selections that the package replaced by
 same-bits shortcuts.  :func:`cumulant_table_reference` and
 :func:`recursion_reference` are the cumulant table built one record at a
 time and the moment recursion on dict keys, the loops that the package's
-one-pass tables and position recursion must match bit for bit.
+one-pass tables and position recursion must match bit for bit; they
+compute each law's cumulants from its raw moments on their own.
+:func:`cumulant_table` and :func:`moments_from_cumulants` are views of the
+package's own table rows and recursion on dict keys, for the tests that
+read one record's table or moments by index.
 """
 
 import math
 
 import numpy as np
 
-from edgeworth.moments import _LAWS, _component_cumulants, _recursion_steps, raw_moment, sample_component
+from edgeworth.moments import (_LAWS, Summand, _moments, _plan, _recursion_steps, cumulant_tables, raw_moment,
+                               sample_component)
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
@@ -120,6 +125,33 @@ def pushforward_moment(C: np.ndarray, comps, beta) -> float:
     return total
 
 
+def cumulant_table(C, comps, K: int) -> dict:
+    """Cumulants kappa_beta(C Y), 2 <= |beta| <= K, of one record, zeros
+    left out: its row of the package's ``cumulant_tables``."""
+    s = Summand(C, comps)
+    plan = _plan(s.C.shape[0], K)
+    return {b: v for b, v in zip(plan.table, cumulant_tables([s], plan)[0].tolist()) if v != 0.0}
+
+
+def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
+    """Moments mu_beta, |beta| <= K, of a centered law in R^d from its
+    cumulant table (missing entries are 0), keyed by index: the package's
+    recursion mu_{gamma+e_i} = sum_{delta <= gamma} prod_k C(gamma_k,
+    delta_k) kappa_{delta+e_i} mu_{gamma-delta}."""
+    plan = _plan(d, K)
+    return dict(zip(((0,) * d,) + plan.betas, _moments([kappa.get(b, 0.0) for b in plan.table], plan)))
+
+
+def law_cumulants(dist, K: int) -> list:
+    """Cumulants kappa_0, ..., kappa_K of one catalog law from its raw
+    moments: kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}."""
+    m = [raw_moment(dist, k) for k in range(K + 1)]
+    kappa = [0.0] * (K + 1)
+    for k in range(1, K + 1):
+        kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
+    return kappa
+
+
 def cumulant_table_reference(C, comps, K: int) -> dict:
     """Cumulants kappa_beta(C Y), 2 <= |beta| <= K, zeros left out, one
     record on its own: per beta, the sum from 0 over the components with a
@@ -127,7 +159,7 @@ def cumulant_table_reference(C, comps, K: int) -> dict:
     the product over the rows, in row order, of the powers C_ij ** beta_i."""
     rows = np.atleast_2d(np.asarray(C, dtype=float)).tolist()
     powers = [[[row[j] ** b for b in range(K + 1)] for row in rows] for j in range(len(comps))]
-    kappas = [_component_cumulants(c, K) for c in comps]
+    kappas = [law_cumulants(c, K) for c in comps]
     by_order = {l: [(kap[l], pw) for kap, pw in zip(kappas, powers) if kap[l] != 0.0] for l in range(2, K + 1)}
     table = {}
     for l in range(2, K + 1):

@@ -162,8 +162,7 @@ def test_criterion_06_density_splitting():
     t0 = time.time()
     dist = uniform_centered()
     cert = DoeblinCert(center=0.0, radius=0.25, epsilon=0.2)
-    draws, chi = nummelin_sample(dist, cert, RngStream(777, 0).generator(), 100_000,
-                                 with_indicator=True)
+    draws, chi = nummelin_sample(dist, cert, RngStream(777, 0).generator(), 100_000)
     direct = sample_component(dist, RngStream(777, 1).generator(), 100_000)
     stat = float(ks_2samp(draws, direct).statistic)
     crit = 1.628 * math.sqrt(2.0 / 100_000)

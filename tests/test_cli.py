@@ -133,6 +133,14 @@ def test_config_must_be_an_object(tmp_path, capsys, doc):
     assert f"rate config must be a JSON object, got {json.loads(doc)!r}" in capsys.readouterr().err
 
 
+def test_expand_overflowing_matrix_entry_is_config_error(tmp_path, capsys):
+    doc = {"d": 1, "n": 2, "summands": [{"C": [[1e200]], "components": [{"kind": "rademacher"}], "count": 2}]}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    assert main(["expand", "--model", str(p), "--N", "2"]) == 2
+    assert "config error: mixing matrix entry 1e+200 to the power 4 overflows a float" in capsys.readouterr().err
+
+
 def test_expand_rejects_large_order(model_path, capsys):
     assert main(["expand", "--model", model_path, "--N", "9"]) == 2
     assert "N" in capsys.readouterr().err
@@ -834,6 +842,15 @@ def test_readme_catalog_table_matches_laws():
         law = _LAWS[kind]
         assert re.findall(r"`(\w+)`", params) == list(law.params), kind
         assert [density, icdf, fold_sum] == ["no" if f is None else "yes" for f in (law.density, law.icdf, law.fold_sum)]
+
+
+def test_readme_install_line_names_the_package_floors():
+    # the README's install line and pyproject.toml name the same floors
+    root = Path(__file__).resolve().parents[1]
+    floors = dict(re.findall(r'^    "(numpy|scipy)>=([\d.]+)",$', (root / "pyproject.toml").read_text(), re.M))
+    readme = (root / "README.md").read_text()
+    line = re.search(r"^pip install -e \. +# needs numpy >= ([\d.]+), scipy >= ([\d.]+)$", readme, re.M)
+    assert floors == {"numpy": line.group(1), "scipy": line.group(2)}
 
 
 def test_readme_field_table_matches_specs():

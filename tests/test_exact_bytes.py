@@ -17,7 +17,6 @@ from edgeworth.corrector import corrector_polynomial
 from edgeworth.moments import (
     ModelSpec,
     Summand,
-    cumulant_table,
     exact_sum_moment,
     exact_sum_moment_table,
     gaussian_mixture,
@@ -26,6 +25,7 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
+from moment_reference import cumulant_table
 
 KINDS = (rademacher(), uniform_centered(), skewed_two_point(0.3),
          gaussian_mixture(0.2, 0.8, 1.0, -0.2, math.sqrt(0.8)), standard_normal())

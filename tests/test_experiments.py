@@ -578,7 +578,7 @@ def test_block_drivers_reject_a_worker_count_below_one(monkeypatch, driver, work
 def test_nummelin_experiment_streams():
     dist = uniform_centered()
     res = nummelin_experiment(dist, 0.0, 0.25, 0.2, samples=5000, seed=3)
-    split = nummelin_sample(dist, DoeblinCert(0.0, 0.25, 0.2), driver_stream(3, "nummelin", 0, 0), 5000)
+    split, _ = nummelin_sample(dist, DoeblinCert(0.0, 0.25, 0.2), driver_stream(3, "nummelin", 0, 0), 5000)
     direct = sample_component(dist, driver_stream(3, "nummelin", 0, 1), 5000)
     row = res.rows[0]
     assert row["mean_split"] == float(split.mean()) and row["mean_direct"] == float(direct.mean())

@@ -123,7 +123,7 @@ def test_nummelin_sampler_statistics():
     dist = uniform_centered()
     cert = DoeblinCert(0.0, 0.25, 0.2)
     rng = RngStream(777, 0).generator()
-    draws, chi = nummelin_sample(dist, cert, rng, 100_000, with_indicator=True)
+    draws, chi = nummelin_sample(dist, cert, rng, 100_000)
     direct = sample_component(dist, RngStream(777, 1).generator(), 100_000)
     stat = ks_2samp(draws, direct).statistic
     assert stat < 1.628 * math.sqrt(2 / 100_000)
@@ -154,7 +154,7 @@ NUMMELIN_DIGESTS = [
 def test_nummelin_draws_pinned(dist, cert, digest):
     h = hashlib.sha256()
     for seed in range(10):
-        draws, chi = nummelin_sample(dist, DoeblinCert(*cert), _philox(seed, 0), 5000, with_indicator=True)
+        draws, chi = nummelin_sample(dist, DoeblinCert(*cert), _philox(seed, 0), 5000)
         h.update(draws.tobytes())
         h.update(chi.tobytes())
     assert h.hexdigest() == digest
