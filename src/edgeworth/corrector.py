@@ -44,16 +44,18 @@ O(n^{-(N+1)/2}).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
-from .hermite import Polynomial, _add, _evaluate, _nonzero, _product, _scale, gauss_hermite, hermite_value_table
+from .hermite import MAX_DEGREE, Polynomial, _add, _evaluate, _nonzero, _product, _scale, gauss_hermite, hermite_value_table
 from .multiindex import check_multiindex, pack
-from .moments import ModelSpec, Summand, hermite_moments
+from .moments import ModelSpec, Summand, _blocks, _plan, hermite_moments
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
@@ -86,28 +88,269 @@ def _power_series(s: list, coeffs: list, d: int) -> list:
     return out
 
 
+PLAN_CACHE = 256  # compiled record-series plans kept: one per (d, N, log, zero pattern)
+PLAN_BLOCK = 1 << 16  # values a record-series plan holds at once, over a block of records
+
+
+@lru_cache(maxsize=None)
+def _slots(d: int, N: int) -> tuple:
+    """(grade |beta| - 2, packed key, beta!) of each index of the Hermite
+    moments of orders 3 to N + 2, in their order."""
+    return tuple((sum(b) - 2, pack(b), math.prod(map(math.factorial, b))) for b in _plan(d, N + 2, 3).table)
+
+
+def _log_coeffs(N: int) -> list:
+    return [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
+
+
+def _record_series(row: list, n: int, d: int, N: int, log: bool) -> list:
+    """One record's series T = sum h_beta D^beta / (n beta!) from its row of
+    Hermite moments, or with log its log series log(1 + T), by the dict
+    loops."""
+    t: list = [{} for _ in range(N + 1)]
+    for (grade, key, factorial), h in zip(_slots(d, N), row):
+        if h != 0.0:
+            t[grade][key] = h / (n * factorial)
+    t = [_nonzero(g) for g in t]
+    return _power_series(t, _log_coeffs(N), d) if log else t
+
+
+def _loop_total(series: list, counts: list, N: int) -> list:
+    """sum over records of count * series, by the dict loops in record order."""
+    total: list = [{} for _ in range(N + 1)]
+    for t, count in zip(series, counts):
+        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
+    return total
+
+
+def _grades(keys, values, N: int) -> list:
+    """The graded series whose coefficient at (grade, key) of ``keys`` is
+    the value at its position, zeros left out."""
+    series: list = [{} for _ in range(N + 1)]
+    for (grade, key), c in zip(keys, values):
+        series[grade][key] = c
+    return [_nonzero(g) for g in series]
+
+
+class _Trace:
+    """The dict loops of a record's series run on traced coefficients.  It
+    numbers the rows of a plan's values as they appear: the constants (0.0
+    first, then 1.0), the inputs, then each sum of products of earlier rows
+    once something reads it, with its level, 1 + its operands' highest."""
+
+    def __init__(self, constants: list):
+        self.constants = {c: r for r, c in enumerate(constants)}
+        self.levels = [0] * len(constants)
+        self.terms: list = [None] * len(constants)  # a sum's pairs of rows
+
+    def _new(self, level: int, terms=None) -> int:
+        self.levels.append(level)
+        self.terms.append(terms)
+        return len(self.levels) - 1
+
+    def input(self) -> "_Traced":
+        return _Traced(self, None, self._new(0))
+
+    def row(self, c: "_Traced") -> int:
+        if c.row is None:
+            c.row = self._new(1 + max(self.levels[r] for pair in c.terms for r in pair), c.terms)
+        return c.row
+
+
+class _Pair:
+    """c1 * c2 in ``_product``, on two traced coefficients' rows."""
+
+    __slots__ = ("trace", "rows")
+
+    def __init__(self, trace: _Trace, rows: tuple):
+        self.trace, self.rows = trace, rows
+
+    def __radd__(self, zero: float) -> "_Traced":  # 0.0 + c1 * c2: a key's first pair
+        return _Traced(self.trace, [self.rows])
+
+
+class _Traced:
+    """A coefficient of the series dict loops, traced instead of computed:
+    the sum from 0.0, in order, of the products of its ``terms``, pairs of
+    rows, or the value of its ``row`` once something reads it.  It never
+    equals 0.0, so the loops keep every key; a record on which a row is 0.0
+    leaves the plan for the loops."""
+
+    __slots__ = ("trace", "terms", "row")
+
+    def __init__(self, trace: _Trace, terms, row=None):
+        self.trace, self.terms, self.row = trace, terms, row
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    def __mul__(self, other: "_Traced") -> _Pair:  # c1 * c2 in _product
+        return _Pair(self.trace, (self.trace.row(self), self.trace.row(other)))
+
+    def __rmul__(self, s: float) -> "_Traced":  # s * c in _scale; 1.0 * c is c, bit for bit
+        return self if s == 1.0 else _Traced(self.trace, [(self.trace.constants[s], self.trace.row(self))])
+
+    def __radd__(self, zero: float) -> "_Traced":  # 0.0 + c in _add, a new key: c, as c != 0.0
+        return self
+
+    def __add__(self, other):
+        if isinstance(other, _Pair):  # a key's next pair in _product
+            self.terms.append(other.rows)
+            return self
+        # a + c in _add.  a is read, so it gets a row.  A one-term c enters
+        # as its term: where that term is +-0.0 the loops drop c and keep a,
+        # and a + (+-0.0) is a
+        trace, one = self.trace, self.trace.constants[1.0]
+        last = other.terms[0] if other.row is None and len(other.terms) == 1 else (one, trace.row(other))
+        return _Traced(trace, [(one, trace.row(self)), last])
+
+
+@dataclass(frozen=True, eq=False)
+class _SeriesPlan:
+    """The dict loops of a record's series, for the records whose Hermite
+    moments are nonzero on the same slots, compiled to rows of values: the
+    ``constants`` first (row 0 is 0.0), then the nonzero moments over their
+    weights, at the slots ``inputs``, then ``groups`` of rows (start, stop),
+    each row the sum from 0.0 over its column of the (2, terms, rows)
+    ``pairs`` of products of rows of lower levels, padded with 0.0 * 0.0.
+    ``outputs`` are the rows of the series' coefficients, at (grade, key)
+    ``keys``, in the loops' order."""
+
+    constants: np.ndarray
+    inputs: np.ndarray
+    groups: tuple
+    outputs: np.ndarray
+    keys: tuple
+    size: int
+    width: int
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _series_plan(d: int, N: int, log: bool, pattern: bytes) -> _SeriesPlan:
+    """Traces :func:`_record_series` for the zero pattern (the bytes of
+    the bools h != 0.0 over the slots) and compiles it."""
+    constants = [0.0, 1.0] + _log_coeffs(N)[2:]
+    trace = _Trace(constants)
+    t: list = [{} for _ in range(N + 1)]
+    inputs = []
+    for s, ((grade, key, _), live) in enumerate(zip(_slots(d, N), pattern)):
+        if live:
+            t[grade][key] = trace.input()
+            inputs.append(s)
+    series = _power_series(t, _log_coeffs(N), d) if log else t
+    outputs = [(grade, key, trace.row(c)) for grade, g in enumerate(series) for key, c in g.items()]
+    # rows by level and, within a level, by the bit length of their term
+    # count, so that each group of sums is one slice of the values and is
+    # padded to less than twice its terms
+    group_of = lambda r: (trace.levels[r], 0 if trace.terms[r] is None else len(trace.terms[r]).bit_length())
+    order = sorted(range(len(trace.levels)), key=lambda r: (group_of(r), r))
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    groups = []
+    for _, group in itertools.groupby(order[len(constants) + len(inputs):], key=group_of):
+        group = list(group)
+        pairs = np.zeros((2, max(len(trace.terms[r]) for r in group), len(group)), dtype=np.intp)
+        for j, r in enumerate(group):
+            pairs[:, :len(trace.terms[r]), j] = at[np.array(trace.terms[r]).T]
+        groups.append((int(at[group[0]]), int(at[group[-1]]) + 1, pairs))
+    return _SeriesPlan(np.array(constants), np.array(inputs, dtype=np.intp), tuple(groups),
+                       at[[r for _, _, r in outputs]], tuple((g, k) for g, k, _ in outputs), len(order),
+                       max([len(order)] + [pairs.size for _, _, pairs in groups]))
+
+
+def _run_plan(plan: _SeriesPlan, moments_t: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> tuple:
+    """The plan's outputs (len(keys), len(rows)) on the records ``rows``,
+    in blocks of two or more records (about ``PLAN_BLOCK`` values a block),
+    and whether each record's rows are all nonzero.  ``np.add.reduce`` sums
+    the outer terms axis as a running sum from ``initial``: numpy sums
+    pairwise only along the contiguous axis, which holds the block's
+    records.  A sum from +0.0 is never -0.0, so padding adds nothing."""
+    x = moments_t[plan.inputs][:, rows] / weights[plan.inputs, None]
+    first = len(plan.constants)
+    values = np.empty((len(plan.outputs), len(rows)))
+    good = np.empty(len(rows), dtype=bool)
+    for start, stop in _blocks(len(rows), max(2, PLAN_BLOCK // plan.width)):
+        v = np.empty((plan.size, stop - start))
+        v[:first] = plan.constants[:, None]
+        v[first:first + len(plan.inputs)] = x[:, start:stop]
+        for lo, hi, pairs in plan.groups:
+            p = v[pairs]
+            np.multiply(p[0], p[1], out=p[0])
+            np.add.reduce(p[0], axis=0, initial=0.0, out=v[lo:hi])
+        good[start:stop] = (v[first:] != 0.0).all(axis=0)
+        values[:, start:stop] = v[plan.outputs]
+    return values, good
+
+
+def _batched_total(moments: np.ndarray, counts: list, n: int, d: int, N: int, log: bool) -> list:
+    """:func:`_loop_total` of the records' series, bit for bit and in the
+    loops' key order.  Records are grouped by zero pattern; a group of two
+    or more runs its compiled plan, and a lone record, or a record on which
+    the plan meets a 0.0 that the loops would drop, runs the loops.  The
+    running total is one ``np.add.accumulate`` over the records of a (1 +
+    records, keys) table in first-appearance key order: row 0 is the
+    start 0.0, and a record without a key adds -0.0, which changes no bit.
+    A total that reaches 0.0 before the last record, which the loops drop
+    and may add back at the end of the key order, sends the model to the
+    loops."""
+    groups: dict = {}
+    for r, pattern in enumerate(np.ascontiguousarray(moments != 0.0)):
+        groups.setdefault(pattern.tobytes(), []).append(r)
+    moments_t = moments.T
+    weights = np.array([float(n * f) for _, _, f in _slots(d, N)])
+    parts = []  # (records, their (grade, key)s, values (keys, records))
+    for pattern, rows in groups.items():
+        if not any(pattern):
+            continue  # no Hermite moments: the record's series is 0
+        rows = np.array(rows)
+        if len(rows) > 1:
+            plan = _series_plan(d, N, log, pattern)
+            values, good = _run_plan(plan, moments_t, weights, rows)
+            if good.any():
+                parts.append((rows[good], plan.keys, values[:, good]))
+            rows = rows[~good]
+        for r in rows.tolist():
+            t = _record_series(moments[r].tolist(), n, d, N, log)
+            parts.append((np.array([r]), [(g, k) for g, grade in enumerate(t) for k in grade],
+                          np.array([c for grade in t for c in grade.values()]).reshape(-1, 1)))
+    parts.sort(key=lambda part: part[0][0])
+    columns = dict(zip(dict.fromkeys(itertools.chain.from_iterable(keys for _, keys, _ in parts)), itertools.count()))
+    scale = np.array(counts, dtype=float)
+    table = np.full((len(counts) + 1, len(columns)), -0.0)
+    table[0] = 0.0
+    for rows, keys, values in parts:
+        table[rows[:, None] + 1, list(map(columns.__getitem__, keys))] = (values * scale[rows]).T
+    running = np.add.accumulate(table, axis=0)
+    if ((table[1:-1] != 0.0) & (running[1:-1] == 0.0)).any():
+        series = sorted((r, _grades(keys, column, N))
+                        for rows, keys, values in parts for r, column in zip(rows.tolist(), values.T.tolist()))
+        return _loop_total([t for _, t in series], [counts[r] for r, _ in series], N)
+    return _grades(columns, running[-1].tolist(), N)
+
+
 def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
     """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
     k is Gamma_k, or with log=False of exp(sum_records count * T_record).
 
     Built once per call: the Hermite moments of all records, orders 3..N+2,
-    from one cumulant-table call, the packed keys and 1 / (n beta!) weights
-    of their indices, and the log's coefficients.  Built per record: its
-    series and log series; a record of count 1 enters unscaled."""
+    from one cumulant-table call.  The sum over records is
+    :func:`_batched_total`, or for one record the dict loops; a record of
+    count 1 enters unscaled.  The exp series runs the dict loops."""
+    if N + 2 > MAX_DEGREE:
+        raise ValueError(f"corrector order N = {N} is above its cap of {MAX_DEGREE - 2}"
+                         f" (moments of order N + 2 <= {MAX_DEGREE})")
     d = model.d
-    betas, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
-    slots = [(sum(b) - 2, pack(b), model.n * math.prod(map(math.factorial, b))) for b in betas]
-    log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
-    total: list = [{} for _ in range(N + 1)]
-    for row, (_, count) in zip(moments, model.records):
-        t: list = [{} for _ in range(N + 1)]
-        for (grade, key, weight), h in zip(slots, row):
-            if h != 0.0:
-                t[grade][key] = h / weight
-        t = [_nonzero(g) for g in t]
-        if log:
-            t = _power_series(t, log_coeffs, d)
-        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
+    _, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
+    counts = [count for _, count in model.records]
+    if len(counts) > 1 and moments.size:
+        total = _batched_total(moments, counts, model.n, d, N, log)
+    else:
+        total = _loop_total([_record_series(row, model.n, d, N, log) for row in moments.tolist()], counts, N)
     series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
     return [Polynomial._of_packed(d, g) for g in series]
 

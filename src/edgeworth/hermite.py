@@ -225,7 +225,10 @@ class Polynomial:
         return _evaluate(self.d, self.terms, power_table, 0.0, x)
 
     def gaussian_expectation(self) -> float:
-        return sum(c * gaussian_moment(b) for b, c in self.terms.items())
+        total = 0.0
+        for b, c in self.terms.items():
+            total += c * gaussian_moment(b)
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polynomial(d={self.d}, {len(self.terms)} terms, degree {self.degree()})"

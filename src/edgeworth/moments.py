@@ -2,8 +2,8 @@
 scaled sums of independent non-identically distributed vectors as counted
 summand records (a law and how many summands share it), and the cumulant
 tables of all records of a call in one numpy pass per block of records,
-from which a single moment recursion gives each record's Hermite moments
-and the exact moments of the scaled sum.
+from which one moment recursion gives the records' Hermite moments, over
+blocks of records at once, and the exact moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -17,7 +17,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -335,7 +335,10 @@ def _cumulant_factors(dist: ComponentDistribution, K: int) -> tuple:
     m = [raw_moment(dist, k) for k in range(K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
-        kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
+        total = 0.0
+        for j in range(1, k):
+            total += math.comb(k - 1, j - 1) * kappa[j] * m[k - j]
+        kappa[k] = m[k] - total
     return tuple(kappa) + tuple(1.0 if k != 0.0 else 0.0 for k in kappa)
 
 
@@ -438,6 +441,24 @@ class _Plan:
     columns: np.ndarray
     steps: tuple
 
+    @cached_property
+    def levels(self) -> tuple:
+        """The steps for many rows at once, one entry per order |beta|: the
+        moment positions (start, stop) of its betas and three (terms, betas)
+        arrays of coefs, cumulant positions and moment positions, each
+        beta's terms in step order and padded to the longest with coef 0.0
+        on the zero cumulant appended after the table's, times mu_0."""
+        levels = []
+        for _, group in itertools.groupby(range(len(self.steps)), key=lambda p: sum(self.betas[p])):
+            group = list(group)
+            padded = np.zeros((max(len(self.steps[p]) for p in group), len(group), 3))
+            padded[:, :, 1] = len(self.table)
+            for j, p in enumerate(group):
+                padded[:len(self.steps[p]), j] = np.reshape(self.steps[p], (-1, 3))
+            levels.append((group[0] + 1, group[-1] + 2, padded[:, :, :1], padded[:, :, 1].astype(np.intp),
+                           padded[:, :, 2].astype(np.intp)))
+        return tuple(levels)
+
 
 def _compile(steps: tuple, d: int, K: int, lo: int) -> _Plan:
     betas = tuple(beta for beta, _ in steps)
@@ -473,21 +494,58 @@ def _moments(kappa: list, plan: _Plan) -> list:
     ``plan.table``: each is the sum from 0.0 of its terms in order."""
     mu = [1.0]
     for terms in plan.steps:
-        mu.append(sum([c * kappa[k] * mu[m] for c, k, m in terms], 0.0))
+        total = 0.0
+        for c, k, m in terms:
+            total += c * kappa[k] * mu[m]
+        mu.append(total)
     return mu
 
 
-def hermite_moments(summands, K: int) -> tuple[tuple, list]:
+def _row_moments(table: np.ndarray, plan: _Plan) -> np.ndarray:
+    """:func:`_moments` of every row of a cumulant table at once, one
+    column per row, bit for bit: per order, one gather of each term's
+    factors and one ordered sum over the terms.  ``np.add.reduce`` sums an
+    outer axis as a running sum from ``initial`` (numpy sums pairwise only
+    along the contiguous axis, which has two rows or more here); a padding
+    term adds +-0.0 to a sum from +0.0, which changes no bit."""
+    kappa = np.zeros((len(plan.table) + 1, len(table)))
+    kappa[:-1] = table.T
+    mu = np.empty((len(plan.betas) + 1, len(table)))
+    mu[0] = 1.0
+    for start, stop, coef, kpos, mpos in plan.levels:
+        terms = coef * kappa[kpos]
+        terms *= mu[mpos]
+        np.add.reduce(terms, axis=0, initial=0.0, out=mu[start:stop])
+    return mu
+
+
+def hermite_moments(summands, K: int) -> tuple[tuple, np.ndarray]:
     """Hermite moments h_beta of summand records for 3 <= |beta| <= K: the
     moment recursion on each record's cumulant table with its order-2
     entries dropped.  They are the Taylor coefficients (over beta!) of
     E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment generating
     function over its Gaussian twin's.  Returns the indices, orders 3 to K
-    in table order, and one list of moments on them per record, zeros kept:
-    one table call for all records, then one recursion per record."""
+    in table order, and a (records, indices) array of the moments, zeros
+    kept: one table call for all records, then the recursion over blocks of
+    two or more records at once (about ``TABLE_BLOCK`` terms a block), or
+    the list loop on a single record, where it costs less."""
     plan = _plan(summands[0].C.shape[0], K, 3)
     tail = len(plan.betas) + 1 - len(plan.table)  # the table's betas end the step order
-    return plan.table, [_moments(row, plan)[tail:] for row in cumulant_tables(summands, plan).tolist()]
+    table = cumulant_tables(summands, plan)
+    if len(table) == 1:
+        return plan.table, np.array([_moments(table[0].tolist(), plan)[tail:]])
+    out = np.empty((len(plan.table), len(table)))
+    width = max([1] + [coef.size for _, _, coef, _, _ in plan.levels])
+    for start, stop in _blocks(len(table), max(2, TABLE_BLOCK // width)):
+        out[:, start:stop] = _row_moments(table[start:stop], plan)[tail:]
+    return plan.table, out.T
+
+
+def _blocks(total: int, step: int) -> list:
+    """(start, stop) of about total / step blocks covering range(total), each
+    at least ``step`` long (the whole range if it is shorter)."""
+    count = max(1, total // step)
+    return [(total * i // count, total * (i + 1) // count) for i in range(count)]
 
 
 def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:

@@ -9,7 +9,10 @@ enumeration or by a dynamic program over the n summands.  The explicit
 order-3 correctors are the hand-expanded closed forms in averaged moment
 gaps, and the order-2 operator-versus-explicit gap has its own closed form.
 The multi-index helpers for ordered index tuples and the record moment-gap
-table that these forms read live here too.
+table that these forms read live here too.  :func:`graded_series_reference`
+is the package's graded series with one record at a time through the dict
+loops, which the batched record plans must match bit for bit and in key
+order.
 
 Operators are :class:`Polynomial` objects read in the partial derivatives
 (the term ``beta: c`` is ``c d^beta``), so composition is ``*``.
@@ -20,8 +23,10 @@ from itertools import combinations
 
 import numpy as np
 
-from edgeworth.hermite import Polynomial
-from edgeworth.multiindex import check_multiindex, enumerate_multiindices
+from edgeworth.corrector import _power_series
+from edgeworth.hermite import Polynomial, _add, _nonzero, _scale
+from edgeworth.moments import hermite_moments
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices, pack
 from moment_reference import cumulant_table, moments_from_cumulants, summand_list
 
 
@@ -249,3 +254,26 @@ def order2_discrepancy_terms(model) -> dict:
                 b = concat(b1, b2)
                 prods[b] = prods.get(b, 0.0) - w1 * w2 * dval / (72.0 * model.n)
     return prods
+
+
+def graded_series_reference(model, N: int, log: bool = True) -> list:
+    """Grades 0..N of exp(sum_records count * log(1 + T_record)), or with
+    log=False of exp(sum_records count * T_record), one record at a time:
+    its Hermite moments by the list recursion of a one-record call, its
+    series and log series by the dict loops, then its count times them
+    added into the running total, in record order."""
+    d = model.d
+    log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
+    total: list = [{} for _ in range(N + 1)]
+    for rec, count in model.records:
+        betas, moments = hermite_moments([rec], N + 2)
+        t: list = [{} for _ in range(N + 1)]
+        for b, h in zip(betas, moments[0].tolist()):
+            if h != 0.0:
+                t[sum(b) - 2][pack(b)] = h / (model.n * math.prod(map(math.factorial, b)))
+        t = [_nonzero(g) for g in t]
+        if log:
+            t = _power_series(t, log_coeffs, d)
+        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
+    series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
+    return [Polynomial._of_packed(d, g) for g in series]

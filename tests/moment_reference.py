@@ -148,7 +148,10 @@ def law_cumulants(dist, K: int) -> list:
     m = [raw_moment(dist, k) for k in range(K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
-        kappa[k] = m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k))
+        total = 0.0
+        for j in range(1, k):
+            total += math.comb(k - 1, j - 1) * kappa[j] * m[k - j]
+        kappa[k] = m[k] - total
     return kappa
 
 
@@ -164,7 +167,9 @@ def cumulant_table_reference(C, comps, K: int) -> dict:
     table = {}
     for l in range(2, K + 1):
         for beta in enumerate_multiindices(len(rows), l):
-            v = sum(k * math.prod(map(list.__getitem__, pw, beta)) for k, pw in by_order[l])
+            v = 0.0
+            for k, pw in by_order[l]:
+                v += k * math.prod(map(list.__getitem__, pw, beta))
             if v != 0.0:
                 table[beta] = v
     return table
@@ -177,7 +182,11 @@ def recursion_reference(kappa: dict, d: int, K: int, top=None) -> dict:
     mu = {(0,) * d: 1.0}
     for beta, terms in _recursion_steps(d, K):
         if top is None or all(b <= t for b, t in zip(beta, top)):
-            mu[beta] = sum((c * kappa[kb] * mu[mb] for c, kb, mb in terms if kb in kappa), 0.0)
+            total = 0.0
+            for c, kb, mb in terms:
+                if kb in kappa:
+                    total += c * kappa[kb] * mu[mb]
+            mu[beta] = total
     return mu
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeworth import moments
+from edgeworth import corrector, moments
 from edgeworth.corrector import (
     CorrectorPolynomial,
+    _graded_series,
     corrector_operator,
     corrector_polynomial,
     edgeworth_expectation,
@@ -28,14 +29,17 @@ from edgeworth.moments import (
     rademacher,
     skewed_two_point,
     standard_normal,
+    two_point,
     uniform_centered,
 )
+from conftest import CATALOG_KINDS
 from corrector_reference import (
     apply_operator,
     corrector_index_tuples,
     corrector_operator_dp,
     corrector_operator_enumerated,
     explicit_order3_closed_form,
+    graded_series_reference,
     order2_discrepancy_terms,
 )
 from hermite_helpers import random_polynomial, rodrigues_coeffs, univariate_polynomial
@@ -147,7 +151,13 @@ def test_build_cost_is_per_record(monkeypatch):
         (Summand(rng.normal(size=(3, 3)) + np.eye(3), tuple(kinds[int(rng.integers(4))] for _ in range(3))), 1)
         for _ in range(50)
     )
-    assert cost(normalize(ModelSpec(d=3, records=records)), 3, [(2, 1, 1)]) == [50, 50]
+    model = normalize(ModelSpec(d=3, records=records))
+    assert cost(model, 3, [(2, 1, 1)]) == [50, 50]
+    # the records' series plans are compiled once per zero pattern: a
+    # second build compiles none
+    compiled = corrector._series_plan.cache_info().misses
+    assert cost(model, 3, [(2, 1, 1)]) == [50, 50]
+    assert corrector._series_plan.cache_info().misses == compiled
 
 
 def test_odd_orders_vanish_for_symmetric_components():
@@ -415,3 +425,103 @@ def test_gamma_requires_valid_order():
         corrector_operator(model, 4, 3)
     with pytest.raises(ValueError):
         corrector_index_tuples(2, 1, 3)
+
+
+def test_corrector_order_cap():
+    # the series reads Hermite moments up to order N + 2 <= MAX_DEGREE = 12
+    model = iid_model(rademacher(), 10)
+    message = r"^corrector order N = 11 is above its cap of 10 \(moments of order N \+ 2 <= 12\)$"
+    with pytest.raises(ValueError, match=message):
+        corrector_polynomial(model, 11)
+    with pytest.raises(ValueError, match=message):
+        corrector_operator(model, 2, 11)
+    assert corrector_polynomial(model, 10).order == 10
+
+
+def _series_bytes(series) -> list:
+    return [repr(list(g.terms.items())) for g in series]
+
+
+# mixing entries that put exact and signed zeros into the moments (identity
+# and sparse mixing), and floats of either sign
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]), st.floats(-2.0, 2.0))
+_LAWS = CATALOG_KINDS + (two_point(0.2, 2.0, 0.5),)
+
+# records whose log series has a coefficient that sums to exactly 0.0: in
+# d = 2 from N = 3 on and in d = 3 from N = 2 on, when n is a power of 2
+_CANCELLING = {
+    2: Summand(np.array([[1.0, -2.0, 1.0], [1.0, 0.0, 0.0]]), (two_point(0.2, 2.0, 0.5),) * 3),
+    3: Summand(np.array([[-1.0, -2.0], [-2.0, 2.0], [1.0, 0.0]]), (two_point(0.2, 2.0, 0.5),) * 2),
+}
+
+
+@st.composite
+def _counted_models(draw):
+    """1 to 12 counted records drawn from a pool of records, each pool
+    record with its negation -C, so that zero patterns repeat and a C, -C
+    pair cancels in the running total; d = 2 and 3 pools hold a record
+    whose log series cancels to 0.0."""
+    d = draw(st.integers(1, 3), label="d")
+    pool = []
+    for _ in range(draw(st.integers(1, 3), label="pool")):
+        m = draw(st.integers(1, 3), label="m")
+        C = draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=d, max_size=d), label="C")
+        pool.append(Summand(np.array(C), tuple(draw(st.lists(st.sampled_from(_LAWS), min_size=m, max_size=m)))))
+    if d in _CANCELLING:
+        pool.append(_CANCELLING[d])
+    pool += [Summand(-s.C, s.components) for s in pool]
+    records = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 5)), min_size=1, max_size=12),
+                   label="records")
+    return ModelSpec(d=d, records=tuple(records))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(model=_counted_models(), N=st.integers(0, 4), log=st.booleans())
+def test_batched_series_keeps_the_record_loops_bytes(model, N, log):
+    # every coefficient of every grade is the per-record dict loops' float,
+    # repr for repr, in the loops' key order
+    assert _series_bytes(_graded_series(model, N, log)) == _series_bytes(graded_series_reference(model, N, log))
+
+
+def _cancel_models() -> list:
+    """(model, N): records whose plan meets a 0.0 in the log series, and a
+    C, -C pair whose running total reaches 0.0, each before a record whose
+    series holds the same keys."""
+    rng = np.random.default_rng(35)
+    dense = {d: Summand(rng.normal(size=(d, d)) + np.eye(d), (skewed_two_point(0.3),) * d) for d in (2, 3)}
+    skewed = Summand(np.array([[1.0, 0.5], [-0.3, 1.2]]), (skewed_two_point(0.2), two_point(0.2, 2.0, 0.5)))
+    negated = Summand(-skewed.C, skewed.components)
+    return [
+        (ModelSpec(d=2, records=((_CANCELLING[2], 1), (_CANCELLING[2], 1), (dense[2], 2))), 3),
+        (ModelSpec(d=3, records=((_CANCELLING[3], 2), (_CANCELLING[3], 2), (dense[3], 4))), 2),
+        (ModelSpec(d=2, records=((skewed, 1), (negated, 1), (dense[2], 1))), 3),
+        (ModelSpec(d=2, records=((skewed, 3), (negated, 3), (dense[2], 1), (skewed, 1))), 2),
+    ]
+
+
+@pytest.mark.parametrize("log", [True, False])
+@pytest.mark.parametrize("case", range(4))
+def test_zeros_the_loops_drop_leave_the_plans(monkeypatch, case, log):
+    # a key the loops drop for a 0.0 and add back later moves to the end of
+    # the key order: the plans must hand such records and models to the loops
+    model, N = _cancel_models()[case]
+    loops = []
+    record_series = corrector._record_series
+    monkeypatch.setattr(corrector, "_record_series", lambda *a: loops.append(1) or record_series(*a))
+    assert _series_bytes(_graded_series(model, N, log)) == _series_bytes(graded_series_reference(model, N, log))
+    if case < 2 and log:
+        assert len(loops) >= 2  # the two cancelling records, and the dense one if its pattern is its own
+
+
+@pytest.mark.parametrize("records", [2, 5, 7])
+def test_plan_blocks_keep_the_bytes(monkeypatch, records):
+    # blocks of two or three records: every byte is the loops' whatever the
+    # block boundaries
+    monkeypatch.setattr(corrector, "PLAN_BLOCK", 1)
+    monkeypatch.setattr(moments, "TABLE_BLOCK", 1)
+    rng = np.random.default_rng(records)
+    skewed = (skewed_two_point(0.2), skewed_two_point(0.35), gaussian_mixture(0.2, 0.8, 1.0, -0.2, math.sqrt(0.8)))
+    model = ModelSpec(d=3, records=tuple((Summand(rng.normal(size=(3, 3)), skewed), k % 3 + 1)
+                                         for k in range(records)))
+    for N in (3, 4):
+        assert _series_bytes(_graded_series(model, N)) == _series_bytes(graded_series_reference(model, N))

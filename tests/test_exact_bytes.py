@@ -6,6 +6,7 @@ corrector polynomials of counted non-iid records is hashed, so a change in
 how they are computed must keep each operation and its order.
 """
 
+import builtins
 import hashlib
 import itertools
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from edgeworth import corrector, hermite, moments
 from edgeworth.corrector import corrector_polynomial
 from edgeworth.moments import (
     ModelSpec,
@@ -82,6 +84,36 @@ def test_exact_layer_bytes(name):
         "cumulants": _sha([cumulant_table(s.C, s.components, K) for s, _ in model.records]),
     }
     assert got == PINS[name]
+
+
+def _compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 computes it: Neumaier-compensated over floats,
+    the builtin over anything else."""
+    items = list(iterable)
+    if type(start) not in (int, float) or not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_exact_layer_bytes_do_not_depend_on_sum(monkeypatch, name):
+    # the exact layer adds its floats in explicit loops from 0.0, so the
+    # pins hold whether sum() compensates (Python 3.12+) or not
+    for module in (moments, hermite, corrector):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    moments._cumulant_factors.cache_clear()
+    try:
+        test_exact_layer_bytes(name)
+        # ((0.0 + 1.0) + 3e16) - 3e16 is 0.0 added in order, 1.0 compensated
+        f = hermite.Polynomial(1, {(0,): 1.0, (2,): 3e16, (4,): -1e16})
+        assert repr(f.gaussian_expectation()) == "0.0"
+    finally:
+        moments._cumulant_factors.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -539,7 +539,7 @@ def test_one_pass_tables_and_recursion_keep_the_record_loops_bytes(data):
 
     K = data.draw(st.integers(3, MAX_DEGREE), label="Hermite K")
     betas, rows = hermite_moments(summands, K)
-    for s, row in zip(summands, rows):
+    for s, row in zip(summands, rows.tolist()):
         got = {b: h for b, h in zip(betas, row) if h != 0.0}
         assert repr(got) == repr(hermite_moments_reference(s.C, s.components, K))
 
@@ -548,6 +548,27 @@ def test_one_pass_tables_and_recursion_keep_the_record_loops_bytes(data):
     assert repr(table) == repr(sum_moments_reference(model, K))
     top = data.draw(st.sampled_from(sorted(table)), label="top")
     assert repr(exact_sum_moment(model, top)) == repr(sum_moments_reference(model, sum(top), top)[top])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(1, 3), K=st.integers(3, MAX_DEGREE), rows=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 1 << 16]))
+def test_batched_recursion_keeps_the_list_loops_bytes(d, K, rows, seed, block):
+    # any cumulant rows, signed zeros among them: every moment of the
+    # recursion over blocks of rows is the list loop's, repr for repr.  With
+    # block 1 the blocks hold two or three rows; a block of one row would
+    # sum a d = 1 order of eight or more terms pairwise
+    plan = moments._plan(d, K, 3)
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(rows, len(plan.table))) * 10.0 ** rng.integers(-4, 5, size=(rows, len(plan.table)))
+    zeros = rng.random(table.shape) < 0.4
+    table[zeros] = np.where(rng.random(table.shape) < 0.5, 0.0, -0.0)[zeros]
+    tail = len(plan.betas) + 1 - len(plan.table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "TABLE_BLOCK", block)
+        patch.setattr(moments, "cumulant_tables", lambda summands, plan: table)
+        _, got = hermite_moments([Summand(np.eye(d), (rademacher(),) * d)] * rows, K)
+    assert repr(got.tolist()) == repr([moments._moments(row, plan)[tail:] for row in table.tolist()])
 
 
 @pytest.mark.parametrize("block", [1, 700, 1000])
