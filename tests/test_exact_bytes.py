@@ -1,9 +1,10 @@
 """Byte pins of the exact layer on non-identically distributed models.
 
 The CSV pins guard these values only through iid models.  Here the repr of
-every float of the cumulant tables, the exact sum moment tables and the
-corrector polynomials of counted non-iid records is hashed, so a change in
-how they are computed must keep each operation and its order.
+every float of the cumulant tables, the exact sum moment tables, the
+corrector polynomials of counted non-iid records and the exact corrected
+expectations against them is hashed, so a change in how they are computed
+must keep each operation and its order.
 """
 
 import builtins
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from edgeworth import corrector, hermite, moments
-from edgeworth.corrector import corrector_polynomial
+from edgeworth.corrector import corrector_polynomial, edgeworth_expectation
 from edgeworth.moments import (
     ModelSpec,
     Summand,
@@ -27,6 +28,8 @@ from edgeworth.moments import (
     standard_normal,
     uniform_centered,
 )
+from edgeworth.hermite import Polynomial
+from edgeworth.multiindex import enumerate_multiindices
 from moment_reference import cumulant_table
 
 KINDS = (rademacher(), uniform_centered(), skewed_two_point(0.3),
@@ -57,22 +60,39 @@ PINS = {
         "corrector": "0011fb729ff4f9247f2c3939cf678ec9f02c0d456c8f9d5255270bc4e0021152",
         "sum_moments": "f31aca41c7bc875b8a3966998bbc7620246f42063bd269448d50bf489c814102",
         "cumulants": "92f452826a3f7a17659cd8906167ba7972fda158d92fff6b799366e84779e94d",
+        "expectation": "cfd2df13b01d82bfabdf7b1b2d564eec3c965fd453a397f79c2871e9f6cf3dd3",
     },
     "d2": {
         "corrector": "f557986b4f4dd1071779d1413a519106e941e8a25061bd367878b18c64c78bf6",
         "sum_moments": "e045d5bd68ee4eaa295b4d0b35790c39caa64ed139ad8a035766c05d9a4d1607",
         "cumulants": "633635c43ffeecb7c6a0fbd81269f42981a5c79509ee64d866f8b58a07126c75",
+        "expectation": "ecde16f1a32b82679ba68da4cbed591d97ea01085624cd4bd697d3f05ceaf7ad",
     },
     "d3": {
         "corrector": "9ca950f937219263baa65f28a38fc75ec57e70e258c65cc167085c0f710d2df1",
         "sum_moments": "6ea93e9674a79826aa0084720c1fab0ffcc08528d9779840eb41a2a8c059f132",
         "cumulants": "5b2130b7da2d8827b641d4547f596ded10ca8e4a8794834815e58ac48d29a5d1",
+        "expectation": "d6f4fdeb5231addf817a11074bf784a3b26f2d569d3b6566d1c7e53d1707700b",
     },
 }
 
 
 def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _expectations(name) -> list:
+    """E[d_gamma f(W) Phi(W)] against the model's corrector, for gamma = 0
+    and one gamma != 0, with f every monomial of order <= K under seeded
+    coefficients, so every Hermite term of Phi up to order K is paired."""
+    model, N, K = MODELS[name]
+    d = model.d
+    phi = corrector_polynomial(model, N)
+    rng = np.random.default_rng(len(name) + d)
+    betas = [b for order in range(K + 1) for b in enumerate_multiindices(d, order)]
+    f = Polynomial(d, {b: float(rng.normal()) for b in betas})
+    gammas = [(0,) * d, (2,) + (1,) * (d - 1)]
+    return [edgeworth_expectation(f, gamma, phi) for gamma in gammas]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -82,6 +102,7 @@ def test_exact_layer_bytes(name):
         "corrector": _sha(corrector_polynomial(model, N).terms),
         "sum_moments": _sha(exact_sum_moment_table(model, K)),
         "cumulants": _sha([cumulant_table(s.C, s.components, K) for s, _ in model.records]),
+        "expectation": _sha(_expectations(name)),
     }
     assert got == PINS[name]
 
