@@ -53,7 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
-from .hermite import MAX_DEGREE, Polynomial, _add, _evaluate, _nonzero, _product, _scale, gauss_hermite, hermite_value_table
+from .hermite import (MAX_DEGREE, Polynomial, _add, _evaluate, _nonzero, _product, _scale, _unpacked, gauss_hermite,
+                      gaussian_moment, hermite_value_table)
 from .multiindex import check_multiindex, pack
 from .moments import ModelSpec, Summand, _blocks, _plan, hermite_moments
 
@@ -64,8 +65,9 @@ MIN_EIGENVALUE = 1e-12  # smallest mean-covariance eigenvalue that normalize inv
 # A graded series truncated at grade N is the list of its N + 1 grades, each
 # a constant-coefficient operator stored as a term map on packed indices
 # (``multiindex.pack``) read in the partial derivatives: the key of beta
-# stands for d^beta, so products compose.  The grades are unpacked into
-# Polynomials only when _graded_series returns them.
+# stands for d^beta, so products compose.  The grades are unpacked only
+# where they leave the series: into Polynomials by _graded_series, into a
+# corrector's sorted terms by _descending.
 
 def _series_product(a: list, b: list, d: int) -> list:
     """Product of two graded series, truncated at the last grade of a."""
@@ -333,9 +335,10 @@ def _batched_total(moments: np.ndarray, counts: list, n: int, d: int, N: int, lo
     return _grades(columns, running[-1].tolist(), N)
 
 
-def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
+def _packed_series(model: ModelSpec, N: int, log: bool = True) -> list:
     """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
-    k is Gamma_k, or with log=False of exp(sum_records count * T_record).
+    k is Gamma_k, or with log=False of exp(sum_records count * T_record), as
+    term maps on packed keys.
 
     Built once per call: the Hermite moments of all records, orders 3..N+2,
     from one cumulant-table call.  The sum over records is
@@ -351,8 +354,12 @@ def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
         total = _batched_total(moments, counts, model.n, d, N, log)
     else:
         total = _loop_total([_record_series(row, model.n, d, N, log) for row in moments.tolist()], counts, N)
-    series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
-    return [Polynomial._of_packed(d, g) for g in series]
+    return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
+
+
+def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
+    """:func:`_packed_series` as Polynomials."""
+    return [Polynomial._of_packed(model.d, g) for g in _packed_series(model, N, log)]
 
 
 def corrector_operator(model: ModelSpec, k: int, N: int) -> Polynomial:
@@ -379,6 +386,16 @@ class CorrectorPolynomial:
     terms: dict = field(default_factory=dict)
     n: int | None = None
     order: int | None = None
+
+    @classmethod
+    def _of(cls, d: int, constant: float, terms: dict, n: int | None = None,
+            order: int | None = None) -> "CorrectorPolynomial":
+        """Unchecked constructor for the library's own terms: canonical
+        indices of dimension d, nonzero float coefficients, keys already in
+        descending order."""
+        phi = object.__new__(cls)
+        phi.__dict__.update(d=d, constant=constant, terms=terms, n=n, order=order)
+        return phi
 
     def __post_init__(self):
         clean = {}
@@ -446,20 +463,25 @@ def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    total = Polynomial(model.d)
-    for k, op in enumerate(_graded_series(model, N)[1:], start=1):
-        total = total + op.scale(float(model.n) ** (-0.5 * k))
-    return CorrectorPolynomial(d=model.d, constant=1.0, terms=total.terms, n=model.n, order=N)
+    total: dict = {}
+    for k, op in enumerate(_packed_series(model, N)[1:], start=1):
+        total = _add(total, _scale(op, float(model.n) ** (-0.5 * k)))
+    return CorrectorPolynomial._of(model.d, 1.0, _descending(total, model.d), model.n, N)
+
+
+def _descending(terms: dict, d: int) -> dict:
+    """A term map on packed keys as tuple-keyed terms in descending order:
+    the first coordinate is packed highest, so the packed keys sort as the
+    tuples do."""
+    return {_unpacked(k, d): terms[k] for k in sorted(terms, reverse=True)}
 
 
 def explicit_order3(model: ModelSpec) -> tuple[CorrectorPolynomial, CorrectorPolynomial, CorrectorPolynomial]:
     """The three explicit order-3 Hermite correctors: grades 1, 2 and 3 of
     the classical averaged-cumulant series exp(sum_records count * T_record),
     the operator series without its log."""
-    return tuple(
-        CorrectorPolynomial(d=model.d, constant=0.0, terms=op.terms, n=model.n)
-        for op in _graded_series(model, 3, log=False)[1:]
-    )
+    return tuple(CorrectorPolynomial._of(model.d, 0.0, _descending(op, model.d), model.n)
+                 for op in _packed_series(model, 3, log=False)[1:])
 
 
 def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
@@ -474,12 +496,58 @@ def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:
     return gap.evaluate(x)
 
 
+MOMENT_CACHE = 1 << 12  # Gaussian moments E[W^alpha] kept, by index
+
+
+_moment = lru_cache(maxsize=MOMENT_CACHE)(gaussian_moment)
+
+
+def _pairing(g: dict, total: float, phi: dict) -> float:
+    """``total`` plus, for each term beta: c of ``phi`` in order, c times
+    E[d^beta g(W)] for the term map ``g`` (canonical, nonzero), with the
+    floats of ``g.diff(beta).gaussian_expectation()``: the sum from 0.0
+    over the alpha >= beta in g's order of g_alpha times the falling
+    factorials, coordinate by coordinate with j ascending, times the
+    Gaussian moment of alpha - beta.  Each alpha - beta is distinct, so a
+    coefficient of the derivative is its one product, and a product is
+    never 0.0, as each factor alpha_i - j is at least 1.
+
+    The alpha >= beta are those that list beta in their down-sets.  A beta
+    that no alpha reaches pairs with the empty derivative, whose
+    expectation is 0.0; c * 0.0 changes ``total`` only where total is
+    +-0.0 or c is not finite, so only there it is added."""
+    reach: dict = {}  # beta -> the (alpha, g_alpha) above it, in g's order
+    for alpha, a in g.items():
+        for beta in itertools.product(*[range(x + 1) for x in alpha]):
+            reach.setdefault(beta, []).append((alpha, a))
+    for beta, c in phi.items():
+        terms = reach.get(beta)
+        if terms is None:
+            if total == 0.0 or not math.isfinite(c):
+                total += c * 0.0
+            continue
+        inner = 0.0
+        for alpha, coeff in terms:
+            for x, b in zip(alpha, beta):
+                for j in range(b):
+                    coeff *= x - j
+            inner += coeff * _moment(tuple([x - b for x, b in zip(alpha, beta)]))
+        total += c * inner
+    return total
+
+
 def edgeworth_expectation(f, gamma, phi: CorrectorPolynomial) -> float:
     """Corrected Gaussian expectation E[d_gamma f(W) Phi(W)].
 
     A :class:`Polynomial` f is exact: by Gaussian integration by parts
-    E[g H_beta] = E[d^beta g], so every term reduces to exact Gaussian
-    moments of derivatives of f.
+    E[g H_beta] = E[d^beta g], so with g = d_gamma f the value is one
+    contraction of the two term maps,
+
+        constant E[g(W)] + sum_beta c_beta sum_{alpha >= beta} g_alpha (alpha)_beta E[W^(alpha - beta)],
+
+    (alpha)_beta the falling factorials, in the order of the loops of
+    ``g.diff(beta).gaussian_expectation()`` per beta (see
+    :func:`_pairing`).
 
     Any other f is a vectorized callable, taken with gamma empty and
     integrated by tensorized Gauss-Hermite for the standard normal weight
@@ -494,10 +562,7 @@ def edgeworth_expectation(f, gamma, phi: CorrectorPolynomial) -> float:
 
     if isinstance(f, Polynomial):
         g = f.diff(gamma)
-        total = phi.constant * g.gaussian_expectation()
-        for beta, c in phi.terms.items():
-            total += c * g.diff(beta).gaussian_expectation()
-        return total
+        return _pairing(g.terms, phi.constant * g.gaussian_expectation(), phi.terms)
 
     if d > 3:
         raise ValueError("quadrature supports d <= 3")

@@ -25,6 +25,7 @@ coefficient and the key order are those of the tuple-keyed loops.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,6 +146,12 @@ def _packed(terms: dict) -> dict:
     return {pack(b): c for b, c in terms.items()}
 
 
+# packed key -> tuple, cached by (key, d): the library's series stop at
+# order MAX_DEGREE, so their keys are a few thousand per d; products of
+# higher-order Polynomials may add more, which the bound evicts
+_unpacked = lru_cache(maxsize=1 << 16)(unpack)
+
+
 class Polynomial:
     """Multivariate polynomial as a map monomial multi-index -> coefficient.
 
@@ -180,7 +187,7 @@ class Polynomial:
     @classmethod
     def _of_packed(cls, d: int, terms: dict) -> "Polynomial":
         """Unchecked constructor from a term map on packed keys."""
-        return cls._of(d, {unpack(k, d): c for k, c in terms.items()})
+        return cls._of(d, {_unpacked(k, d): c for k, c in terms.items()})
 
     @classmethod
     def monomial(cls, beta, coeff: float = 1.0) -> "Polynomial":

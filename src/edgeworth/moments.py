@@ -327,12 +327,14 @@ def iid_vector_model(dists, n: int) -> ModelSpec:
 
 
 @lru_cache(maxsize=None)
-def _cumulant_factors(dist: ComponentDistribution, K: int) -> tuple:
+def _cumulant_factors(kind: str, params: tuple, K: int) -> tuple:
     """The cumulants kappa_0..kappa_K of one law from its raw moments,
     kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}, then a gate for
-    each: 1.0 where the cumulant is nonzero and 0.0 where it is 0.  Cached,
-    so each law's cumulants are worked out once for all records."""
-    m = [raw_moment(dist, k) for k in range(K + 1)]
+    each: 1.0 where the cumulant is nonzero and 0.0 where it is 0.  Cached
+    by the law's kind and parameters, whose hash and equality run in C, so
+    each law's cumulants are worked out once for all records."""
+    law = _LAWS[kind]
+    m = [1.0] + [law.moment(k, *params) for k in range(1, K + 1)]
     kappa = [0.0] * (K + 1)
     for k in range(1, K + 1):
         total = 0.0
@@ -385,7 +387,7 @@ def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
                 except OverflowError:
                     x = max(column, key=abs)
                     raise ValueError(f"mixing matrix entry {x!r} to the power {K} overflows a float") from None
-                values += _cumulant_factors(c, K)
+                values += _cumulant_factors(c.kind, c.params, K)
             values += [0.0] * ((width - len(s.components)) * (d + 2) * (K + 1))
         factors = np.array(values).reshape(len(block) * width, (d + 2) * (K + 1)).take(columns, axis=1)
         terms = factors[:, d + 1] * factors[:, 0]

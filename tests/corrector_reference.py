@@ -12,7 +12,9 @@ The multi-index helpers for ordered index tuples and the record moment-gap
 table that these forms read live here too.  :func:`graded_series_reference`
 is the package's graded series with one record at a time through the dict
 loops, which the batched record plans must match bit for bit and in key
-order.
+order.  :func:`edgeworth_expectation_reference` is the exact corrected
+expectation by one differentiated :class:`Polynomial` per Hermite term,
+which the package's one contraction must match bit for bit.
 
 Operators are :class:`Polynomial` objects read in the partial derivatives
 (the term ``beta: c`` is ``c d^beta``), so composition is ``*``.
@@ -277,3 +279,15 @@ def graded_series_reference(model, N: int, log: bool = True) -> list:
         total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
     series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
     return [Polynomial._of_packed(d, g) for g in series]
+
+
+def edgeworth_expectation_reference(f: Polynomial, gamma, phi) -> float:
+    """E[d_gamma f(W) Phi(W)] by Gaussian integration by parts term by
+    term: the constant times E[g] for g = d_gamma f, plus each Hermite
+    term's coefficient times E[d^beta g], with d^beta g built as its own
+    checked Polynomial."""
+    g = f.diff(gamma)
+    total = phi.constant * g.gaussian_expectation()
+    for beta, c in phi.terms.items():
+        total += c * g.diff(beta).gaussian_expectation()
+    return total

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeworth import corrector, moments
@@ -38,6 +38,7 @@ from corrector_reference import (
     corrector_index_tuples,
     corrector_operator_dp,
     corrector_operator_enumerated,
+    edgeworth_expectation_reference,
     explicit_order3_closed_form,
     graded_series_reference,
     order2_discrepancy_terms,
@@ -417,6 +418,10 @@ def test_corrector_rejects_index_of_wrong_dimension():
         CorrectorPolynomial.from_json(doc)
     with pytest.raises(ValueError, match="Hermite index"):
         CorrectorPolynomial(d=1, constant=0.0, terms={(1, 0): 1.0})
+    # the library builds its own terms unchecked; the public constructor
+    # still checks every index
+    with pytest.raises(ValueError, match=r"^negative multiplicity in \(2, -1\)$"):
+        CorrectorPolynomial(d=2, constant=1.0, terms={(3, 0): 0.5, (2, -1): 1.0})
 
 
 def test_gamma_requires_valid_order():
@@ -525,3 +530,57 @@ def test_plan_blocks_keep_the_bytes(monkeypatch, records):
                                          for k in range(records)))
     for N in (3, 4):
         assert _series_bytes(_graded_series(model, N)) == _series_bytes(graded_series_reference(model, N))
+
+
+_F_COEFF = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 3.0]), st.floats(-4.0, 4.0).filter(lambda c: c != 0.0))
+
+
+@st.composite
+def _pairings(draw):
+    """(f, gamma, Phi): a Phi of order N = 0..4 of a counted model, at times
+    with another constant and one coefficient set to +inf, and f of 1 to 6
+    terms; gamma != 0 can leave g = d_gamma f without terms, whose
+    expectation is 0.0, so that the total starts at -0.0 for a negative
+    constant."""
+    model = draw(_counted_models())
+    d = model.d
+    phi = corrector_polynomial(model, draw(st.integers(0, 4), label="N"))
+    constant = draw(st.sampled_from([phi.constant, 0.0, -0.0, -1.0]), label="constant")
+    terms = dict(phi.terms)
+    if draw(st.booleans(), label="inf"):
+        terms[draw(st.tuples(*[st.integers(0, 6)] * d), label="inf at")] = math.inf
+    phi = CorrectorPolynomial(d, constant, terms, phi.n, phi.order)
+    f = Polynomial(d, draw(st.dictionaries(st.tuples(*[st.integers(0, 5)] * d), _F_COEFF, min_size=1, max_size=6),
+                           label="f"))
+    return f, draw(st.tuples(*[st.integers(0, 2)] * d), label="gamma"), phi
+
+
+# the total is -0.0 (-1 * E[x] = -0.0) and no alpha reaches (4,): the
+# reference adds 0.5 * 0.0 and ends at +0.0
+_NEGATIVE_ZERO = (Polynomial(1, {(1,): 1.0}), (0,), CorrectorPolynomial(1, -1.0, {(4,): 0.5}))
+# no alpha reaches the +inf coefficient, whose product with 0.0 is nan
+_INFINITE = (Polynomial(2, {(1, 0): 2.0, (2, 2): -1.0}), (0, 1),
+             CorrectorPolynomial(2, 1.0, {(3, 0): math.inf, (1, 1): 0.25}))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(case=_NEGATIVE_ZERO)
+@example(case=_INFINITE)
+@given(case=_pairings())
+def test_pairing_keeps_the_per_term_bytes(case):
+    # the one contraction is the per-beta Polynomial loop, repr for repr
+    f, gamma, phi = case
+    assert repr(edgeworth_expectation(f, gamma, phi)) == repr(edgeworth_expectation_reference(f, gamma, phi))
+
+
+def test_pairing_edge_values():
+    assert repr(edgeworth_expectation(*_NEGATIVE_ZERO)) == "0.0"
+    assert math.isnan(edgeworth_expectation(*_INFINITE))
+
+
+def test_pairing_checks_dimensions():
+    phi = CorrectorPolynomial(2, 1.0, {(3, 0): 0.5})
+    with pytest.raises(ValueError, match="derivative index dimension != corrector dimension"):
+        edgeworth_expectation(Polynomial(2, {(2, 0): 1.0}), (0,), phi)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        edgeworth_expectation(Polynomial(1, {(2,): 1.0}), (0, 0), phi)

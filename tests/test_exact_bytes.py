@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from edgeworth import corrector, hermite, moments
-from edgeworth.corrector import corrector_polynomial, edgeworth_expectation
+from edgeworth.corrector import CorrectorPolynomial, corrector_polynomial, edgeworth_expectation, explicit_order3
 from edgeworth.moments import (
     ModelSpec,
     Summand,
@@ -147,3 +147,20 @@ def test_exact_sum_moment_is_its_table_entry(name):
         for beta in itertools.product(range(K + 1), repeat=model.d):
             if sum(beta) == K:
                 assert repr(exact_sum_moment(model, beta)) == repr(table[beta])
+
+
+def _fields(phi) -> tuple:
+    return phi.d, repr(phi.constant), phi.n, phi.order, repr(list(phi.terms.items()))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_unchecked_correctors_equal_the_checked_constructor(name):
+    # corrector_polynomial and explicit_order3 hand their canonical terms to
+    # the unchecked constructor: the checked one must build the same
+    # corrector from the same fields, terms and key order included
+    model, N, _ = MODELS[name]
+    for phi in (corrector_polynomial(model, N),) + explicit_order3(model):
+        checked = CorrectorPolynomial(d=phi.d, constant=phi.constant, terms=dict(phi.terms), n=phi.n, order=phi.order)
+        assert _fields(phi) == _fields(checked)
+        shuffled = CorrectorPolynomial(phi.d, phi.constant, dict(reversed(phi.terms.items())), phi.n, phi.order)
+        assert _fields(phi) == _fields(shuffled)
