@@ -40,6 +40,20 @@ terms yields the corrector polynomial
 
 whose Gaussian expectation corrects E[f(W)] to match E[f(S_n)] up to
 O(n^{-(N+1)/2}).
+
+One block algebra builds the series on flat float64 rows.  In a record's
+series s = T_r every factor adds its grade plus 2 to the degree, so the
+grade-k part of s^j has degree exactly k + 2j.  A row holds the constant,
+then levels j = 1..N, level j the blocks of grades k = j..N, each block the
+beta of order k + 2j in descending lexicographic order; s^j fills level j
+alone, and log(1 + s) = sum_j c_j s^j scales s^j level by level, with no
+additions between powers.  Each product is one gather, one multiply and
+one np.bincount over a slice of one pair table cached per (d, N), whose
+pairs run by (left level, right level, left grade, right grade, left beta,
+right beta); bincount adds each position's pairs in that order, and the
+records add in record order through an outer-axis np.add.reduce.  No BLAS
+call and no sum along a contiguous axis enters a coefficient, so the order
+is fixed and the same on every SIMD target.
 """
 
 from __future__ import annotations
@@ -53,313 +67,150 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
-from .hermite import (MAX_DEGREE, Polynomial, _add, _evaluate, _nonzero, _product, _scale, _unpacked, gauss_hermite,
-                      gaussian_moment, hermite_value_table)
-from .multiindex import check_multiindex, pack
-from .moments import ModelSpec, Summand, _blocks, _plan, hermite_moments
+from .hermite import MAX_DEGREE, Polynomial, _evaluate, gauss_hermite, gaussian_moment, hermite_value_table
+from .multiindex import check_multiindex, enumerate_multiindices
+from .moments import TABLE_BLOCK, ModelSpec, Summand, _blocks, hermite_moments
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
 MIN_EIGENVALUE = 1e-12  # smallest mean-covariance eigenvalue that normalize inverts
 
-# A graded series truncated at grade N is the list of its N + 1 grades, each
-# a constant-coefficient operator stored as a term map on packed indices
-# (``multiindex.pack``) read in the partial derivatives: the key of beta
-# stands for d^beta, so products compose.  The grades are unpacked only
-# where they leave the series: into Polynomials by _graded_series, into a
-# corrector's sorted terms by _descending.
 
-def _series_product(a: list, b: list, d: int) -> list:
-    """Product of two graded series, truncated at the last grade of a."""
-    out = [{} for _ in a]
-    for i, ai in enumerate(a):
-        for j in range(len(a) - i):
-            if ai and b[j]:
-                out[i + j] = _add(out[i + j], _product(ai, b[j], d))
-    return out
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The positions of the graded series of order N in dimension d: the
+    ``keys`` (beta) and ``grades`` of each, the beta! of level 1, which
+    starts at position 1, and the log coefficient c_j of each level j.
+    ``powers[j]`` is the pair table's slice of (left, right, product)
+    positions for s^j = s^{j-1} s, the pairs of a left factor on level
+    j - 1 and a right one on level 1, and ``exp_powers[m]`` its slice for
+    L^m = L^{m-1} L, the pairs of a left factor on a level >= m - 1.
+    ``grade_positions[k]`` lists the positions of grade k in descending
+    order of their beta, and ``targets`` places each position from 1 on
+    at its beta in ``descending``, every beta of the layout in descending
+    order."""
+
+    keys: list
+    grades: np.ndarray
+    factorials: list
+    log_row: np.ndarray
+    powers: list
+    exp_powers: list
+    width: int
+    grade_positions: list
+    descending: list
+    targets: np.ndarray
 
 
-def _power_series(s: list, coeffs: list, d: int) -> list:
-    """sum_j coeffs[j] s^j for a series s without grade 0, truncated at its
-    last grade N = len(coeffs) - 1 (s^j starts at grade j)."""
-    out = [_nonzero({pack((0,) * d): coeffs[0]})] + [_scale(t, coeffs[1]) for t in s[1:]]
-    power = s
-    for c in coeffs[2:]:
-        power = _series_product(power, s, d)
-        out = [_add(o, _scale(p, c)) for o, p in zip(out, power)]
-    return out
-
-
-PLAN_CACHE = 256  # compiled record-series plans kept: one per (d, N, log, zero pattern)
-PLAN_BLOCK = 1 << 16  # values a record-series plan holds at once, over a block of records
+def _ranks(betas: np.ndarray) -> np.ndarray:
+    """Position of each beta (last axis) in ``enumerate_multiindices`` of
+    its order: the number of indices of the same order above it in
+    descending lexicographic order, sum over i < d - 1 of C(a_i + d - i -
+    2, d - i - 1), with a_i the order left after coordinate i."""
+    d = betas.shape[-1]
+    after = betas.sum(axis=-1, keepdims=True) - np.cumsum(betas[..., :-1], axis=-1)
+    i = np.arange(d - 1)
+    comb = np.array([[math.comb(x, y) for y in range(d)] for x in range(int(after.max(initial=0)) + d)],
+                    dtype=np.intp)
+    return comb[after + d - 2 - i, d - 1 - i].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
-def _slots(d: int, N: int) -> tuple:
-    """(grade |beta| - 2, packed key, beta!) of each index of the Hermite
-    moments of orders 3 to N + 2, in their order."""
-    return tuple((sum(b) - 2, pack(b), math.prod(map(math.factorial, b))) for b in _plan(d, N + 2, 3).table)
+def _layout(d: int, N: int) -> _Layout:
+    """The layout of order N in dimension d.  Its one pair table runs by
+    (left level, right level, left grade, right grade, left beta, right
+    beta), and is built one (left block, right block) pair at a time by
+    broadcasting index sums."""
+    blocks = {(j, k): np.array(enumerate_multiindices(d, k + 2 * j)) for j in range(1, N + 1) for k in range(j, N + 1)}
+    at, size = {}, 1
+    for key, betas in blocks.items():
+        at[key], size = size, size + len(betas)
+    keys = [(0,) * d] + [beta for betas in blocks.values() for beta in map(tuple, betas.tolist())]
+    grades = np.array([0] + [k for (_, k), betas in blocks.items() for _ in betas])
+    log_row = np.array([0.0] + [(-1.0) ** (j + 1) / j for (j, _), betas in blocks.items() for _ in betas])
+    pieces, starts, firsts, count = [], [], [], 0
+    for j1 in range(1, N + 1):
+        starts.append(count)
+        firsts.append(count)
+        for j2 in range(1, N + 1 - j1):
+            for k1 in range(j1, N + 1 - j2):
+                for k2 in range(j2, N + 1 - k1):
+                    left, right = blocks[j1, k1], blocks[j2, k2]
+                    shape = (len(left), len(right))
+                    pieces.append(np.stack([np.broadcast_to(at[j1, k1] + np.arange(shape[0])[:, None], shape),
+                                            np.broadcast_to(at[j2, k2] + np.arange(shape[1]), shape),
+                                            at[j1 + j2, k1 + k2] + _ranks(left[:, None] + right)]).reshape(3, -1))
+                    count += pieces[-1].shape[1]
+            if j2 == 1:
+                firsts[-1] = count
+    pairs = np.concatenate(pieces, axis=1) if pieces else np.zeros((3, 0), dtype=np.intp)
+    powers = [None, None] + [pairs[:, starts[j - 2]:firsts[j - 2]] for j in range(2, N + 1)]
+    descending = sorted(set(keys[1:]), reverse=True)
+    target = {beta: t for t, beta in enumerate(descending)}
+    by_key = sorted(range(size), key=keys.__getitem__, reverse=True)
+    return _Layout(keys, grades, [math.prod(map(math.factorial, b)) for k in range(1, N + 1) for b in blocks[1, k].tolist()],
+                   log_row, powers, [None, None] + [pairs[:, starts[m - 2]:] for m in range(2, N + 1)],
+                   max([size] + [p.shape[1] for p in powers[2:]]),
+                   [[p for p in by_key if grades[p] == k] for k in range(N + 1)], descending,
+                   np.array([target[beta] for beta in keys[1:]], dtype=np.intp))
 
 
-def _log_coeffs(N: int) -> list:
-    return [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
+def _product(a: np.ndarray, b: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
+    """Rows (one per record) of the products of the rows of a and b on the
+    ``pairs``, ``width`` positions a row: each position the sum from 0.0 of
+    its pairs' products in table order."""
+    left, right, out = pairs
+    terms = a[:, left] * b[:, right]
+    if len(a) > 1:
+        out = (out + width * np.arange(len(a))[:, None]).ravel()
+    return np.bincount(out, terms.ravel(), len(a) * width).reshape(len(a), width)
 
 
-def _record_series(row: list, n: int, d: int, N: int, log: bool) -> list:
-    """One record's series T = sum h_beta D^beta / (n beta!) from its row of
-    Hermite moments, or with log its log series log(1 + T), by the dict
-    loops."""
-    t: list = [{} for _ in range(N + 1)]
-    for (grade, key, factorial), h in zip(_slots(d, N), row):
-        if h != 0.0:
-            t[grade][key] = h / (n * factorial)
-    t = [_nonzero(g) for g in t]
-    return _power_series(t, _log_coeffs(N), d) if log else t
+def _series(model: ModelSpec, N: int, log: bool = True) -> tuple:
+    """The layout and the row of exp(sum_records count * log(1 + T_record)),
+    whose grade k is Gamma_k, or with log=False of exp(sum_records count *
+    T_record).
 
-
-def _loop_total(series: list, counts: list, N: int) -> list:
-    """sum over records of count * series, by the dict loops in record order."""
-    total: list = [{} for _ in range(N + 1)]
-    for t, count in zip(series, counts):
-        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
-    return total
-
-
-def _grades(keys, values, N: int) -> list:
-    """The graded series whose coefficient at (grade, key) of ``keys`` is
-    the value at its position, zeros left out."""
-    series: list = [{} for _ in range(N + 1)]
-    for (grade, key), c in zip(keys, values):
-        series[grade][key] = c
-    return [_nonzero(g) for g in series]
-
-
-class _Trace:
-    """The dict loops of a record's series run on traced coefficients.  It
-    numbers the rows of a plan's values as they appear: the constants (0.0
-    first, then 1.0), the inputs, then each sum of products of earlier rows
-    once something reads it, with its level, 1 + its operands' highest."""
-
-    def __init__(self, constants: list):
-        self.constants = {c: r for r, c in enumerate(constants)}
-        self.levels = [0] * len(constants)
-        self.terms: list = [None] * len(constants)  # a sum's pairs of rows
-
-    def _new(self, level: int, terms=None) -> int:
-        self.levels.append(level)
-        self.terms.append(terms)
-        return len(self.levels) - 1
-
-    def input(self) -> "_Traced":
-        return _Traced(self, None, self._new(0))
-
-    def row(self, c: "_Traced") -> int:
-        if c.row is None:
-            c.row = self._new(1 + max(self.levels[r] for pair in c.terms for r in pair), c.terms)
-        return c.row
-
-
-class _Pair:
-    """c1 * c2 in ``_product``, on two traced coefficients' rows."""
-
-    __slots__ = ("trace", "rows")
-
-    def __init__(self, trace: _Trace, rows: tuple):
-        self.trace, self.rows = trace, rows
-
-    def __radd__(self, zero: float) -> "_Traced":  # 0.0 + c1 * c2: a key's first pair
-        return _Traced(self.trace, [self.rows])
-
-
-class _Traced:
-    """A coefficient of the series dict loops, traced instead of computed:
-    the sum from 0.0, in order, of the products of its ``terms``, pairs of
-    rows, or the value of its ``row`` once something reads it.  It never
-    equals 0.0, so the loops keep every key; a record on which a row is 0.0
-    leaves the plan for the loops."""
-
-    __slots__ = ("trace", "terms", "row")
-
-    def __init__(self, trace: _Trace, terms, row=None):
-        self.trace, self.terms, self.row = trace, terms, row
-
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        return False
-
-    def __ne__(self, other):
-        return True
-
-    def __mul__(self, other: "_Traced") -> _Pair:  # c1 * c2 in _product
-        return _Pair(self.trace, (self.trace.row(self), self.trace.row(other)))
-
-    def __rmul__(self, s: float) -> "_Traced":  # s * c in _scale; 1.0 * c is c, bit for bit
-        return self if s == 1.0 else _Traced(self.trace, [(self.trace.constants[s], self.trace.row(self))])
-
-    def __radd__(self, zero: float) -> "_Traced":  # 0.0 + c in _add, a new key: c, as c != 0.0
-        return self
-
-    def __add__(self, other):
-        if isinstance(other, _Pair):  # a key's next pair in _product
-            self.terms.append(other.rows)
-            return self
-        # a + c in _add.  a is read, so it gets a row.  A one-term c enters
-        # as its term: where that term is +-0.0 the loops drop c and keep a,
-        # and a + (+-0.0) is a
-        trace, one = self.trace, self.trace.constants[1.0]
-        last = other.terms[0] if other.row is None and len(other.terms) == 1 else (one, trace.row(other))
-        return _Traced(trace, [(one, trace.row(self)), last])
-
-
-@dataclass(frozen=True, eq=False)
-class _SeriesPlan:
-    """The dict loops of a record's series, for the records whose Hermite
-    moments are nonzero on the same slots, compiled to rows of values: the
-    ``constants`` first (row 0 is 0.0), then the nonzero moments over their
-    weights, at the slots ``inputs``, then ``groups`` of rows (start, stop),
-    each row the sum from 0.0 over its column of the (2, terms, rows)
-    ``pairs`` of products of rows of lower levels, padded with 0.0 * 0.0.
-    ``outputs`` are the rows of the series' coefficients, at (grade, key)
-    ``keys``, in the loops' order."""
-
-    constants: np.ndarray
-    inputs: np.ndarray
-    groups: tuple
-    outputs: np.ndarray
-    keys: tuple
-    size: int
-    width: int
-
-
-@lru_cache(maxsize=PLAN_CACHE)
-def _series_plan(d: int, N: int, log: bool, pattern: bytes) -> _SeriesPlan:
-    """Traces :func:`_record_series` for the zero pattern (the bytes of
-    the bools h != 0.0 over the slots) and compiles it."""
-    constants = [0.0, 1.0] + _log_coeffs(N)[2:]
-    trace = _Trace(constants)
-    t: list = [{} for _ in range(N + 1)]
-    inputs = []
-    for s, ((grade, key, _), live) in enumerate(zip(_slots(d, N), pattern)):
-        if live:
-            t[grade][key] = trace.input()
-            inputs.append(s)
-    series = _power_series(t, _log_coeffs(N), d) if log else t
-    outputs = [(grade, key, trace.row(c)) for grade, g in enumerate(series) for key, c in g.items()]
-    # rows by level and, within a level, by the bit length of their term
-    # count, so that each group of sums is one slice of the values and is
-    # padded to less than twice its terms
-    group_of = lambda r: (trace.levels[r], 0 if trace.terms[r] is None else len(trace.terms[r]).bit_length())
-    order = sorted(range(len(trace.levels)), key=lambda r: (group_of(r), r))
-    at = np.empty(len(order), dtype=np.intp)
-    at[order] = np.arange(len(order))
-    groups = []
-    for _, group in itertools.groupby(order[len(constants) + len(inputs):], key=group_of):
-        group = list(group)
-        pairs = np.zeros((2, max(len(trace.terms[r]) for r in group), len(group)), dtype=np.intp)
-        for j, r in enumerate(group):
-            pairs[:, :len(trace.terms[r]), j] = at[np.array(trace.terms[r]).T]
-        groups.append((int(at[group[0]]), int(at[group[-1]]) + 1, pairs))
-    return _SeriesPlan(np.array(constants), np.array(inputs, dtype=np.intp), tuple(groups),
-                       at[[r for _, _, r in outputs]], tuple((g, k) for g, k, _ in outputs), len(order),
-                       max([len(order)] + [pairs.size for _, _, pairs in groups]))
-
-
-def _run_plan(plan: _SeriesPlan, moments_t: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> tuple:
-    """The plan's outputs (len(keys), len(rows)) on the records ``rows``,
-    in blocks of two or more records (about ``PLAN_BLOCK`` values a block),
-    and whether each record's rows are all nonzero.  ``np.add.reduce`` sums
-    the outer terms axis as a running sum from ``initial``: numpy sums
-    pairwise only along the contiguous axis, which holds the block's
-    records.  A sum from +0.0 is never -0.0, so padding adds nothing."""
-    x = moments_t[plan.inputs][:, rows] / weights[plan.inputs, None]
-    first = len(plan.constants)
-    values = np.empty((len(plan.outputs), len(rows)))
-    good = np.empty(len(rows), dtype=bool)
-    for start, stop in _blocks(len(rows), max(2, PLAN_BLOCK // plan.width)):
-        v = np.empty((plan.size, stop - start))
-        v[:first] = plan.constants[:, None]
-        v[first:first + len(plan.inputs)] = x[:, start:stop]
-        for lo, hi, pairs in plan.groups:
-            p = v[pairs]
-            np.multiply(p[0], p[1], out=p[0])
-            np.add.reduce(p[0], axis=0, initial=0.0, out=v[lo:hi])
-        good[start:stop] = (v[first:] != 0.0).all(axis=0)
-        values[:, start:stop] = v[plan.outputs]
-    return values, good
-
-
-def _batched_total(moments: np.ndarray, counts: list, n: int, d: int, N: int, log: bool) -> list:
-    """:func:`_loop_total` of the records' series, bit for bit and in the
-    loops' key order.  Records are grouped by zero pattern; a group of two
-    or more runs its compiled plan, and a lone record, or a record on which
-    the plan meets a 0.0 that the loops would drop, runs the loops.  The
-    running total is one ``np.add.accumulate`` over the records of a (1 +
-    records, keys) table in first-appearance key order: row 0 is the
-    start 0.0, and a record without a key adds -0.0, which changes no bit.
-    A total that reaches 0.0 before the last record, which the loops drop
-    and may add back at the end of the key order, sends the model to the
-    loops."""
-    groups: dict = {}
-    for r, pattern in enumerate(np.ascontiguousarray(moments != 0.0)):
-        groups.setdefault(pattern.tobytes(), []).append(r)
-    moments_t = moments.T
-    weights = np.array([float(n * f) for _, _, f in _slots(d, N)])
-    parts = []  # (records, their (grade, key)s, values (keys, records))
-    for pattern, rows in groups.items():
-        if not any(pattern):
-            continue  # no Hermite moments: the record's series is 0
-        rows = np.array(rows)
-        if len(rows) > 1:
-            plan = _series_plan(d, N, log, pattern)
-            values, good = _run_plan(plan, moments_t, weights, rows)
-            if good.any():
-                parts.append((rows[good], plan.keys, values[:, good]))
-            rows = rows[~good]
-        for r in rows.tolist():
-            t = _record_series(moments[r].tolist(), n, d, N, log)
-            parts.append((np.array([r]), [(g, k) for g, grade in enumerate(t) for k in grade],
-                          np.array([c for grade in t for c in grade.values()]).reshape(-1, 1)))
-    parts.sort(key=lambda part: part[0][0])
-    columns = dict(zip(dict.fromkeys(itertools.chain.from_iterable(keys for _, keys, _ in parts)), itertools.count()))
-    scale = np.array(counts, dtype=float)
-    table = np.full((len(counts) + 1, len(columns)), -0.0)
-    table[0] = 0.0
-    for rows, keys, values in parts:
-        table[rows[:, None] + 1, list(map(columns.__getitem__, keys))] = (values * scale[rows]).T
-    running = np.add.accumulate(table, axis=0)
-    if ((table[1:-1] != 0.0) & (running[1:-1] == 0.0)).any():
-        series = sorted((r, _grades(keys, column, N))
-                        for rows, keys, values in parts for r, column in zip(rows.tolist(), values.T.tolist()))
-        return _loop_total([t for _, t in series], [counts[r] for r, _ in series], N)
-    return _grades(columns, running[-1].tolist(), N)
-
-
-def _packed_series(model: ModelSpec, N: int, log: bool = True) -> list:
-    """Grades 0..N of exp(sum_records count * log(1 + T_record)), whose grade
-    k is Gamma_k, or with log=False of exp(sum_records count * T_record), as
-    term maps on packed keys.
-
-    Built once per call: the Hermite moments of all records, orders 3..N+2,
-    from one cumulant-table call.  The sum over records is
-    :func:`_batched_total`, or for one record the dict loops; a record of
-    count 1 enters unscaled.  The exp series runs the dict loops."""
+    The Hermite moments of all records, orders 3..N+2, come from one
+    cumulant-table call, over h_beta / (n beta!) they fill level 1, and
+    each record's powers s^j = s^{j-1} s fill the other levels, over blocks
+    of records (about ``TABLE_BLOCK`` values a block).  The exp series adds
+    the powers L^m / m!, L^m = L^{m-1} L, to 1 + L in order of m."""
     if N + 2 > MAX_DEGREE:
         raise ValueError(f"corrector order N = {N} is above its cap of {MAX_DEGREE - 2}"
                          f" (moments of order N + 2 <= {MAX_DEGREE})")
-    d = model.d
-    _, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
-    counts = [count for _, count in model.records]
-    if len(counts) > 1 and moments.size:
-        total = _batched_total(moments, counts, model.n, d, N, log)
-    else:
-        total = _loop_total([_record_series(row, model.n, d, N, log) for row in moments.tolist()], counts, N)
-    return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
+    layout = _layout(model.d, N)
+    size, first = len(layout.keys), 1 + len(layout.factorials)
+    total = np.zeros(size)
+    if N:
+        _, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
+        weights = np.array([float(model.n * f) for f in layout.factorials])
+        counts = np.array([float(count) for _, count in model.records])
+        for start, stop in _blocks(len(counts), max(1, TABLE_BLOCK // layout.width)):
+            s = np.zeros((stop - start, size))
+            s[:, 1:first] = moments[start:stop] / weights
+            for j in range(2, N + 1 if log else 2):
+                s += _product(s, s, layout.powers[j], size)
+            # row 0 the running total, so the records add in record order
+            rows = np.empty((stop - start + 1, size))
+            rows[0] = total
+            np.multiply(s * layout.log_row if log else s, counts[start:stop, None], out=rows[1:])
+            total = np.add.reduce(rows, axis=0)
+    series, power = total.copy(), total
+    series[0] = 1.0
+    for m in range(2, N + 1):
+        power = _product(power[None], total[None], layout.exp_powers[m], size)[0]
+        series += power * (1.0 / math.factorial(m))
+    return layout, series
 
 
 def _graded_series(model: ModelSpec, N: int, log: bool = True) -> list:
-    """:func:`_packed_series` as Polynomials."""
-    return [Polynomial._of_packed(model.d, g) for g in _packed_series(model, N, log)]
+    """Grades 0..N of :func:`_series` as Polynomials read in the partial
+    derivatives."""
+    layout, series = _series(model, N, log)
+    values = series.tolist()
+    return [Polynomial._of(model.d, {layout.keys[p]: values[p] for p in positions})
+            for positions in layout.grade_positions]
 
 
 def corrector_operator(model: ModelSpec, k: int, N: int) -> Polynomial:
@@ -428,9 +279,10 @@ class CorrectorPolynomial:
     @staticmethod
     def from_json(doc: dict) -> "CorrectorPolynomial":
         """Reads ``to_json``'s document, whose fields are those of
-        ``CORRECTOR_FIELDS`` and each term's those of ``TERM_FIELDS``.  This
-        is where outside input is checked for integers: ``check_multiindex``
-        converts library indices with ``int()``."""
+        ``CORRECTOR_FIELDS`` and each term's those of ``TERM_FIELDS``, so a
+        field of the wrong type is named as a corrector field; the
+        constructor then checks each index with ``check_multiindex``, which
+        takes integer entries only."""
         phi = read_fields(doc, *CORRECTOR_FIELDS, "corrector", "corrector field")
         terms = {t["beta"]: t["coeff"] for t in phi["terms"]}
         return CorrectorPolynomial(d=phi["d"], constant=phi["constant"], terms=terms, n=phi.get("n"),
@@ -463,25 +315,18 @@ def corrector_polynomial(model: ModelSpec, N: int) -> CorrectorPolynomial:
     polynomial."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    total: dict = {}
-    for k, op in enumerate(_packed_series(model, N)[1:], start=1):
-        total = _add(total, _scale(op, float(model.n) ** (-0.5 * k)))
-    return CorrectorPolynomial._of(model.d, 1.0, _descending(total, model.d), model.n, N)
-
-
-def _descending(terms: dict, d: int) -> dict:
-    """A term map on packed keys as tuple-keyed terms in descending order:
-    the first coordinate is packed highest, so the packed keys sort as the
-    tuples do."""
-    return {_unpacked(k, d): terms[k] for k in sorted(terms, reverse=True)}
+    layout, series = _series(model, N)
+    scale = np.array([float(model.n) ** (-0.5 * k) for k in range(N + 1)])
+    values = np.bincount(layout.targets, series[1:] * scale[layout.grades[1:]], len(layout.descending)).tolist()
+    return CorrectorPolynomial._of(model.d, 1.0, {b: c for b, c in zip(layout.descending, values) if c != 0.0},
+                                   model.n, N)
 
 
 def explicit_order3(model: ModelSpec) -> tuple[CorrectorPolynomial, CorrectorPolynomial, CorrectorPolynomial]:
     """The three explicit order-3 Hermite correctors: grades 1, 2 and 3 of
     the classical averaged-cumulant series exp(sum_records count * T_record),
     the operator series without its log."""
-    return tuple(CorrectorPolynomial._of(model.d, 0.0, _descending(op, model.d), model.n)
-                 for op in _packed_series(model, 3, log=False)[1:])
+    return tuple(CorrectorPolynomial._of(model.d, 0.0, g.terms, model.n) for g in _graded_series(model, 3, False)[1:])
 
 
 def order_discrepancy(model: ModelSpec, k: int, x) -> np.ndarray | float:

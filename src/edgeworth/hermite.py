@@ -12,24 +12,20 @@ multiplication (``power_table``) and the corrector's Hermite terms from
 x**k carries at most k - 1 roundings.
 
 A term map (multi-index -> coefficient) has one set of operations, written
-once below: ``_add``, ``_scale``, ``_nonzero`` take any keys, and
-``_product``, the one pair loop, takes packed keys (``multiindex.pack``),
-so a pair costs one integer add.  ``Polynomial.terms`` stays keyed by
-tuples: ``__mul__`` packs its operands, runs ``_product`` and unpacks the
-result.  The corrector's graded series pack the Hermite moments once and
-stay packed through every series product, unpacking only the grades they
-return.  Every path runs the same loops in the same order, so each
-coefficient and the key order are those of the tuple-keyed loops.
+once below: ``_add``, ``_scale`` and ``_nonzero``, and ``Polynomial``'s
+product is the pair loop on tuple keys.  The corrector builds its series
+on flat arrays instead (``corrector._layout``) and hands its grades over
+as Polynomials.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
 
 import numpy as np
 
-from .multiindex import check_multiindex, check_packed, pack, unpack
+from .multiindex import check_multiindex
 
 MAX_DEGREE = 12  # highest order the exact arithmetic is checked for; cumulant tables stop there
 
@@ -129,29 +125,6 @@ def _scale(a: dict, s: float) -> dict:
     return _nonzero({k: s * c for k, c in a.items()})
 
 
-def _product(a: dict, b: dict, d: int) -> dict:
-    """Product of two term maps on packed d-dimensional keys, accumulated
-    in pair order; a coordinate that leaves the packed field raises."""
-    terms: dict = {}
-    get = terms.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            terms[k] = get(k, 0.0) + c1 * c2
-    check_packed(terms, d)
-    return _nonzero(terms)
-
-
-def _packed(terms: dict) -> dict:
-    return {pack(b): c for b, c in terms.items()}
-
-
-# packed key -> tuple, cached by (key, d): the library's series stop at
-# order MAX_DEGREE, so their keys are a few thousand per d; products of
-# higher-order Polynomials may add more, which the bound evicts
-_unpacked = lru_cache(maxsize=1 << 16)(unpack)
-
-
 class Polynomial:
     """Multivariate polynomial as a map monomial multi-index -> coefficient.
 
@@ -185,11 +158,6 @@ class Polynomial:
         return p
 
     @classmethod
-    def _of_packed(cls, d: int, terms: dict) -> "Polynomial":
-        """Unchecked constructor from a term map on packed keys."""
-        return cls._of(d, {_unpacked(k, d): c for k, c in terms.items()})
-
-    @classmethod
     def monomial(cls, beta, coeff: float = 1.0) -> "Polynomial":
         beta = check_multiindex(beta)
         return cls(len(beta), {beta: coeff})
@@ -208,7 +176,12 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return Polynomial._of_packed(self.d, _product(_packed(self.terms), _packed(other.terms), self.d))
+        terms: dict = {}
+        for b1, c1 in self.terms.items():
+            for b2, c2 in other.terms.items():
+                b = tuple(map(operator.add, b1, b2))
+                terms[b] = terms.get(b, 0.0) + c1 * c2
+        return Polynomial._of(self.d, terms)
 
     def diff(self, gamma) -> "Polynomial":
         """Apply the differential operator with multiplicities ``gamma``."""

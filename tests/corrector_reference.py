@@ -9,12 +9,13 @@ enumeration or by a dynamic program over the n summands.  The explicit
 order-3 correctors are the hand-expanded closed forms in averaged moment
 gaps, and the order-2 operator-versus-explicit gap has its own closed form.
 The multi-index helpers for ordered index tuples and the record moment-gap
-table that these forms read live here too.  :func:`graded_series_reference`
-is the package's graded series with one record at a time through the dict
-loops, which the batched record plans must match bit for bit and in key
-order.  :func:`edgeworth_expectation_reference` is the exact corrected
-expectation by one differentiated :class:`Polynomial` per Hermite term,
-which the package's one contraction must match bit for bit.
+table that these forms read live here too.  :func:`series_loops` is the
+graded series by the dict loops on tuple keys, one record at a time, which
+the package's block algebra must match within a bound of each grade's
+scale; run on absolute values it gives that scale.
+:func:`edgeworth_expectation_reference` is the exact corrected expectation
+by one differentiated :class:`Polynomial` per Hermite term, which the
+package's one contraction must match bit for bit.
 
 Operators are :class:`Polynomial` objects read in the partial derivatives
 (the term ``beta: c`` is ``c d^beta``), so composition is ``*``.
@@ -25,10 +26,9 @@ from itertools import combinations
 
 import numpy as np
 
-from edgeworth.corrector import _power_series
-from edgeworth.hermite import Polynomial, _add, _nonzero, _scale
+from edgeworth.hermite import Polynomial
 from edgeworth.moments import hermite_moments
-from edgeworth.multiindex import check_multiindex, enumerate_multiindices, pack
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 from moment_reference import cumulant_table, moments_from_cumulants, summand_list
 
 
@@ -258,27 +258,78 @@ def order2_discrepancy_terms(model) -> dict:
     return prods
 
 
-def graded_series_reference(model, N: int, log: bool = True) -> list:
-    """Grades 0..N of exp(sum_records count * log(1 + T_record)), or with
-    log=False of exp(sum_records count * T_record), one record at a time:
-    its Hermite moments by the list recursion of a one-record call, its
-    series and log series by the dict loops, then its count times them
-    added into the running total, in record order."""
-    d = model.d
-    log_coeffs = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, N + 1)]
+def _add(a: dict, b: dict) -> dict:
+    """a + b on tuple keys, a's keys in order, then b's new ones; zeros dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) + c
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def _scale(a: dict, s: float) -> dict:
+    return {k: s * c for k, c in a.items() if s * c != 0.0}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The pair loop: each key's products summed from 0.0 in pair order."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def _series_product(a: list, b: list) -> list:
+    """Product of two graded series (lists of term maps), truncated at the
+    last grade of a."""
+    out: list = [{} for _ in a]
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = _add(out[i + j], _product(ai, b[j]))
+    return out
+
+
+def _power_series(s: list, coeffs: list, d: int) -> list:
+    """sum_j coeffs[j] s^j for a series s without grade 0, truncated at its
+    last grade N = len(coeffs) - 1."""
+    out = [_scale({(0,) * d: 1.0}, coeffs[0])] + [_scale(t, coeffs[1]) for t in s[1:]]
+    power = s
+    for c in coeffs[2:]:
+        power = _series_product(power, s)
+        out = [_add(o, _scale(p, c)) for o, p in zip(out, power)]
+    return out
+
+
+def series_loops(rows: list, betas: tuple, counts: list, n: int, d: int, N: int, log: bool = True,
+                 absolute: bool = False) -> list:
+    """Grades 0..N, as term maps on tuple keys read in the partial
+    derivatives, of exp(sum_records count * log(1 + T_record)), or with
+    log=False of exp(sum_records count * T_record), by the dict loops, one
+    record at a time in record order.  ``rows`` holds each record's Hermite
+    moments at the indices ``betas``, and T = sum h_beta D^beta / (n
+    beta!).  With ``absolute``, every moment and series coefficient enters
+    by its absolute value: the majorant series, whose coefficient at a key
+    bounds the sum of the absolute values of the terms that reach it."""
+    sign = abs if absolute else (lambda c: c)
+    log_coeffs = [0.0] + [sign((-1.0) ** (j + 1) / j) for j in range(1, N + 1)]
     total: list = [{} for _ in range(N + 1)]
-    for rec, count in model.records:
-        betas, moments = hermite_moments([rec], N + 2)
+    for row, count in zip(rows, counts):
         t: list = [{} for _ in range(N + 1)]
-        for b, h in zip(betas, moments[0].tolist()):
+        for b, h in zip(betas, row):
             if h != 0.0:
-                t[sum(b) - 2][pack(b)] = h / (model.n * math.prod(map(math.factorial, b)))
-        t = [_nonzero(g) for g in t]
+                t[sum(b) - 2][tuple(b)] = sign(h) / (n * math.prod(map(math.factorial, b)))
         if log:
             t = _power_series(t, log_coeffs, d)
-        total = [_add(a, b if count == 1 else _scale(b, float(count))) for a, b in zip(total, t)]
-    series = _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
-    return [Polynomial._of_packed(d, g) for g in series]
+        total = [_add(a, _scale(b, float(count))) for a, b in zip(total, t)]
+    return _power_series(total, [1.0 / math.factorial(j) for j in range(N + 1)], d)
+
+
+def graded_series_reference(model, N: int, log: bool = True, absolute: bool = False) -> list:
+    """:func:`series_loops` of the model's records, on the Hermite moments
+    of ``hermite_moments``."""
+    betas, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
+    return series_loops(moments.tolist(), betas, [c for _, c in model.records], model.n, model.d, N, log, absolute)
 
 
 def edgeworth_expectation_reference(f: Polynomial, gamma, phi) -> float:

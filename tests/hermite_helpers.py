@@ -151,10 +151,9 @@ def corrector_loop_reference(phi, x):
 
 
 def tuple_product_reference(p: Polynomial, q: Polynomial) -> dict:
-    """``(p * q).terms`` by the tuple-keyed pair loop that ``Polynomial``
-    ran before it packed its indices, kept as the oracle of the packed
-    product: the same pairs in the same order, so the same bits and key
-    order."""
+    """``(p * q).terms`` by the tuple-keyed pair loop, written apart from
+    ``Polynomial``: the same pairs in the same order, so the same bits and
+    key order."""
     terms: dict = {}
     for b1, c1 in p.terms.items():
         for b2, c2 in q.terms.items():

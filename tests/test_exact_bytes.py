@@ -63,13 +63,13 @@ PINS = {
         "expectation": "cfd2df13b01d82bfabdf7b1b2d564eec3c965fd453a397f79c2871e9f6cf3dd3",
     },
     "d2": {
-        "corrector": "f557986b4f4dd1071779d1413a519106e941e8a25061bd367878b18c64c78bf6",
+        "corrector": "469b6a2e8aa956123cd5f547925943680babfb0160d6818a18cb6966bfbeb6e9",
         "sum_moments": "e045d5bd68ee4eaa295b4d0b35790c39caa64ed139ad8a035766c05d9a4d1607",
         "cumulants": "633635c43ffeecb7c6a0fbd81269f42981a5c79509ee64d866f8b58a07126c75",
         "expectation": "ecde16f1a32b82679ba68da4cbed591d97ea01085624cd4bd697d3f05ceaf7ad",
     },
     "d3": {
-        "corrector": "9ca950f937219263baa65f28a38fc75ec57e70e258c65cc167085c0f710d2df1",
+        "corrector": "5f589a3862bb24dae9434617451f3f6cc9c6b332c1c698feb0dc1ff5c91f4c38",
         "sum_moments": "6ea93e9674a79826aa0084720c1fab0ffcc08528d9779840eb41a2a8c059f132",
         "cumulants": "5b2130b7da2d8827b641d4547f596ded10ca8e4a8794834815e58ac48d29a5d1",
         "expectation": "d6f4fdeb5231addf817a11074bf784a3b26f2d569d3b6566d1c7e53d1707700b",

@@ -15,10 +15,9 @@ from edgeworth.hermite import (
     gaussian_moment_1d,
     hermite_value_table,
     power_table,
-    _product,
 )
 from edgeworth.corrector import CorrectorPolynomial
-from edgeworth.multiindex import PACK_LIMIT, check_packed, enumerate_multiindices, pack, unpack
+from edgeworth.multiindex import enumerate_multiindices
 from hermite_helpers import (
     corrector_loop_reference,
     duality_check,
@@ -175,9 +174,9 @@ _ANY_COEFF = st.floats(-4.0, 4.0, allow_subnormal=False) | st.integers(-2, 2).ma
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
-def test_packed_algebra_matches_tuple_loops(data):
-    # the packed product and the shared add and scale give the tuple-keyed
-    # loops' coefficients bit for bit and their keys in the same order
+def test_term_algebra_matches_tuple_loops(data):
+    # the product and the shared add and scale give the tuple-keyed loops'
+    # coefficients bit for bit and their keys in the same order
     d = data.draw(st.integers(1, 4), label="d")
     index = st.sampled_from(_indices_to(d, data.draw(st.integers(0, MAX_DEGREE), label="degree")))
     p, q = (Polynomial(d, data.draw(st.dictionaries(index, _ANY_COEFF, max_size=8), label=label))
@@ -186,28 +185,6 @@ def test_packed_algebra_matches_tuple_loops(data):
     assert _bits((p * q).terms) == _bits(tuple_product_reference(p, q))
     assert _bits((p + q).terms) == _bits(tuple_sum_reference(p, q))
     assert _bits(p.scale(a).terms) == _bits(tuple_scale_reference(p, a))
-    for beta in p.terms:
-        assert unpack(pack(beta), d) == beta
-
-
-def test_packed_field_overflow_raises_without_carrying():
-    top = PACK_LIMIT - 1
-    with pytest.raises(ValueError, match="does not fit a packed field"):
-        pack((0, PACK_LIMIT))
-    # the largest sum of two packed indices stays in its own field, and the
-    # field's guard bit reports it
-    key = pack((top, top, top)) + pack((top, top, top))
-    assert unpack(key, 3) == (2 * top, 2 * top, 2 * top)
-    with pytest.raises(ValueError, match=rf"multiplicity in \({2 * top}, {2 * top}, {2 * top}\) does not fit"):
-        check_packed([key], 3)
-    with pytest.raises(ValueError, match=rf"multiplicity in \(0, {PACK_LIMIT}, 0\) does not fit"):
-        check_packed([pack((0, 0, 1)), pack((0, top, 0)) + pack((0, 1, 0))], 3)
-    with pytest.raises(ValueError, match=rf"\(1, {PACK_LIMIT}\) does not fit"):
-        _product({pack((1, top)): 1.0}, {pack((0, 1)): 2.0}, 2)
-    with pytest.raises(ValueError, match="does not fit a packed field"):
-        Polynomial(2, {(0, top): 1.0}) * Polynomial(2, {(0, 1): 1.0})
-    # one below the limit still multiplies
-    assert (Polynomial(2, {(0, top - 1): 1.0}) * Polynomial(2, {(1, 1): 3.0})).terms == {(1, top): 3.0}
 
 
 def test_power_table_layout():

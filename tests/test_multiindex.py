@@ -1,9 +1,12 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from corrector_reference import concat, multinomial_weight, unit
-from edgeworth.multiindex import enumerate_multiindices
+from edgeworth.hermite import Polynomial
+from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
 def test_enumeration_examples():
@@ -46,3 +49,15 @@ def test_concat():
 
 def test_unit():
     assert unit(3, 1) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("beta", [(1.5,), (2, 2.0), (1, "3"), (np.float64(1.0),)])
+def test_non_integer_entries_are_rejected(beta):
+    # int() used to read x^1.5 as x^1, and summed keys that truncate alike
+    bad = re.escape(repr(beta[-1]))
+    with pytest.raises(ValueError, match=rf"^multiplicity {bad} in .* is not an integer$"):
+        check_multiindex(beta)
+    with pytest.raises(ValueError, match=rf"^multiplicity {bad} in "):
+        Polynomial(len(beta), {beta: 1.0, (1,) * len(beta): -1.0})
+    # integers of any integer type pass, as Python ints
+    assert check_multiindex((np.int64(2), True, 3)) == (2, 1, 3)

@@ -16,11 +16,12 @@ session does not favour one side.  One A/A pair, the base twice on the first
 workload's first seed, shows how far two runs of the same program differ.
 
 It prints, per workload and end-to-end metric, the pairs the working tree
-won, each side's median and quartiles, and the relative change of the
-medians, and writes ``BENCH_<tag>.json`` at the repository root: each side's
-runs, medians and quartiles, the result digests of every seed, and the
-median of each op kind's fastest latency, from the per-op records that
-``perfbench`` writes under ``.perfbench_out/``.
+won, each side's median and quartiles, the relative change of the medians
+and a verdict against the metric's bound in ``BENCHMARK.json`` (see
+``verdict``), and writes ``BENCH_<tag>.json`` at the repository root: each
+side's runs, medians and quartiles, the verdicts, the result digests of
+every seed, and the median of each op kind's fastest latency, from the
+per-op records that ``perfbench`` writes under ``.perfbench_out/``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,35 @@ def quartiles(values: list) -> dict:
     return {"median": float(statistics.median(values)), "q1": float(q1), "q3": float(q3), "runs": list(values)}
 
 
-def compare(parent: list, change: list, unit: str, better: str) -> dict:
+def compare(parent: list, change: list, unit: str, better: str, bound: float) -> dict:
     """Both sides' runs of one metric, one entry per pair: how many pairs
-    the change won, and the relative change of the medians."""
+    the change won, the relative change of the medians, and the verdict
+    against ``bound``, the largest relative loss of the median that counts
+    as no regression."""
     p, c = quartiles(parent), quartiles(change)
     won = sum((b < a) if better == "lower" else (b > a) for a, b in zip(parent, change))
-    return {"unit": unit, "better": better, "parent": p, "change": c, "change_wins": won,
-            "relative_median_change": c["median"] / p["median"] - 1.0 if p["median"] else None,
-            "parent_iqr": p["q3"] - p["q1"]}
+    entry = {"unit": unit, "better": better, "bound": bound, "parent": p, "change": c, "change_wins": won,
+             "relative_median_change": c["median"] / p["median"] - 1.0 if p["median"] else None,
+             "parent_iqr": p["q3"] - p["q1"]}
+    return entry | {"verdict": verdict(entry)}
+
+
+def verdict(m: dict) -> str:
+    """``better`` when the change won at least nine tenths of the pairs and
+    its median is better by more than the parent's interquartile range;
+    else ``unresolved`` when that range exceeds the bound relative to the
+    parent's median, unless every run of the change is better than every
+    run of the parent; else ``worse`` when the median is worse by more than
+    the bound, and ``within`` otherwise."""
+    p, c = m["parent"], m["change"]
+    sign = 1.0 if m["better"] == "lower" else -1.0
+    gain = sign * (p["median"] - c["median"])
+    if m["change_wins"] >= 0.9 * len(p["runs"]) and gain > m["parent_iqr"]:
+        return "better"
+    every = max(sign * x for x in c["runs"]) < min(sign * x for x in p["runs"])
+    if m["parent_iqr"] > m["bound"] * abs(p["median"]) and not every:
+        return "unresolved"
+    return "worse" if -gain > m["bound"] * abs(p["median"]) else "within"
 
 
 def op_kind(key: list) -> str:
@@ -72,9 +94,10 @@ def per_op_medians(records: list) -> dict:
     return {kind: float(statistics.median(v)) for kind, v in sorted(kinds.items())}
 
 
-def aggregate(seeds: list, parent: list, change: list, better: dict) -> dict:
+def aggregate(seeds: list, parent: list, change: list, end_to_end: dict) -> dict:
     """One workload's entry of the BENCH file from its pairs of runs, one
-    run per seed and side.  A run is perfbench's summary line (``correct``,
+    run per seed and side, and ``end_to_end``, ``BENCHMARK.json``'s metric
+    entries by name.  A run is perfbench's summary line (``correct``,
     ``attempted``, ``failed``, ``metrics``) with the run's record
     (``.perfbench_out/<workload>-seed<s>/trace0.json``) under ``record``."""
     sides = {"parent": parent, "change": change}
@@ -84,7 +107,7 @@ def aggregate(seeds: list, parent: list, change: list, better: dict) -> dict:
     for name in parent[0]["metrics"]:
         values = {side: [run["metrics"][name]["value"] for run in runs] for side, runs in sides.items()}
         metrics[name] = compare(values["parent"], values["change"], parent[0]["metrics"][name]["unit"],
-                                better.get(name, "lower"))
+                                end_to_end[name]["better"], end_to_end[name]["bound"])
     medians = {side: per_op_medians([run["record"] for run in runs]) for side, runs in sides.items()}
     return {
         "seeds": list(seeds),
@@ -110,12 +133,14 @@ def aa_pair(first: dict, second: dict) -> dict:
 def report(workload: str, entry: dict) -> str:
     lines = [f"{workload}: correct {entry['correct']}, failed {entry['failed']}, "
              f"digests equal {entry['digests_equal']}",
-             f"  {'metric':12s} {'won':>5s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s}"]
+             f"  {'metric':12s} {'won':>5s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s}"
+             f"  verdict (bound)"]
     for name, m in entry["metrics"].items():
         side = lambda s: f"{m[s]['median']:.4g} [{m[s]['q1']:.4g}, {m[s]['q3']:.4g}]"
         rel = m["relative_median_change"]
         lines.append(f"  {name:12s} {m['change_wins']:>2d}/{len(entry['seeds']):<2d} {side('parent'):>34s} "
-                     f"{side('change'):>34s} {'' if rel is None else f'{100 * rel:+.1f} %':>8s}")
+                     f"{side('change'):>34s} {'' if rel is None else f'{100 * rel:+.1f} %':>8s}"
+                     f"  {m['verdict']} ({100 * m['bound']:g} %)")
     return "\n".join(lines)
 
 
@@ -165,7 +190,7 @@ def main(argv=None) -> int:
     os.makedirs(base)
     commit = extract(args.base, base)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     first = args.workloads[0]
     aa = aa_pair(run_once(base, first, seeds[0], args.seconds), run_once(base, first, seeds[0], args.seconds))
@@ -176,7 +201,7 @@ def main(argv=None) -> int:
             order = [("parent", base), ("change", ROOT)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
                 runs[side].append(run_once(tree, workload, seed, args.seconds))
-        workloads[workload] = aggregate(seeds, runs["parent"], runs["change"], better)
+        workloads[workload] = aggregate(seeds, runs["parent"], runs["change"], end_to_end)
         print(report(workload, workloads[workload]), flush=True)
     print("A/A pair (" + first + f", seed {seeds[0]}): "
           + ", ".join(f"{k} {100 * v['relative']:+.1f} %" for k, v in aa.items() if v["relative"] is not None))
