@@ -17,13 +17,13 @@ product of formal series in D,
     1 + Gamma_1 + ... + Gamma_N = prod_r (1 + T_r)    (grades <= N).
 
 Summed over its slots, n T_r = (M_{C_r Y}(D) - M_{C_r G}(D)) / M_{C_r G}(D)
-= exp(sum_{|beta|>=3} kappa_beta D^beta / beta!) - 1, with M the moment
-generating function of the record C_r Y or of its Gaussian twin C_r G.  So
+= exp(u_r) - 1, with M the moment generating function of the record C_r Y
+or of its Gaussian twin C_r G and u_r = sum_{|beta|>=3} kappa_beta D^beta /
+beta! the record's cumulant series.  So
 
     T_r = (1/n) sum_{|beta|>=3} h_beta D^beta / beta!,   grade |beta| - 2,
 
-where the h_beta are the record's Hermite moments, the moments of its
-cumulant table with the order-2 entries dropped.  Records shared by several
+where the h_beta are the record's Hermite moments.  Records shared by several
 summands enter by their count,
 
     prod_r (1 + T_r) = exp(sum_records count * log(1 + T_record)),
@@ -47,13 +47,16 @@ grade-k part of s^j has degree exactly k + 2j.  A row holds the constant,
 then levels j = 1..N, level j the blocks of grades k = j..N, each block the
 beta of order k + 2j in descending lexicographic order; s^j fills level j
 alone, and log(1 + s) = sum_j c_j s^j scales s^j level by level, with no
-additions between powers.  Each product is one gather, one multiply and
-one np.bincount over a slice of one pair table cached per (d, N), whose
-pairs run by (left level, right level, left grade, right grade, left beta,
-right beta); bincount adds each position's pairs in that order, and the
-records add in record order through an outer-axis np.add.reduce.  No BLAS
-call and no sum along a contiguous axis enters a coefficient, so the order
-is fixed and the same on every SIMD target.
+additions between powers.  T_r = (exp(u_r) - 1) / n is v = u_r / n on
+level 1, v^j on level j (pairs of degree <= N + 2 only) and level j times
+n^{j-1} / j! added onto level 1, so an order no power reaches is rounded
+once.  Each product is one gather, one multiply and one np.bincount over a
+slice of one pair table cached per (d, N), whose pairs run by (left level,
+right level, left grade, right grade, left beta, right beta); bincount adds
+each position's pairs in that order, the Hermite levels add in order of
+j, and the records add in record order through an outer-axis
+np.add.reduce.  No BLAS call and no sum along a contiguous axis enters a
+coefficient, so the order is fixed and the same on every SIMD target.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,7 +73,8 @@ import numpy as np
 from .errors import JSON_INTEGER, LIST, NUMBER, Field, NumericalGuardError, read_field, read_fields
 from .hermite import MAX_DEGREE, Polynomial, _evaluate, gauss_hermite, gaussian_moment, hermite_value_table
 from .multiindex import check_multiindex, enumerate_multiindices
-from .moments import TABLE_BLOCK, ModelSpec, Summand, _blocks, hermite_moments
+from . import moments
+from .moments import TABLE_BLOCK, ModelSpec, Summand
 
 QUAD_NODES = 40  # Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
 QUAD_TOL = 1e-8  # largest coarse-to-fine change the quadrature accepts, relative to 1 + |value|
@@ -85,17 +90,21 @@ class _Layout:
     positions for s^j = s^{j-1} s, the pairs of a left factor on level
     j - 1 and a right one on level 1, and ``exp_powers[m]`` its slice for
     L^m = L^{m-1} L, the pairs of a left factor on a level >= m - 1.
-    ``grade_positions[k]`` lists the positions of grade k in descending
-    order of their beta, and ``targets`` places each position from 1 on
-    at its beta in ``descending``, every beta of the layout in descending
-    order."""
+    ``hermite`` holds, for j = 2..(N + 2) // 3, the pairs of ``powers[j]``
+    whose product has degree <= N + 2, and the first positions of block
+    (j, j) and of block (1, 3j - 2): from there on, level j holds the beta
+    of level 1 in the same order.  ``grade_positions[k]`` lists the
+    positions of grade k in descending order of their beta, and
+    ``targets`` places each position from 1 on at its beta in
+    ``descending``, every beta of the layout in descending order."""
 
     keys: list
     grades: np.ndarray
-    factorials: list
+    factorials: np.ndarray
     log_row: np.ndarray
     powers: list
     exp_powers: list
+    hermite: list
     width: int
     grade_positions: list
     descending: list
@@ -119,8 +128,8 @@ def _ranks(betas: np.ndarray) -> np.ndarray:
 def _layout(d: int, N: int) -> _Layout:
     """The layout of order N in dimension d.  Its one pair table runs by
     (left level, right level, left grade, right grade, left beta, right
-    beta), and is built one (left block, right block) pair at a time by
-    broadcasting index sums."""
+    beta); it is allocated once and filled one (left block, right block)
+    pair at a time by broadcasting index sums."""
     blocks = {(j, k): np.array(enumerate_multiindices(d, k + 2 * j)) for j in range(1, N + 1) for k in range(j, N + 1)}
     at, size = {}, 1
     for key, betas in blocks.items():
@@ -128,28 +137,27 @@ def _layout(d: int, N: int) -> _Layout:
     keys = [(0,) * d] + [beta for betas in blocks.values() for beta in map(tuple, betas.tolist())]
     grades = np.array([0] + [k for (_, k), betas in blocks.items() for _ in betas])
     log_row = np.array([0.0] + [(-1.0) ** (j + 1) / j for (j, _), betas in blocks.items() for _ in betas])
-    pieces, starts, firsts, count = [], [], [], 0
-    for j1 in range(1, N + 1):
-        starts.append(count)
-        firsts.append(count)
-        for j2 in range(1, N + 1 - j1):
-            for k1 in range(j1, N + 1 - j2):
-                for k2 in range(j2, N + 1 - k1):
-                    left, right = blocks[j1, k1], blocks[j2, k2]
-                    shape = (len(left), len(right))
-                    pieces.append(np.stack([np.broadcast_to(at[j1, k1] + np.arange(shape[0])[:, None], shape),
-                                            np.broadcast_to(at[j2, k2] + np.arange(shape[1]), shape),
-                                            at[j1 + j2, k1 + k2] + _ranks(left[:, None] + right)]).reshape(3, -1))
-                    count += pieces[-1].shape[1]
-            if j2 == 1:
-                firsts[-1] = count
-    pairs = np.concatenate(pieces, axis=1) if pieces else np.zeros((3, 0), dtype=np.intp)
-    powers = [None, None] + [pairs[:, starts[j - 2]:firsts[j - 2]] for j in range(2, N + 1)]
+    quads = [(j1, j2, k1, k2) for j1 in range(1, N + 1) for j2 in range(1, N + 1 - j1)
+             for k1 in range(j1, N + 1 - j2) for k2 in range(j2, N + 1 - k1)]
+    ends = np.cumsum([0] + [len(blocks[j1, k1]) * len(blocks[j2, k2]) for j1, j2, k1, k2 in quads]).tolist()
+    pairs = np.empty((3, ends[-1]), dtype=np.intp)
+    for (j1, j2, k1, k2), start, stop in zip(quads, ends, ends[1:]):
+        left, right = blocks[j1, k1], blocks[j2, k2]
+        out = pairs[:, start:stop].reshape(3, len(left), len(right))
+        out[0] = at[j1, k1] + np.arange(len(left))[:, None]
+        out[1] = at[j2, k2] + np.arange(len(right))
+        out[2] = at[j1 + j2, k1 + k2] + _ranks(left[:, None] + right)
+    by_level = [quad[:2] for quad in quads]
+    start = {(j, r): ends[bisect_left(by_level, (j, r))] for j in range(1, N) for r in (1, 2)}
+    powers = [None, None] + [pairs[:, start[j - 1, 1]:start[j - 1, 2]] for j in range(2, N + 1)]
+    hermite = [(powers[j][:, grades[powers[j][2]] + 2 * j <= N + 2], at[j, j], at[1, 3 * j - 2])
+               for j in range(2, (N + 2) // 3 + 1)]
+    factorials = [math.prod(map(math.factorial, b)) for k in range(1, N + 1) for b in blocks[1, k].tolist()]
     descending = sorted(set(keys[1:]), reverse=True)
     target = {beta: t for t, beta in enumerate(descending)}
     by_key = sorted(range(size), key=keys.__getitem__, reverse=True)
-    return _Layout(keys, grades, [math.prod(map(math.factorial, b)) for k in range(1, N + 1) for b in blocks[1, k].tolist()],
-                   log_row, powers, [None, None] + [pairs[:, starts[m - 2]:] for m in range(2, N + 1)],
+    return _Layout(keys, grades, np.array(factorials, dtype=float), log_row, powers,
+                   [None, None] + [pairs[:, start[m - 1, 1]:] for m in range(2, N + 1)], hermite,
                    max([size] + [p.shape[1] for p in powers[2:]]),
                    [[p for p in by_key if grades[p] == k] for k in range(N + 1)], descending,
                    np.array([target[beta] for beta in keys[1:]], dtype=np.intp))
@@ -166,16 +174,38 @@ def _product(a: np.ndarray, b: np.ndarray, pairs: np.ndarray, width: int) -> np.
     return np.bincount(out, terms.ravel(), len(a) * width).reshape(len(a), width)
 
 
+def _blocks(total: int, step: int) -> list:
+    """(start, stop) of about total / step blocks covering range(total), each
+    at least ``step`` long (the whole range if it is shorter)."""
+    count = max(1, total // step)
+    return [(total * i // count, total * (i + 1) // count) for i in range(count)]
+
+
+def _hermite(layout: _Layout, table: np.ndarray, n: int) -> np.ndarray:
+    """Rows T = (exp(u) - 1) / n, orders 3..N+2, from rows of the cumulant
+    table, orders 2..N+2, u the orders 3..N+2 over beta!: v = u / n on
+    level 1, v^j = v^{j-1} v on the pairs of ``layout.hermite``, then each
+    level j times n^{j-1} / j! added onto level 1, level by level."""
+    size, first = len(layout.keys), 1 + len(layout.factorials)
+    rows = np.zeros((len(table), size))
+    rows[:, 1:first] = table[:, table.shape[1] + 1 - first:] / (float(n) * layout.factorials)
+    for pairs, _, _ in layout.hermite:
+        rows += _product(rows, rows, pairs, size)
+    for j, (_, source, target) in enumerate(layout.hermite, 2):
+        rows[:, target:first] += rows[:, source:source + first - target] * (float(n) ** (j - 1) / math.factorial(j))
+    return rows[:, 1:first]
+
+
 def _series(model: ModelSpec, N: int, log: bool = True) -> tuple:
     """The layout and the row of exp(sum_records count * log(1 + T_record)),
     whose grade k is Gamma_k, or with log=False of exp(sum_records count *
     T_record).
 
-    The Hermite moments of all records, orders 3..N+2, come from one
-    cumulant-table call, over h_beta / (n beta!) they fill level 1, and
-    each record's powers s^j = s^{j-1} s fill the other levels, over blocks
-    of records (about ``TABLE_BLOCK`` values a block).  The exp series adds
-    the powers L^m / m!, L^m = L^{m-1} L, to 1 + L in order of m."""
+    One cumulant-table call gives the cumulants of all records, orders
+    2..N+2.  Over blocks of records (about ``TABLE_BLOCK`` values a block),
+    :func:`_hermite` turns them into s = T_record on level 1, and the
+    powers s^j = s^{j-1} s fill the other levels.  The exp series adds the powers L^m / m!, with
+    L^m = L^{m-1} L, to 1 + L in order of m."""
     if N + 2 > MAX_DEGREE:
         raise ValueError(f"corrector order N = {N} is above its cap of {MAX_DEGREE - 2}"
                          f" (moments of order N + 2 <= {MAX_DEGREE})")
@@ -183,12 +213,11 @@ def _series(model: ModelSpec, N: int, log: bool = True) -> tuple:
     size, first = len(layout.keys), 1 + len(layout.factorials)
     total = np.zeros(size)
     if N:
-        _, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
-        weights = np.array([float(model.n * f) for f in layout.factorials])
+        table = moments.cumulant_tables([rec for rec, _ in model.records], moments._plan(model.d, N + 2))
         counts = np.array([float(count) for _, count in model.records])
         for start, stop in _blocks(len(counts), max(1, TABLE_BLOCK // layout.width)):
             s = np.zeros((stop - start, size))
-            s[:, 1:first] = moments[start:stop] / weights
+            s[:, 1:first] = _hermite(layout, table[start:stop], model.n)
             for j in range(2, N + 1 if log else 2):
                 s += _product(s, s, layout.powers[j], size)
             # row 0 the running total, so the records add in record order

@@ -1,9 +1,10 @@
 """Distribution catalog with exact raw moments, model specification for
 scaled sums of independent non-identically distributed vectors as counted
-summand records (a law and how many summands share it), and the cumulant
+summand records (a law and how many summands share it), the cumulant
 tables of all records of a call in one numpy pass per block of records,
-from which one moment recursion gives the records' Hermite moments, over
-blocks of records at once, and the exact moments of the scaled sum.
+which the corrector reads for the records' Hermite moments, and one moment
+recursion on their count-weighted sum for the exact moments of the scaled
+sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -17,7 +18,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -428,13 +429,12 @@ class _Plan:
     """Steps of the moment recursion compiled to positions, and the layout
     of the cumulant table they read.  The moments are a list: mu_0 = 1, then
     one per index of ``betas`` in step order.  The cumulants are a row of
-    :func:`cumulant_tables` on ``table``, the betas of order lo to ``K``:
+    :func:`cumulant_tables` on ``table``, the betas of order 2 to ``K``:
     ``orders`` holds each column's order |beta|, and ``columns`` the
     (d + 2, len(table)) positions, in a component's row of factors, of each
     column's term: the powers C_ij ** beta_i, the cumulant kappa_{|beta|}
     and its gate.  ``steps`` holds, per beta, its terms (coef, cumulant
-    position, moment position); terms on cumulants of order below lo,
-    which the row does not hold, are left out."""
+    position, moment position)."""
 
     K: int
     betas: tuple
@@ -443,42 +443,24 @@ class _Plan:
     columns: np.ndarray
     steps: tuple
 
-    @cached_property
-    def levels(self) -> tuple:
-        """The steps for many rows at once, one entry per order |beta|: the
-        moment positions (start, stop) of its betas and three (terms, betas)
-        arrays of coefs, cumulant positions and moment positions, each
-        beta's terms in step order and padded to the longest with coef 0.0
-        on the zero cumulant appended after the table's, times mu_0."""
-        levels = []
-        for _, group in itertools.groupby(range(len(self.steps)), key=lambda p: sum(self.betas[p])):
-            group = list(group)
-            padded = np.zeros((max(len(self.steps[p]) for p in group), len(group), 3))
-            padded[:, :, 1] = len(self.table)
-            for j, p in enumerate(group):
-                padded[:len(self.steps[p]), j] = np.reshape(self.steps[p], (-1, 3))
-            levels.append((group[0] + 1, group[-1] + 2, padded[:, :, :1], padded[:, :, 1].astype(np.intp),
-                           padded[:, :, 2].astype(np.intp)))
-        return tuple(levels)
 
-
-def _compile(steps: tuple, d: int, K: int, lo: int) -> _Plan:
+def _compile(steps: tuple, d: int, K: int) -> _Plan:
     betas = tuple(beta for beta, _ in steps)
-    table = tuple(beta for beta in betas if sum(beta) >= lo)
+    table = tuple(beta for beta in betas if sum(beta) >= 2)
     mu_at = {beta: p for p, beta in enumerate(((0,) * d,) + betas)}
     kappa_at = {beta: p for p, beta in enumerate(table)}
     b = np.array(table, dtype=np.intp).reshape(len(table), d)
     orders = b.sum(axis=1)
     columns = np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
     return _Plan(K, betas, table, tuple(orders.tolist()), columns, tuple(
-        tuple((c, kappa_at[kb], mu_at[mb]) for c, kb, mb in terms if kb in kappa_at) for _, terms in steps))
+        tuple((c, kappa_at[kb], mu_at[mb]) for c, kb, mb in terms) for _, terms in steps))
 
 
 @lru_cache(maxsize=None)
-def _plan(d: int, K: int, lo: int = 2) -> _Plan:
+def _plan(d: int, K: int) -> _Plan:
     """The recursion for every 1 <= |beta| <= K on the cumulants of orders
-    lo to K."""
-    return _compile(_recursion_steps(d, K), d, K, lo)
+    2 to K."""
+    return _compile(_recursion_steps(d, K), d, K)
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +470,7 @@ def _down_set_plan(top: tuple) -> _Plan:
     moments there."""
     steps = tuple(step for step in _recursion_steps(len(top), sum(top))
                   if all(b <= t for b, t in zip(step[0], top)))
-    return _compile(steps, len(top), sum(top), 2)
+    return _compile(steps, len(top), sum(top))
 
 
 def _moments(kappa: list, plan: _Plan) -> list:
@@ -501,53 +483,6 @@ def _moments(kappa: list, plan: _Plan) -> list:
             total += c * kappa[k] * mu[m]
         mu.append(total)
     return mu
-
-
-def _row_moments(table: np.ndarray, plan: _Plan) -> np.ndarray:
-    """:func:`_moments` of every row of a cumulant table at once, one
-    column per row, bit for bit: per order, one gather of each term's
-    factors and one ordered sum over the terms.  ``np.add.reduce`` sums an
-    outer axis as a running sum from ``initial`` (numpy sums pairwise only
-    along the contiguous axis, which has two rows or more here); a padding
-    term adds +-0.0 to a sum from +0.0, which changes no bit."""
-    kappa = np.zeros((len(plan.table) + 1, len(table)))
-    kappa[:-1] = table.T
-    mu = np.empty((len(plan.betas) + 1, len(table)))
-    mu[0] = 1.0
-    for start, stop, coef, kpos, mpos in plan.levels:
-        terms = coef * kappa[kpos]
-        terms *= mu[mpos]
-        np.add.reduce(terms, axis=0, initial=0.0, out=mu[start:stop])
-    return mu
-
-
-def hermite_moments(summands, K: int) -> tuple[tuple, np.ndarray]:
-    """Hermite moments h_beta of summand records for 3 <= |beta| <= K: the
-    moment recursion on each record's cumulant table with its order-2
-    entries dropped.  They are the Taylor coefficients (over beta!) of
-    E[exp(<t, C Y>)] exp(-t' C C' t / 2), the record's moment generating
-    function over its Gaussian twin's.  Returns the indices, orders 3 to K
-    in table order, and a (records, indices) array of the moments, zeros
-    kept: one table call for all records, then the recursion over blocks of
-    two or more records at once (about ``TABLE_BLOCK`` terms a block), or
-    the list loop on a single record, where it costs less."""
-    plan = _plan(summands[0].C.shape[0], K, 3)
-    tail = len(plan.betas) + 1 - len(plan.table)  # the table's betas end the step order
-    table = cumulant_tables(summands, plan)
-    if len(table) == 1:
-        return plan.table, np.array([_moments(table[0].tolist(), plan)[tail:]])
-    out = np.empty((len(plan.table), len(table)))
-    width = max([1] + [coef.size for _, _, coef, _, _ in plan.levels])
-    for start, stop in _blocks(len(table), max(2, TABLE_BLOCK // width)):
-        out[:, start:stop] = _row_moments(table[start:stop], plan)[tail:]
-    return plan.table, out.T
-
-
-def _blocks(total: int, step: int) -> list:
-    """(start, stop) of about total / step blocks covering range(total), each
-    at least ``step`` long (the whole range if it is shorter)."""
-    count = max(1, total // step)
-    return [(total * i // count, total * (i + 1) // count) for i in range(count)]
 
 
 def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:

@@ -27,9 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from edgeworth.hermite import Polynomial
-from edgeworth.moments import hermite_moments
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
-from moment_reference import cumulant_table, moments_from_cumulants, summand_list
+from moment_reference import cumulant_table, hermite_moments_reference, moments_from_cumulants, summand_list
 
 
 def multinomial_weight(beta) -> int:
@@ -327,9 +326,13 @@ def series_loops(rows: list, betas: tuple, counts: list, n: int, d: int, N: int,
 
 def graded_series_reference(model, N: int, log: bool = True, absolute: bool = False) -> list:
     """:func:`series_loops` of the model's records, on the Hermite moments
-    of ``hermite_moments``."""
-    betas, moments = hermite_moments([rec for rec, _ in model.records], N + 2)
-    return series_loops(moments.tolist(), betas, [c for _, c in model.records], model.n, model.d, N, log, absolute)
+    of :func:`hermite_moments_reference`."""
+    betas = [b for k in range(3, N + 3) for b in enumerate_multiindices(model.d, k)]
+    rows = []
+    for rec, _ in model.records:
+        h = hermite_moments_reference(rec.C, rec.components, N + 2)
+        rows.append([h.get(b, 0.0) for b in betas])
+    return series_loops(rows, betas, [c for _, c in model.records], model.n, model.d, N, log, absolute)
 
 
 def edgeworth_expectation_reference(f: Polynomial, gamma, phi) -> float:

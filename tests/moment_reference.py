@@ -13,9 +13,12 @@ same-bits shortcuts.  :func:`cumulant_table_reference` and
 time and the moment recursion on dict keys, the loops that the package's
 one-pass tables and position recursion must match bit for bit; they
 compute each law's cumulants from its raw moments on their own.
-:func:`cumulant_table` and :func:`moments_from_cumulants` are views of the
-package's own table rows and recursion on dict keys, for the tests that
-read one record's table or moments by index.
+:func:`hermite_moments_reference` runs that recursion on a record's
+cumulants of order 3 and up, the oracle that the corrector's exp(u) - 1
+must match within a bound of its majorant, the same recursion on absolute
+values.  :func:`cumulant_table` and :func:`moments_from_cumulants` are
+views of the package's own table rows and recursion on dict keys, for the
+tests that read one record's table or moments by index.
 """
 
 import math
@@ -190,10 +193,14 @@ def recursion_reference(kappa: dict, d: int, K: int, top=None) -> dict:
     return mu
 
 
-def hermite_moments_reference(C, comps, K: int) -> dict:
+def hermite_moments_reference(C, comps, K: int, absolute: bool = False) -> dict:
     """Nonzero Hermite moments, 3 <= |beta| <= K, of one record: the
-    recursion on its cumulant table without the order-2 entries."""
-    kappa = {b: v for b, v in cumulant_table_reference(C, comps, K).items() if sum(b) >= 3}
+    recursion on its cumulant table without the order-2 entries.  With
+    ``absolute``, every cumulant enters by its absolute value: the
+    majorant, whose moment at beta bounds the sum of the absolute values
+    of the terms that reach it."""
+    sign = abs if absolute else (lambda v: v)
+    kappa = {b: sign(v) for b, v in cumulant_table_reference(C, comps, K).items() if sum(b) >= 3}
     d = np.atleast_2d(C).shape[0]
     return {b: v for b, v in recursion_reference(kappa, d, K).items() if sum(b) >= 3 and v != 0.0}
 

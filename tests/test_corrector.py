@@ -19,7 +19,7 @@ from edgeworth.corrector import (
     order_discrepancy,
 )
 from edgeworth.errors import NumericalGuardError
-from edgeworth.hermite import Polynomial
+from edgeworth.hermite import MAX_DEGREE, Polynomial
 from edgeworth.moments import (
     ModelSpec,
     Summand,
@@ -45,6 +45,7 @@ from corrector_reference import (
     order2_discrepancy_terms,
 )
 from hermite_helpers import random_polynomial, rodrigues_coeffs, univariate_polynomial
+from moment_reference import hermite_moments_reference
 
 
 def random_model(rng, d, n, normalized=True):
@@ -554,6 +555,70 @@ def test_record_blocks_keep_the_bytes(monkeypatch, records):
             monkeypatch.setattr(corrector, "TABLE_BLOCK", per_block * corrector._layout(3, N).width)
             assert repr(corrector._series(model, N)[1].tolist()) == whole
         monkeypatch.undo()
+
+
+def _hermite_gap(records: list, d: int, N: int) -> float:
+    """The largest |h_beta - reference h_beta| over the grade's scale, on
+    every beta of orders 3..N+2 of every record, h_beta read from the
+    level-1 row of the Hermite step at n = 7, times n beta!.  The scale of
+    grade k is the largest moment of order k + 2 of the majorant, the
+    recursion on the absolute values of the cumulants; a beta the majorant
+    lacks is a structural zero, which must be 0.0 on both sides."""
+    layout = corrector._layout(d, N)
+    table = moments.cumulant_tables(records, moments._plan(d, N + 2))
+    rows = (corrector._hermite(layout, table, 7) * (7.0 * layout.factorials)).tolist()
+    betas = layout.keys[1:1 + len(layout.factorials)]
+    worst = 0.0
+    for s, row in zip(records, rows):
+        ref = hermite_moments_reference(s.C, s.components, N + 2)
+        majorant = hermite_moments_reference(s.C, s.components, N + 2, absolute=True)
+        scale = {}
+        for b in betas:
+            scale[sum(b)] = max(scale.get(sum(b), 0.0), majorant.get(b, 0.0))
+        for b, h in zip(betas, row):
+            if b not in majorant:
+                assert h == 0.0 and b not in ref, f"{b}: a structural zero is nonzero"
+            elif h != ref.get(b, 0.0):
+                worst = max(worst, abs(h - ref.get(b, 0.0)) / scale[sum(b)])
+    return worst
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_hermite_step_matches_the_recursion(data):
+    # records with 1 to 3 components each, every catalog law (the symmetric
+    # ones and the normal have zero cumulants), mixing entries with exact
+    # and signed zeros: each record's exp(u) - 1 is the dict recursion's
+    # Hermite moments within the bound; N up to 10 runs the folds of
+    # levels 2, 3 and 4
+    d = data.draw(st.integers(1, 3), label="d")
+    records = []
+    for _ in range(data.draw(st.integers(1, 4), label="records")):
+        m = data.draw(st.integers(1, 3), label="m")
+        C = data.draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=d, max_size=d), label="C")
+        records.append(Summand(np.array(C), tuple(data.draw(st.lists(st.sampled_from(_LAWS), min_size=m,
+                                                                              max_size=m), label="comps"))))
+    assert _hermite_gap(records, d, data.draw(st.integers(1, MAX_DEGREE - 2), label="N")) <= LOOPS_BOUND
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hermite_step_at_the_highest_order(d):
+    # every fold, j = 2, 3 and 4, on dense records of skewed laws
+    rng = np.random.default_rng(d)
+    records = [Summand(rng.normal(size=(d, d)) + np.eye(d), (skewed_two_point(0.2),) * d) for _ in range(3)]
+    assert len(corrector._layout(d, MAX_DEGREE - 2).hermite) == 3
+    assert _hermite_gap(records, d, MAX_DEGREE - 2) <= LOOPS_BOUND
+
+
+def test_pair_table_memory():
+    # the d = 3, N = 10 pair table (1.7M pairs) is filled in place
+    tracemalloc.start()
+    try:
+        corrector._layout.__wrapped__(3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 def test_cold_high_order_build_memory():

@@ -63,7 +63,7 @@ PINS = {
         "expectation": "cfd2df13b01d82bfabdf7b1b2d564eec3c965fd453a397f79c2871e9f6cf3dd3",
     },
     "d2": {
-        "corrector": "469b6a2e8aa956123cd5f547925943680babfb0160d6818a18cb6966bfbeb6e9",
+        "corrector": "8d072593cab9cf88957130e3e19fbef18e97bc2ad8c1190230ac937bdd0af9c9",
         "sum_moments": "e045d5bd68ee4eaa295b4d0b35790c39caa64ed139ad8a035766c05d9a4d1607",
         "cumulants": "633635c43ffeecb7c6a0fbd81269f42981a5c79509ee64d866f8b58a07126c75",
         "expectation": "ecde16f1a32b82679ba68da4cbed591d97ea01085624cd4bd697d3f05ceaf7ad",

@@ -18,7 +18,6 @@ from edgeworth.moments import (
     gaussian_mixture,
     has_density,
     has_icdf,
-    hermite_moments,
     iid_model,
     iid_vector_model,
     pdf,
@@ -37,7 +36,6 @@ from corrector_reference import gap_table
 from moment_reference import (
     cumulant_table,
     cumulant_table_reference,
-    hermite_moments_reference,
     icdf_where_reference,
     moments_from_cumulants,
     pushforward_moment,
@@ -515,8 +513,8 @@ _ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)
 def test_one_pass_tables_and_recursion_keep_the_record_loops_bytes(data):
     # records with 1 to 3 components each (shorter ones are padded in the
     # one pass), every catalog law (the symmetric ones and the normal have
-    # zero cumulants): every cumulant, Hermite moment and exact sum moment
-    # is the per-record loop's and the dict recursion's float, repr for repr
+    # zero cumulants): every cumulant and exact sum moment is the
+    # per-record loop's and the dict recursion's float, repr for repr
     d = data.draw(st.integers(1, 3), label="d")
     records = []
     for _ in range(data.draw(st.integers(1, 4), label="records")):
@@ -537,38 +535,11 @@ def test_one_pass_tables_and_recursion_keep_the_record_loops_bytes(data):
         assert repr(row) == repr([ref.get(b, 0.0) for b in plan.table])
         assert repr(moments_from_cumulants(ref, d, K)) == repr(recursion_reference(ref, d, K))
 
-    K = data.draw(st.integers(3, MAX_DEGREE), label="Hermite K")
-    betas, rows = hermite_moments(summands, K)
-    for s, row in zip(summands, rows.tolist()):
-        got = {b: h for b, h in zip(betas, row) if h != 0.0}
-        assert repr(got) == repr(hermite_moments_reference(s.C, s.components, K))
-
     K = data.draw(st.integers(0, 8), label="sum K")
     table = exact_sum_moment_table(model, K)
     assert repr(table) == repr(sum_moments_reference(model, K))
     top = data.draw(st.sampled_from(sorted(table)), label="top")
     assert repr(exact_sum_moment(model, top)) == repr(sum_moments_reference(model, sum(top), top)[top])
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(d=st.integers(1, 3), K=st.integers(3, MAX_DEGREE), rows=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
-       block=st.sampled_from([1, 1 << 16]))
-def test_batched_recursion_keeps_the_list_loops_bytes(d, K, rows, seed, block):
-    # any cumulant rows, signed zeros among them: every moment of the
-    # recursion over blocks of rows is the list loop's, repr for repr.  With
-    # block 1 the blocks hold two or three rows; a block of one row would
-    # sum a d = 1 order of eight or more terms pairwise
-    plan = moments._plan(d, K, 3)
-    rng = np.random.default_rng(seed)
-    table = rng.normal(size=(rows, len(plan.table))) * 10.0 ** rng.integers(-4, 5, size=(rows, len(plan.table)))
-    zeros = rng.random(table.shape) < 0.4
-    table[zeros] = np.where(rng.random(table.shape) < 0.5, 0.0, -0.0)[zeros]
-    tail = len(plan.betas) + 1 - len(plan.table)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moments, "TABLE_BLOCK", block)
-        patch.setattr(moments, "cumulant_tables", lambda summands, plan: table)
-        _, got = hermite_moments([Summand(np.eye(d), (rademacher(),) * d)] * rows, K)
-    assert repr(got.tolist()) == repr([moments._moments(row, plan)[tail:] for row in table.tolist()])
 
 
 @pytest.mark.parametrize("block", [1, 700, 1000])

@@ -1,5 +1,6 @@
 """The aggregation of tools/paired_bench.py on canned perfbench runs."""
 
+import json
 import os
 import sys
 
@@ -97,3 +98,46 @@ def test_aa_pair_and_seed_lists():
     assert aa["wall_s"]["relative"] == pytest.approx(0.05) and aa["peak_rss_mb"]["relative"] == 0.0
     assert paired_bench.parse_seeds("3601-3604") == [3601, 3602, 3603, 3604]
     assert paired_bench.parse_seeds("5,9") == [5, 9]
+
+
+_BOUNDS = {"wall_s": {"better": "lower", "bound": 0.25}, "peak_rss_mb": {"better": "lower", "bound": 0.1}}
+
+
+def _entry(parent_wall: list, change_wall: list, parent_failed: int = 0, change_failed: int = 0) -> dict:
+    """One workload's entry from runs that differ only in wall time and
+    failed ops, the first run of each side carrying the failures."""
+    def side(walls, failed):
+        return [_run(w, 80.0, "a", _ops(1.0), failed if i == 0 else 0) for i, w in enumerate(walls)]
+    return paired_bench.aggregate(list(range(len(parent_wall))), side(parent_wall, parent_failed),
+                                  side(change_wall, change_failed), _BOUNDS)
+
+
+def test_failures_name_each_reason():
+    assert paired_bench.failures({"w": _entry(_PARENT, _PARENT)}) == []
+    assert paired_bench.failures({"w": _entry(_PARENT, [13.0] * 10)}) == [
+        "w: wall_s is worse than the parent by more than its bound of 25 %"]
+    # a failed op on either side makes a run incorrect; only the change's
+    # side counts against it as more failed ops
+    assert paired_bench.failures({"w": _entry(_PARENT, _PARENT, parent_failed=2)}) == ["w: a run is not correct"]
+    assert paired_bench.failures({"w": _entry(_PARENT, _PARENT, change_failed=1), "v": _entry(_PARENT, _PARENT)}) == [
+        "w: a run is not correct", "w: the change failed 1 ops, the parent 0"]
+
+
+@pytest.mark.parametrize("change_wall, change_failed, code", [(10.0, 0, 0), (13.0, 0, 1), (10.0, 1, 1)])
+def test_main_exit_status(tmp_path, monkeypatch, capsys, change_wall, change_failed, code):
+    # the base runs from its extracted tree, the change from the root
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": k} | v for k, v in _BOUNDS.items()]}))
+    monkeypatch.setattr(paired_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(paired_bench, "extract", lambda commit, dest: "0" * 40)
+
+    def run_once(tree, workload, seed, seconds):
+        if tree == str(tmp_path):
+            return _run(change_wall, 80.0, "a", _ops(1.0), change_failed if seed == 1 else 0)
+        return _run(_PARENT[seed - 1], 80.0, "a", _ops(1.0))
+
+    monkeypatch.setattr(paired_bench, "run_once", run_once)
+    assert paired_bench.main(["--base", "HEAD", "--tag", "t", "--seeds", "1-10", "--workloads", "w",
+                              "--workdir", str(tmp_path / "work")]) == code
+    out = capsys.readouterr().out
+    assert ("FAIL " in out) == bool(code)
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["failed"]["change"] == change_failed

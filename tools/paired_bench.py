@@ -21,7 +21,10 @@ and a verdict against the metric's bound in ``BENCHMARK.json`` (see
 ``verdict``), and writes ``BENCH_<tag>.json`` at the repository root: each
 side's runs, medians and quartiles, the verdicts, the result digests of
 every seed, and the median of each op kind's fastest latency, from the
-per-op records that ``perfbench`` writes under ``.perfbench_out/``.
+per-op records that ``perfbench`` writes under ``.perfbench_out/``.  It
+exits 1, printing each reason (see ``failures``), when a run is not
+correct, the change fails more ops than the base or a verdict is
+``worse``, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -76,6 +79,23 @@ def verdict(m: dict) -> str:
     if m["parent_iqr"] > m["bound"] * abs(p["median"]) and not every:
         return "unresolved"
     return "worse" if -gain > m["bound"] * abs(p["median"]) else "within"
+
+
+def failures(workloads: dict) -> list:
+    """Why the runs refuse the change, one line per reason, from the
+    workloads' entries of :func:`aggregate`: a run that is not ``correct``,
+    more failed ops on the change's side than on the parent's, or a metric
+    whose verdict is ``worse``.  Empty when there is none."""
+    reasons = []
+    for workload, entry in workloads.items():
+        if not entry["correct"]:
+            reasons.append(f"{workload}: a run is not correct")
+        failed = entry["failed"]
+        if failed["change"] > failed["parent"]:
+            reasons.append(f"{workload}: the change failed {failed['change']} ops, the parent {failed['parent']}")
+        reasons += [f"{workload}: {name} is worse than the parent by more than its bound of {100 * m['bound']:g} %"
+                    for name, m in entry["metrics"].items() if m["verdict"] == "worse"]
+    return reasons
 
 
 def op_kind(key: list) -> str:
@@ -225,7 +245,10 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {os.path.relpath(path)}")
-    return 0
+    reasons = failures(workloads)
+    for reason in reasons:
+        print(f"FAIL {reason}")
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
