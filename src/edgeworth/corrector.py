@@ -96,7 +96,9 @@ class _Layout:
     of level 1 in the same order.  ``grade_positions[k]`` lists the
     positions of grade k in descending order of their beta, and
     ``targets`` places each position from 1 on at its beta in
-    ``descending``, every beta of the layout in descending order."""
+    ``descending``, every beta of the layout in descending order.
+    ``columns`` gathers the cumulant table of level 1's beta, orders
+    3..N+2, in :func:`moments.cumulant_tables`."""
 
     keys: list
     grades: np.ndarray
@@ -109,6 +111,7 @@ class _Layout:
     grade_positions: list
     descending: list
     targets: np.ndarray
+    columns: np.ndarray
 
 
 def _ranks(betas: np.ndarray) -> np.ndarray:
@@ -160,7 +163,8 @@ def _layout(d: int, N: int) -> _Layout:
                    [None, None] + [pairs[:, start[m - 1, 1]:] for m in range(2, N + 1)], hermite,
                    max([size] + [p.shape[1] for p in powers[2:]]),
                    [[p for p in by_key if grades[p] == k] for k in range(N + 1)], descending,
-                   np.array([target[beta] for beta in keys[1:]], dtype=np.intp))
+                   np.array([target[beta] for beta in keys[1:]], dtype=np.intp),
+                   moments.table_columns(d, keys[1:1 + len(factorials)], N + 2))
 
 
 def _product(a: np.ndarray, b: np.ndarray, pairs: np.ndarray, width: int) -> np.ndarray:
@@ -183,12 +187,13 @@ def _blocks(total: int, step: int) -> list:
 
 def _hermite(layout: _Layout, table: np.ndarray, n: int) -> np.ndarray:
     """Rows T = (exp(u) - 1) / n, orders 3..N+2, from rows of the cumulant
-    table, orders 2..N+2, u the orders 3..N+2 over beta!: v = u / n on
-    level 1, v^j = v^{j-1} v on the pairs of ``layout.hermite``, then each
-    level j times n^{j-1} / j! added onto level 1, level by level."""
+    table on ``layout.columns``, level 1's beta, u the cumulants over
+    beta!: v = u / n on level 1, v^j = v^{j-1} v on the pairs of
+    ``layout.hermite``, then each level j times n^{j-1} / j! added onto
+    level 1, level by level."""
     size, first = len(layout.keys), 1 + len(layout.factorials)
     rows = np.zeros((len(table), size))
-    rows[:, 1:first] = table[:, table.shape[1] + 1 - first:] / (float(n) * layout.factorials)
+    rows[:, 1:first] = table / (float(n) * layout.factorials)
     for pairs, _, _ in layout.hermite:
         rows += _product(rows, rows, pairs, size)
     for j, (_, source, target) in enumerate(layout.hermite, 2):
@@ -201,11 +206,12 @@ def _series(model: ModelSpec, N: int, log: bool = True) -> tuple:
     whose grade k is Gamma_k, or with log=False of exp(sum_records count *
     T_record).
 
-    One cumulant-table call gives the cumulants of all records, orders
-    2..N+2.  Over blocks of records (about ``TABLE_BLOCK`` values a block),
+    One cumulant-table call on the layout's columns gives the cumulants of
+    all records, orders 3..N+2; no order-2 cumulant is computed.  Over
+    blocks of records (about ``TABLE_BLOCK`` values a block),
     :func:`_hermite` turns them into s = T_record on level 1, and the
-    powers s^j = s^{j-1} s fill the other levels.  The exp series adds the powers L^m / m!, with
-    L^m = L^{m-1} L, to 1 + L in order of m."""
+    powers s^j = s^{j-1} s fill the other levels.  The exp series adds the
+    powers L^m / m!, with L^m = L^{m-1} L, to 1 + L in order of m."""
     if N + 2 > MAX_DEGREE:
         raise ValueError(f"corrector order N = {N} is above its cap of {MAX_DEGREE - 2}"
                          f" (moments of order N + 2 <= {MAX_DEGREE})")
@@ -213,7 +219,7 @@ def _series(model: ModelSpec, N: int, log: bool = True) -> tuple:
     size, first = len(layout.keys), 1 + len(layout.factorials)
     total = np.zeros(size)
     if N:
-        table = moments.cumulant_tables([rec for rec, _ in model.records], moments._plan(model.d, N + 2))
+        table = moments.cumulant_tables([rec for rec, _ in model.records], N + 2, layout.columns)
         counts = np.array([float(count) for _, count in model.records])
         for start, stop in _blocks(len(counts), max(1, TABLE_BLOCK // layout.width)):
             s = np.zeros((stop - start, size))

@@ -340,9 +340,11 @@ def density_experiment(
     P(|S_n - a|_sup <= delta) / (2 delta)^d approaches the corrected
     Gaussian density at a.
 
-    ``delta_rule`` maps n to the box half-width (default n^{-(N+1)/2}).
-    Rows with fewer than ``DENSITY_MIN_HITS`` hits are flagged and excluded
-    from the slope fit.  The blocks run through ``sampling.run_grid``.
+    ``delta_rule`` maps n to the box half-width (default n^{-(N+1)/2}),
+    which must be finite and positive at every n of the grid; a width that
+    is not is a ValueError before any sampling.  Rows with fewer than
+    ``DENSITY_MIN_HITS`` hits are flagged and excluded from the slope fit.
+    The blocks run through ``sampling.run_grid``.
     """
     if delta_rule is None:
         delta_rule = lambda n: float(n) ** (-0.5 * (N + 1))
@@ -350,11 +352,14 @@ def density_experiment(
     ns = _sizes(n_grid)
     grid = {}
     for n in ns:
+        delta = float(delta_rule(n))
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"box half-width delta at n = {n} is {delta!r}, need a finite number > 0")
         model = model_builder(n)
         if len(a) != model.d:
             raise ValueError("point dimension != model dimension")
         phi = corrector_polynomial(model, N)
-        grid[n] = (model, float(delta_rule(n)), gaussian_density(a) * phi.evaluate(a))
+        grid[n] = (model, delta, gaussian_density(a) * phi.evaluate(a))
 
     def block_hits(n, rng, bsize):
         model, delta, _ = grid[n]
@@ -485,11 +490,14 @@ def occupation_time(
     Brownian reference is the closed-form expected occupation average of
     Brownian motion on [0, 1] (``_brownian_band_occupation``), taken both
     at each matched eps_n and at ``ref_eps`` (a small band approximating
-    the local time at zero; default 0.02).
+    the local time at zero; default 0.02), which must be finite and
+    positive.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0,1)")
     ref_eps = 0.02 if ref_eps is None else float(ref_eps)
+    if not 0.0 < ref_eps < math.inf:
+        raise ValueError(f"'ref_eps' must be a finite number > 0, got {ref_eps!r}")
     couple = has_icdf(dist)
     ns = _sizes(n_grid)
 

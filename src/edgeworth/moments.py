@@ -2,9 +2,9 @@
 scaled sums of independent non-identically distributed vectors as counted
 summand records (a law and how many summands share it), the cumulant
 tables of all records of a call in one numpy pass per block of records,
-which the corrector reads for the records' Hermite moments, and one moment
-recursion on their count-weighted sum for the exact moments of the scaled
-sum.
+on the columns each caller gathers (the corrector its orders 3 and up, for
+the records' Hermite moments), and one moment recursion on their
+count-weighted sum for the exact moments of the scaled sum.
 
 All catalog entries are constrained to mean 0 and variance 1; correlation
 between the coordinates of one summand is expressed through its mixing
@@ -345,10 +345,21 @@ def _cumulant_factors(kind: str, params: tuple, K: int) -> tuple:
     return tuple(kappa) + tuple(1.0 if k != 0.0 else 0.0 for k in kappa)
 
 
-def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
+def table_columns(d: int, betas: tuple, K: int) -> np.ndarray:
+    """The gather positions of a cumulant table whose columns are
+    ``betas``, of orders 2 to K in dimension d: per column, the (d + 2)
+    positions, in a component's row of factors, of its term's factors: the
+    powers C_ij ** beta_i, the cumulant kappa_{|beta|} and its gate."""
+    b = np.array(betas, dtype=np.intp).reshape(len(betas), d)
+    orders = b.sum(axis=1)
+    return np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
+
+
+def cumulant_tables(summands, K: int, columns: np.ndarray) -> np.ndarray:
     """Cumulants kappa_beta(C Y) of summand records, zeros kept: one row per
-    record in record order, one column per index of ``plan.table`` (the
-    same for every record).
+    record in record order, one column per beta of the caller's table,
+    whose orders are at most K, gathered through its positions ``columns``
+    (see :func:`table_columns`).
 
     Cumulants are multilinear and add over independent components:
     kappa_beta(C Y) = sum_j kappa_{|beta|}(Y_j) prod_i C_ij^{beta_i}.  The
@@ -358,7 +369,7 @@ def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
     factors, so that memory stays bounded for many records: each power
     C_ij^b, b <= K, is raised once with Python's float ``**`` (libm's pow,
     which numpy's ``power`` does not always match), and the factors of the
-    block's terms are gathered from one array through ``plan.columns``.
+    block's terms are gathered from one array through ``columns``.
     The product runs over the rows in row order and the sum over the
     components in component order from +0.0, as in a loop per record.
     Each product starts from the cumulant's gate: 1.0 keeps its bits, and
@@ -368,7 +379,6 @@ def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
     Each law's cumulants are cached across records and calls.  A power
     that overflows a float is a ValueError naming the matrix entry.
     """
-    K, columns = plan.K, plan.columns
     if K > MAX_DEGREE:
         raise ValueError(f"pushforward moment order capped at {MAX_DEGREE}")
     d = summands[0].C.shape[0]
@@ -403,40 +413,15 @@ def cumulant_tables(summands, plan: _Plan) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _recursion_steps(d: int, K: int) -> tuple:
-    """Steps (beta, terms) of the moment recursion for 1 <= |beta| <= K in
-    increasing order.  beta = gamma + e_i with i its last nonzero coordinate,
-    and the terms (C(gamma, delta), delta + e_i, gamma - delta) run over
-    0 != delta <= gamma (delta = 0 meets an order-1 cumulant, which is 0)."""
-    steps = []
-    for l in range(1, K + 1):
-        for beta in enumerate_multiindices(d, l):
-            i = max(k for k, b in enumerate(beta) if b)
-            gamma = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            terms = []
-            for delta in itertools.product(*(range(g + 1) for g in gamma)):
-                if any(delta):
-                    coef = math.prod(math.comb(g, e) for g, e in zip(gamma, delta))
-                    kb = delta[:i] + (delta[i] + 1,) + delta[i + 1:]
-                    terms.append((float(coef), kb, tuple(g - e for g, e in zip(gamma, delta))))
-            steps.append((beta, tuple(terms)))
-    return tuple(steps)
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Steps of the moment recursion compiled to positions, and the layout
-    of the cumulant table they read.  The moments are a list: mu_0 = 1, then
-    one per index of ``betas`` in step order.  The cumulants are a row of
-    :func:`cumulant_tables` on ``table``, the betas of order 2 to ``K``:
-    ``orders`` holds each column's order |beta|, and ``columns`` the
-    (d + 2, len(table)) positions, in a component's row of factors, of each
-    column's term: the powers C_ij ** beta_i, the cumulant kappa_{|beta|}
-    and its gate.  ``steps`` holds, per beta, its terms (coef, cumulant
+    """The moment recursion compiled to positions.  The moments are a list:
+    mu_0 = 1, then one per index of ``betas`` in step order.  The cumulants
+    are a row of :func:`cumulant_tables` on ``table``, the betas of order 2
+    and up, at the positions ``columns``; ``orders`` holds each column's
+    order |beta|.  ``steps`` holds, per beta, its terms (coef, cumulant
     position, moment position)."""
 
-    K: int
     betas: tuple
     table: tuple
     orders: tuple
@@ -444,33 +429,31 @@ class _Plan:
     steps: tuple
 
 
-def _compile(steps: tuple, d: int, K: int) -> _Plan:
-    betas = tuple(beta for beta, _ in steps)
+@lru_cache(maxsize=None)
+def _plan(d: int, K: int, top: tuple | None = None) -> _Plan:
+    """The recursion for every 1 <= |beta| <= K, or with ``top`` for its
+    down-set {0 != beta <= top} only, which is all that mu_top, the last,
+    reads, in increasing order of beta.  beta = gamma + e_i with i its last
+    nonzero coordinate, and the terms (C(gamma, delta), delta + e_i,
+    gamma - delta) run over 0 != delta <= gamma (delta = 0 meets an order-1
+    cumulant, which is 0)."""
+    betas = [beta for l in range(1, K + 1) for beta in enumerate_multiindices(d, l)
+             if top is None or all(b <= t for b, t in zip(beta, top))]
     table = tuple(beta for beta in betas if sum(beta) >= 2)
-    mu_at = {beta: p for p, beta in enumerate(((0,) * d,) + betas)}
+    mu_at = {beta: p for p, beta in enumerate([(0,) * d] + betas)}
     kappa_at = {beta: p for p, beta in enumerate(table)}
-    b = np.array(table, dtype=np.intp).reshape(len(table), d)
-    orders = b.sum(axis=1)
-    columns = np.vstack([b.T, orders, orders]) + np.arange(d + 2)[:, None] * (K + 1)
-    return _Plan(K, betas, table, tuple(orders.tolist()), columns, tuple(
-        tuple((c, kappa_at[kb], mu_at[mb]) for c, kb, mb in terms) for _, terms in steps))
-
-
-@lru_cache(maxsize=None)
-def _plan(d: int, K: int) -> _Plan:
-    """The recursion for every 1 <= |beta| <= K on the cumulants of orders
-    2 to K."""
-    return _compile(_recursion_steps(d, K), d, K)
-
-
-@lru_cache(maxsize=None)
-def _down_set_plan(top: tuple) -> _Plan:
-    """The steps of :func:`_recursion_steps` for the down-set {0 != beta <=
-    top}, in the same order: mu_top, the last, reads only cumulants and
-    moments there."""
-    steps = tuple(step for step in _recursion_steps(len(top), sum(top))
-                  if all(b <= t for b, t in zip(step[0], top)))
-    return _compile(steps, len(top), sum(top))
+    steps = []
+    for beta in betas:
+        i = max(k for k, b in enumerate(beta) if b)
+        gamma = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+        terms = []
+        for delta in itertools.product(*(range(g + 1) for g in gamma)):
+            if any(delta):
+                coef = math.prod(math.comb(g, e) for g, e in zip(gamma, delta))
+                kb = delta[:i] + (delta[i] + 1,) + delta[i + 1:]
+                terms.append((float(coef), kappa_at[kb], mu_at[tuple(g - e for g, e in zip(gamma, delta))]))
+        steps.append(tuple(terms))
+    return _Plan(tuple(betas), table, tuple(map(sum, table)), table_columns(d, table, K), tuple(steps))
 
 
 def _moments(kappa: list, plan: _Plan) -> list:
@@ -495,10 +478,10 @@ def _sum_moments(model: ModelSpec, K: int, top: tuple | None = None) -> list:
     one table call for all records."""
     if K > 8:
         raise ValueError("exact sum moment order capped at 8")
-    plan = _plan(model.d, K) if top is None else _down_set_plan(top)
+    plan = _plan(model.d, K, top)
     summands, counts = zip(*model.records)
     scale = [float(model.n) ** (-0.5 * l) for l in range(K + 1)]
-    terms = cumulant_tables(summands, plan)
+    terms = cumulant_tables(summands, K, plan.columns)
     terms *= np.array(counts, dtype=float)[:, None]
     terms *= [scale[l] for l in plan.orders]
     # add.accumulate is a running sum in record order; its last row plus 0.0

@@ -21,12 +21,12 @@ views of the package's own table rows and recursion on dict keys, for the
 tests that read one record's table or moments by index.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from edgeworth.moments import (_LAWS, Summand, _moments, _plan, _recursion_steps, cumulant_tables, raw_moment,
-                               sample_component)
+from edgeworth.moments import _LAWS, Summand, _moments, _plan, cumulant_tables, raw_moment, sample_component
 from edgeworth.multiindex import check_multiindex, enumerate_multiindices
 
 
@@ -133,7 +133,7 @@ def cumulant_table(C, comps, K: int) -> dict:
     left out: its row of the package's ``cumulant_tables``."""
     s = Summand(C, comps)
     plan = _plan(s.C.shape[0], K)
-    return {b: v for b, v in zip(plan.table, cumulant_tables([s], plan)[0].tolist()) if v != 0.0}
+    return {b: v for b, v in zip(plan.table, cumulant_tables([s], K, plan.columns)[0].tolist()) if v != 0.0}
 
 
 def moments_from_cumulants(kappa: dict, d: int, K: int) -> dict:
@@ -180,16 +180,26 @@ def cumulant_table_reference(C, comps, K: int) -> dict:
 
 def recursion_reference(kappa: dict, d: int, K: int, top=None) -> dict:
     """Moments mu_beta, 1 <= |beta| <= K (or the down-set of ``top``), and
-    mu_0 = 1, keyed by index: the steps of the package's recursion, each
-    summed from 0.0 over the terms whose cumulant ``kappa`` holds."""
+    mu_0 = 1, keyed by index by order and then in descending lexicographic
+    order: mu_{gamma+e_i}, i the last nonzero coordinate, is the sum from
+    0.0, over 0 != delta <= gamma in lexicographic order whose cumulant
+    ``kappa`` holds, of prod_k C(gamma_k, delta_k) kappa_{delta+e_i}
+    mu_{gamma-delta}."""
     mu = {(0,) * d: 1.0}
-    for beta, terms in _recursion_steps(d, K):
-        if top is None or all(b <= t for b, t in zip(beta, top)):
-            total = 0.0
-            for c, kb, mb in terms:
-                if kb in kappa:
-                    total += c * kappa[kb] * mu[mb]
-            mu[beta] = total
+    betas = sorted(itertools.product(range(K + 1), repeat=d), key=lambda b: (sum(b), [-x for x in b]))
+    for beta in betas:
+        if not 1 <= sum(beta) <= K or (top is not None and any(b > t for b, t in zip(beta, top))):
+            continue
+        i = max(k for k in range(d) if beta[k])
+        e = tuple(int(k == i) for k in range(d))
+        gamma = tuple(b - x for b, x in zip(beta, e))
+        total = 0.0
+        for delta in itertools.product(*(range(g + 1) for g in gamma)):
+            kb = tuple(x + y for x, y in zip(delta, e))
+            if any(delta) and kb in kappa:
+                coef = float(math.prod(math.comb(g, x) for g, x in zip(gamma, delta)))
+                total += coef * kappa[kb] * mu[tuple(g - x for g, x in zip(gamma, delta))]
+        mu[beta] = total
     return mu
 
 

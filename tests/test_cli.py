@@ -766,11 +766,22 @@ def test_ill_typed_field_names_it(experiment, field, value):
         pytest.param(MINIMAL["nummelin"][0] | {"radius": -1}, "radius", id="nummelin-radius-negative"),
         pytest.param(MINIMAL["nummelin"][0] | {"radius": 0}, "radius", id="nummelin-radius-0"),
         pytest.param(MINIMAL["nummelin"][0] | {"epsilon": -0.2}, "epsilon", id="nummelin-epsilon-negative"),
+        # these raised ZeroDivisionError after the whole run, or wrote a note of 1.08
+        pytest.param(MINIMAL_OCCUPATION | {"ref_eps": 0}, "ref_eps", id="occupation-ref_eps-0"),
+        pytest.param(MINIMAL_OCCUPATION | {"ref_eps": -0.5}, "ref_eps", id="occupation-ref_eps-negative"),
     ],
 )
 def test_bad_size_names_its_field(cfg, field):
     code, err = _run_config(cfg, cfg["experiment"])
     assert code == 2 and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("scale, width", [(0, "0.0"), (-1, "-0.25")])
+def test_density_box_half_width_must_be_positive(scale, width):
+    # delta_scale 0 sampled everything and then raised ZeroDivisionError;
+    # -1 exited 0 with negative widths and -0 estimates
+    code, err = _run_config(MINIMAL["density"][0] | {"delta_scale": scale}, "density")
+    assert (code, err) == (2, f"config error: box half-width delta at n = 4 is {width}, need a finite number > 0\n")
 
 
 @pytest.mark.parametrize("experiment", sorted(SPECS))

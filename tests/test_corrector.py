@@ -162,6 +162,18 @@ def test_build_cost_is_per_record(monkeypatch):
     assert corrector._layout.cache_info().misses == built
 
 
+def test_cold_build_compiles_no_moment_recursion():
+    # the corrector gathers its cumulant columns through its own layout, so
+    # a cold build leaves the sum-moment recursion's cache empty
+    rng = np.random.default_rng(40)
+    model = ModelSpec(d=3, records=tuple((Summand(rng.normal(size=(3, 3)), (skewed_two_point(0.3),) * 3), 1)
+                                         for _ in range(5)))
+    moments._plan.cache_clear()
+    corrector._layout.cache_clear()
+    assert corrector_polynomial(model, 4).terms
+    assert moments._plan.cache_info().currsize == 0
+
+
 def test_odd_orders_vanish_for_symmetric_components():
     model = iid_model(uniform_centered(), 50)
     for k in (1, 3):
@@ -565,7 +577,7 @@ def _hermite_gap(records: list, d: int, N: int) -> float:
     recursion on the absolute values of the cumulants; a beta the majorant
     lacks is a structural zero, which must be 0.0 on both sides."""
     layout = corrector._layout(d, N)
-    table = moments.cumulant_tables(records, moments._plan(d, N + 2))
+    table = moments.cumulant_tables(records, N + 2, layout.columns)
     rows = (corrector._hermite(layout, table, 7) * (7.0 * layout.factorials)).tolist()
     betas = layout.keys[1:1 + len(layout.factorials)]
     worst = 0.0

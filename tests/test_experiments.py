@@ -220,6 +220,27 @@ def test_density_fit_skips_zero_error_and_flagged_rows(monkeypatch):
     assert res.fitted_slope == slope and math.isnan(res.slope_stderr)
 
 
+@pytest.mark.parametrize("rule, bad", [(lambda n: 0.0 * n, "0.0"), (lambda n: -1.0 / n, "-0.0625"),
+                                       (lambda n: math.inf, "inf"), (lambda n: math.nan, "nan")],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_density_rejects_a_box_half_width_that_is_not_positive(monkeypatch, rule, bad):
+    # the half-width of every n is checked before any corrector build or draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the half-width was checked")
+
+    monkeypatch.setattr(experiments, "run_grid", no_draws)
+    monkeypatch.setattr(experiments, "corrector_polynomial", no_draws)
+    with pytest.raises(ValueError, match=rf"^box half-width delta at n = 16 is {bad}, need a finite number > 0$"):
+        density_experiment(lambda n: iid_model(standard_normal(), n), 1, [0.0], [16, 32], delta_rule=rule)
+
+
+@pytest.mark.parametrize("ref_eps", [0.0, -0.5, math.inf])
+def test_occupation_rejects_a_ref_eps_that_is_not_positive(monkeypatch, ref_eps):
+    monkeypatch.setattr(experiments, "run_grid", lambda *args: pytest.fail("sampled before ref_eps was checked"))
+    with pytest.raises(ValueError, match=rf"^'ref_eps' must be a finite number > 0, got {ref_eps!r}$"):
+        occupation_time(rademacher(), rho=0.5, n_grid=[16], samples=100, ref_eps=ref_eps)
+
+
 def test_occupation_time_gaussian_row():
     res = occupation_time(standard_normal(), rho=0.5, n_grid=[400], samples=4000, seed=9, ref_eps=0.05)
     row = res.rows[0]

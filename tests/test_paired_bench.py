@@ -141,3 +141,34 @@ def test_main_exit_status(tmp_path, monkeypatch, capsys, change_wall, change_fai
     out = capsys.readouterr().out
     assert ("FAIL " in out) == bool(code)
     assert json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["failed"]["change"] == change_failed
+
+
+def test_main_runs_one_aa_pair_per_workload(tmp_path, monkeypatch, capsys):
+    # each workload's A/A pair runs the base twice on its first seed, before
+    # its pairs, and sits in its own entry and report
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": k} | v for k, v in _BOUNDS.items()]}))
+    monkeypatch.setattr(paired_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(paired_bench, "extract", lambda commit, dest: "0" * 40)
+    calls = []
+    base_walls = {"w": iter([2.0, 2.5] + [10.0] * 3), "v": iter([4.0, 3.0] + [10.0] * 3)}
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree == str(tmp_path), workload, seed))
+        wall = 10.0 if tree == str(tmp_path) else next(base_walls[workload])
+        return _run(wall, 80.0, "a", _ops(1.0))
+
+    monkeypatch.setattr(paired_bench, "run_once", run_once)
+    assert paired_bench.main(["--base", "HEAD", "--tag", "t", "--seeds", "5-7", "--workloads", "w", "v",
+                              "--workdir", str(tmp_path / "work")]) == 0
+    for workload in ("w", "v"):
+        runs = [call for call in calls if call[1] == workload]
+        assert runs[:2] == [(False, workload, 5)] * 2 and len(runs) == 8
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert "aa_pair" not in doc
+    aa = {w: doc["workloads"][w]["aa_pair"] for w in ("w", "v")}
+    assert aa["w"]["seed"] == aa["v"]["seed"] == 5
+    assert aa["w"]["metrics"]["wall_s"]["relative"] == pytest.approx(0.25)
+    assert aa["v"]["metrics"]["wall_s"]["relative"] == pytest.approx(-0.25)
+    out = capsys.readouterr().out
+    assert "A/A pair (seed 5): wall_s +25.0 %, peak_rss_mb +0.0 %" in out
+    assert "A/A pair (seed 5): wall_s -25.0 %, peak_rss_mb +0.0 %" in out

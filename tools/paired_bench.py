@@ -12,16 +12,18 @@ alone.  For each workload and seed, ``perfbench/run.py --trace 0`` runs once
 on each tree, each from its own checkout and its own ``perfbench/``, in
 alternating order: the base first on odd-numbered pairs and the working tree
 first on even-numbered ones, so that a drift of the machine's speed during a
-session does not favour one side.  One A/A pair, the base twice on the first
-workload's first seed, shows how far two runs of the same program differ.
+session does not favour one side.  One A/A pair per workload, the base twice
+on that workload's first seed, shows how far two runs of the same program
+differ, next to that workload's verdicts.
 
 It prints, per workload and end-to-end metric, the pairs the working tree
 won, each side's median and quartiles, the relative change of the medians
 and a verdict against the metric's bound in ``BENCHMARK.json`` (see
-``verdict``), and writes ``BENCH_<tag>.json`` at the repository root: each
-side's runs, medians and quartiles, the verdicts, the result digests of
-every seed, and the median of each op kind's fastest latency, from the
-per-op records that ``perfbench`` writes under ``.perfbench_out/``.  It
+``verdict``), then the workload's A/A pair, and writes ``BENCH_<tag>.json``
+at the repository root: per workload each side's runs, medians and
+quartiles, the verdicts, the result digests of every seed, the median of
+each op kind's fastest latency, from the per-op records that ``perfbench``
+writes under ``.perfbench_out/``, and the A/A pair.  It
 exits 1, printing each reason (see ``failures``), when a run is not
 correct, the change fails more ops than the base or a verdict is
 ``worse``, and 0 otherwise.
@@ -151,6 +153,7 @@ def aa_pair(first: dict, second: dict) -> dict:
 
 
 def report(workload: str, entry: dict) -> str:
+    """The workload's table of metrics, then its A/A pair if it has one."""
     lines = [f"{workload}: correct {entry['correct']}, failed {entry['failed']}, "
              f"digests equal {entry['digests_equal']}",
              f"  {'metric':12s} {'won':>5s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s}"
@@ -161,6 +164,10 @@ def report(workload: str, entry: dict) -> str:
         lines.append(f"  {name:12s} {m['change_wins']:>2d}/{len(entry['seeds']):<2d} {side('parent'):>34s} "
                      f"{side('change'):>34s} {'' if rel is None else f'{100 * rel:+.1f} %':>8s}"
                      f"  {m['verdict']} ({100 * m['bound']:g} %)")
+    if "aa_pair" in entry:
+        aa = entry["aa_pair"]
+        lines.append(f"  A/A pair (seed {aa['seed']}): " + ", ".join(
+            f"{k} {100 * v['relative']:+.1f} %" for k, v in aa["metrics"].items() if v["relative"] is not None))
     return "\n".join(lines)
 
 
@@ -212,19 +219,17 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
-    first = args.workloads[0]
-    aa = aa_pair(run_once(base, first, seeds[0], args.seconds), run_once(base, first, seeds[0], args.seconds))
     workloads = {}
     for workload in args.workloads:
+        aa = aa_pair(*(run_once(base, workload, seeds[0], args.seconds) for _ in range(2)))
         runs: dict = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = [("parent", base), ("change", ROOT)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
                 runs[side].append(run_once(tree, workload, seed, args.seconds))
-        workloads[workload] = aggregate(seeds, runs["parent"], runs["change"], end_to_end)
+        workloads[workload] = aggregate(seeds, runs["parent"], runs["change"], end_to_end) | {"aa_pair": {
+            "seed": seeds[0], "note": "the parent run twice, the second against the first", "metrics": aa}}
         print(report(workload, workloads[workload]), flush=True)
-    print("A/A pair (" + first + f", seed {seeds[0]}): "
-          + ", ".join(f"{k} {100 * v['relative']:+.1f} %" for k, v in aa.items() if v["relative"] is not None))
 
     doc = {
         "parent_commit": commit,
@@ -237,8 +242,6 @@ def main(argv=None) -> int:
         "quartiles": "numpy.percentile 25 and 75, linear interpolation",
         "claim": args.claim,
         "workloads": workloads,
-        "aa_pair": {"workload": first, "seed": seeds[0], "note": "the parent run twice, the second against the first",
-                    "metrics": aa},
     }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
